@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-self race obs-race obs-serve kernels-race chaos latency warmstart watch check bench bench-compare
+.PHONY: build test vet lint lint-self race obs-serve kernels-race chaos latency warmstart watch check bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -32,17 +32,13 @@ lint-self:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The telemetry layer is hammered from many goroutines (ADMM workers, LCP-M
-# prefix solves); its registry/sink stress tests run under the race detector
-# with a higher count to shake out interleavings the full-suite pass misses.
-obs-race:
-	$(GO) test -race -count=2 ./internal/obs/...
-
-# The flight-recorder surfaces: the journal sink is written from the solve
-# path while the /runs feed streams it to subscribers, and replay re-runs a
-# recorded config concurrently with validation. Shuffled double runs under
-# the race detector cover the serve handlers, the feed's drop-oldest ring,
-# and the record/replay round trip.
+# The telemetry and flight-recorder surfaces: the registry and trace sinks
+# are hammered from many goroutines (parallel kernels, LCP-M prefix solves),
+# the journal sink is written from the solve path while the /runs feed
+# streams it to subscribers, and replay re-runs a recorded config
+# concurrently with validation. Shuffled double runs under the race detector
+# cover the registry/sink stress tests, the serve handlers, the feed's
+# drop-oldest ring, and the record/replay round trip.
 obs-serve:
 	$(GO) test -race -shuffle=on -count=2 ./internal/obs/... ./internal/resilience/... ./internal/eval/...
 
@@ -90,11 +86,11 @@ watch:
 	$(GO) run -race ./cmd/soralbench -exp watch -q
 
 # The gate used before merging: static checks (vet plus the sorallint
-# invariants) and the full suite under the race detector (the ADMM consensus
-# loop and the fault-injection trip counter are the concurrency-sensitive
+# invariants) and the full suite under the race detector (the parallel
+# kernels and the fault-injection trip counter are the concurrency-sensitive
 # paths), plus the focused telemetry and parallel-kernel race passes and the
 # crash/recovery chaos schedules.
-check: vet lint lint-self race obs-race obs-serve kernels-race chaos latency warmstart watch
+check: vet lint lint-self race obs-serve kernels-race chaos latency warmstart watch
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
@@ -102,11 +98,6 @@ bench:
 # Smoke test for the regression differ: a snapshot compared against itself
 # must report zero regressions and exit 0. Catches schema drift between the
 # bench writers and the compare loader before a real baseline comparison
-# depends on them.
+# depends on them (TestCommittedBenchFilesLoad runs the same check in go test).
 bench-compare:
-	$(GO) run ./cmd/soralbench -compare results/BENCH_kernels.json results/BENCH_kernels.json
-	$(GO) run ./cmd/soralbench -compare results/BENCH_chaos.json results/BENCH_chaos.json
-	$(GO) run ./cmd/soralbench -compare results/BENCH_latency.json results/BENCH_latency.json
-	$(GO) run ./cmd/soralbench -compare results/BENCH_lint.json results/BENCH_lint.json
-	$(GO) run ./cmd/soralbench -compare results/BENCH_warmstart.json results/BENCH_warmstart.json
-	$(GO) run ./cmd/soralbench -compare results/BENCH_watch.json results/BENCH_watch.json
+	for f in results/BENCH_*.json; do $(GO) run ./cmd/soralbench -compare $$f $$f || exit 1; done

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"soral/internal/admm"
 	"soral/internal/control"
 	"soral/internal/core"
 	"soral/internal/eval"
@@ -206,7 +205,7 @@ func BenchmarkScalarOnlineClosedForm(b *testing.B) {
 	}
 }
 
-// ---- Ablation: offline solver backends (dense vs staircase vs ADMM) ----
+// ---- Ablation: offline solver backends (dense vs staircase) ----
 
 func BenchmarkOfflineDenseBackend(b *testing.B) {
 	n, in := benchScenario(b, 1000, 16)
@@ -245,18 +244,6 @@ func BenchmarkOfflineStaircaseLongHorizon(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := staircase.Solve(l.Prob, l.SlotOfCons, l.SlotOfVar, l.W, lp.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOfflineADMM(b *testing.B) {
-	// A deliberately small budget: ADMM is the cross-check/fallback path,
-	// benchmarked here for the DESIGN.md ablation, not a production route.
-	n, in := benchScenario(b, 100, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := admm.SolveOffline(n, in, admm.Options{MaxIter: 40, Tol: 1e-3}); err != nil {
 			b.Fatal(err)
 		}
 	}

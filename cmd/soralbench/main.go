@@ -53,7 +53,6 @@ import (
 
 	"soral/internal/analysis"
 	"soral/internal/eval"
-	"soral/internal/linalg"
 	"soral/internal/obs"
 	"soral/internal/obs/journal"
 	"soral/internal/obs/tsdb"
@@ -214,36 +213,21 @@ func main() {
 		lintRes = res
 		return lintTable(res), nil
 	}
-	var kernelRep *eval.KernelReport
-	exps["kernels"] = func() (*eval.Table, error) {
-		tbl, rep, err := eval.Kernels(log)
-		kernelRep = rep
-		return tbl, err
+	// Experiments with their own per-configuration entries leave them here;
+	// every other experiment is recorded as one entry of its own name.
+	reports := map[string]*eval.Bench{}
+	withReport := func(name string, run func() (*eval.Table, *eval.Bench, error)) {
+		exps[name] = func() (*eval.Table, error) {
+			tbl, rep, err := run()
+			reports[name] = rep
+			return tbl, err
+		}
 	}
-	var chaosRep *eval.ChaosReport
-	exps["chaos"] = func() (*eval.Table, error) {
-		tbl, rep, err := eval.ChaosCtx(ctx, log)
-		chaosRep = rep
-		return tbl, err
-	}
-	var latencyRep *eval.LatencyReport
-	exps["latency"] = func() (*eval.Table, error) {
-		tbl, rep, err := eval.Latency(log)
-		latencyRep = rep
-		return tbl, err
-	}
-	var warmstartRep *eval.WarmstartReport
-	exps["warmstart"] = func() (*eval.Table, error) {
-		tbl, rep, err := eval.Warmstart(log)
-		warmstartRep = rep
-		return tbl, err
-	}
-	var watchRep *eval.WatchReport
-	exps["watch"] = func() (*eval.Table, error) {
-		tbl, rep, err := eval.Watch(log)
-		watchRep = rep
-		return tbl, err
-	}
+	withReport("kernels", func() (*eval.Table, *eval.Bench, error) { return eval.Kernels(log) })
+	withReport("chaos", func() (*eval.Table, *eval.Bench, error) { return eval.ChaosCtx(ctx, log) })
+	withReport("latency", func() (*eval.Table, *eval.Bench, error) { return eval.Latency(log) })
+	withReport("warmstart", func() (*eval.Table, *eval.Bench, error) { return eval.Warmstart(log) })
+	withReport("watch", func() (*eval.Table, *eval.Bench, error) { return eval.Watch(log) })
 	order := []string{"table1", "table2", "fig4", "vshape", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"}
 
 	var selected []string
@@ -296,45 +280,16 @@ func main() {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
 		if *jsonDir != "" {
-			switch name {
-			case "kernels":
-				// The kernels experiment has its own richer schema: per-cell
-				// ns/op, speedup, and bit-identity rather than solver counters.
-				if err := writeKernelsJSON(*jsonDir, kernelRep); err != nil {
-					fatal(err)
-				}
-			case "chaos":
-				// Likewise chaos: per-schedule recovery timings with the
-				// bit-identity verdict -compare gates on.
-				if err := writeChaosJSON(*jsonDir, chaosRep); err != nil {
-					fatal(err)
-				}
-			case "latency":
-				// And latency: per-phase tail quantiles from the log-bucketed
-				// histograms the core spans feed.
-				if err := writeLatencyJSON(*jsonDir, latencyRep); err != nil {
-					fatal(err)
-				}
-			case "warmstart":
-				// And warmstart: per-entry steady-state quantiles, iteration
-				// means, and determinism verdicts for the warm-start layer.
-				if err := writeWarmstartJSON(*jsonDir, warmstartRep); err != nil {
-					fatal(err)
-				}
-			case "watch":
-				// And watch: seeded-fault alert verdicts and the monitoring
-				// overhead budget, with bit-identity flags -compare gates on.
-				if err := writeWatchJSON(*jsonDir, watchRep); err != nil {
-					fatal(err)
-				}
-			default:
+			rep := reports[name]
+			if rep == nil {
 				var lint *analysis.Result
 				if name == "lint" {
 					lint = lintRes
 				}
-				if err := writeBenchJSON(*jsonDir, name, elapsed, before, reg.Snapshot(), lint); err != nil {
-					fatal(err)
-				}
+				rep = experimentBench(name, elapsed, before, reg.Snapshot(), lint)
+			}
+			if err := writeBench(*jsonDir, name, rep); err != nil {
+				fatal(err)
 			}
 		}
 		if err := eval.Render(os.Stdout, tbl); err != nil {
@@ -425,36 +380,6 @@ func compareMain(args []string, threshold float64) {
 	}
 }
 
-// benchResult is the BENCH_<name>.json schema (documented in
-// EXPERIMENTS.md): one record per experiment run, with the solver-iteration
-// counters attributing the work to the solver stages that performed it.
-type benchResult struct {
-	Name    string `json:"name"`
-	Iters   int    `json:"iters"`
-	NsPerOp int64  `json:"ns_per_op"`
-	// Machine envelope: -compare warns when two snapshots disagree on it.
-	Cores      int `json:"cores"`
-	GoMaxProcs int `json:"gomaxprocs"`
-	Workers    int `json:"workers"`
-	// SolverIterations maps each per-stage iteration counter (e.g.
-	// "lp.mehrotra.iterations") to its delta over this experiment.
-	SolverIterations map[string]int64 `json:"solver_iterations"`
-	// TotalSolverIterations is the delta of the shared solver.iterations
-	// counter (the sum over all stages).
-	TotalSolverIterations int64 `json:"total_solver_iterations"`
-	// LintPackages maps each analyzed package to its sorallint analyzer wall
-	// time in nanoseconds (lint experiment only; excludes load/type-check).
-	LintPackages map[string]int64 `json:"lint_packages,omitempty"`
-	// LintLoadNs is the one-off parse+type-check cost shared by all packages.
-	LintLoadNs int64 `json:"lint_load_ns,omitempty"`
-	// LintAnalyzers maps each analyzer to its wall time in nanoseconds summed
-	// over all packages, plus a "callgraph" entry for the shared call-graph
-	// and summary construction that the interprocedural analyzers amortize.
-	LintAnalyzers map[string]int64 `json:"lint_analyzers,omitempty"`
-	// LintFindings counts the surviving diagnostics across the module.
-	LintFindings int `json:"lint_findings,omitempty"`
-}
-
 // lintTable renders a lint run as the common table shape so -csv and the
 // terminal output work like any other experiment.
 func lintTable(res *analysis.Result) *eval.Table {
@@ -503,104 +428,55 @@ func sortedKeys(m map[string]time.Duration) []string {
 	return keys
 }
 
-func writeBenchJSON(dir, name string, elapsed time.Duration, before, after obs.Snapshot, lint *analysis.Result) error {
-	res := benchResult{
-		Name:             name,
-		Iters:            1,
-		NsPerOp:          elapsed.Nanoseconds(),
-		Cores:            runtime.NumCPU(),
-		GoMaxProcs:       runtime.GOMAXPROCS(0),
-		Workers:          linalg.ResolveWorkers(0),
-		SolverIterations: map[string]int64{},
-		TotalSolverIterations: after.Counters[obs.MetricSolverIters] -
-			before.Counters[obs.MetricSolverIters],
+// experimentBench records one experiment run as a single entry named after
+// it: its wall time as ns_per_op and the solver-iteration counters' deltas
+// over the run, attributing the work to the stages that performed it. A
+// lint run adds the per-package and per-analyzer sorallint wall times
+// (lint_packages.<pkg>, lint_analyzers.<check>, with a "callgraph" analyzer
+// entry for the shared call-graph and summary construction) and the one-off
+// load cost. The run count (iters, always 1) and the surviving lint finding
+// count are info, not regression axes.
+func experimentBench(name string, elapsed time.Duration, before, after obs.Snapshot, lint *analysis.Result) *eval.Bench {
+	info := map[string]float64{"iters": 1}
+	m := map[string]float64{
+		"ns_per_op": float64(elapsed.Nanoseconds()),
+		"total_solver_iterations": float64(after.Counters[obs.MetricSolverIters] -
+			before.Counters[obs.MetricSolverIters]),
 	}
 	for k, v := range after.Counters {
 		if k == obs.MetricSolverIters || !strings.HasSuffix(k, ".iterations") {
 			continue
 		}
 		if d := v - before.Counters[k]; d != 0 {
-			res.SolverIterations[k] = d
+			m["solver_iterations."+k] = float64(d)
 		}
 	}
 	if lint != nil {
-		res.LintPackages = map[string]int64{}
 		for _, p := range lint.Packages {
-			res.LintPackages[p.Path] = p.Duration.Nanoseconds()
+			m["lint_packages."+p.Path] = float64(p.Duration.Nanoseconds())
 		}
-		res.LintLoadNs = lint.LoadDuration.Nanoseconds()
-		res.LintAnalyzers = map[string]int64{}
 		for check, d := range lint.Analyzers {
-			res.LintAnalyzers[check] = d.Nanoseconds()
+			m["lint_analyzers."+check] = float64(d.Nanoseconds())
 		}
 		if lint.CallGraphDuration > 0 {
-			res.LintAnalyzers["callgraph"] = lint.CallGraphDuration.Nanoseconds()
+			m["lint_analyzers.callgraph"] = float64(lint.CallGraphDuration.Nanoseconds())
 		}
-		res.LintFindings = len(lint.Diagnostics)
+		m["lint_load_ns"] = float64(lint.LoadDuration.Nanoseconds())
+		info["lint_findings"] = float64(len(lint.Diagnostics))
 	}
+	return &eval.Bench{BenchEnv: eval.HostEnv(), Results: []eval.BenchEntry{{Name: name, Metrics: m, Info: info}}}
+}
+
+// writeBench writes one snapshot as dir/BENCH_<name>.json.
+func writeBench(dir, name string, rep *eval.Bench) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	raw, err := json.MarshalIndent(res, "", "  ")
+	raw, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, "BENCH_"+name+".json"), append(raw, '\n'), 0o644)
-}
-
-func writeKernelsJSON(dir string, rep *eval.KernelReport) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_kernels.json"), append(raw, '\n'), 0o644)
-}
-
-func writeChaosJSON(dir string, rep *eval.ChaosReport) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_chaos.json"), append(raw, '\n'), 0o644)
-}
-
-func writeWarmstartJSON(dir string, rep *eval.WarmstartReport) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_warmstart.json"), append(raw, '\n'), 0o644)
-}
-
-func writeWatchJSON(dir string, rep *eval.WatchReport) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_watch.json"), append(raw, '\n'), 0o644)
-}
-
-func writeLatencyJSON(dir string, rep *eval.LatencyReport) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_latency.json"), append(raw, '\n'), 0o644)
 }
 
 func writeTraces(scale eval.Scale, path string) error {

@@ -9,7 +9,7 @@ import (
 // cancelable: a production deployment shedding load needs every solve loop
 // to notice a dead client.
 var solverPackages = map[string]bool{
-	"lp": true, "convex": true, "admm": true, "core": true, "control": true,
+	"lp": true, "convex": true, "core": true, "control": true,
 }
 
 // servicePackages are the observability packages whose long-running exported

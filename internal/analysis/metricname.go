@@ -16,8 +16,8 @@ var metricNameRe = regexp.MustCompile(`^[a-z][a-z0-9]*([._][a-z0-9]+)*$`)
 
 // metricKinds maps each obs metric-recording (or reading) method to the
 // kind of series its name argument selects. A name reused across kinds
-// would collide in the exposition (a summary and a histogram both own
-// "<name>_sum"/"<name>_count"), so one name must keep one kind.
+// would collide in the exposition (a counter and a latency histogram would
+// both claim "<name>"'s TYPE line), so one name must keep one kind.
 var metricKinds = map[string]string{
 	"Add":           "counter",
 	"Count":         "counter",
@@ -25,7 +25,6 @@ var metricKinds = map[string]string{
 	"CounterValue":  "counter",
 	"SetCounter":    "counter",
 	"SetGauge":      "gauge",
-	"Observe":       "summary",
 	"RecordLatency": "latency",
 	"LatencyHist":   "latency",
 }
@@ -33,7 +32,7 @@ var metricKinds = map[string]string{
 // MetricName enforces the telemetry naming contract on every constant metric
 // name passed to the obs.Registry / obs.Scope recording methods: names are
 // lowercase dotted snake_case, and a name is registered as exactly one
-// metric kind (counter, gauge, summary, latency) per package. Names built
+// metric kind (counter, gauge, latency) per package. Names built
 // at runtime (e.g. "latency."+name+".seconds") are out of scope — the
 // analyzer only judges what it can constant-fold.
 var MetricName = &Analyzer{

@@ -5,8 +5,8 @@
 // objective mixes linear allocation costs with the entropic regularizer
 // (u+ε)·ln((u+ε)/(uprev+ε)) − u. The solver only needs the objective's value,
 // gradient, and Hessian through the Objective interface, so the same engine
-// also solves the quadratic subproblems of the ADMM offline solver and plain
-// LPs (used for cross-checks against package lp).
+// also solves quadratic programs and plain LPs (used for cross-checks
+// against package lp).
 //
 // A strictly feasible starting point is computed with a phase-I linear
 // program when the caller does not supply one.

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"soral/internal/core"
-	"soral/internal/linalg"
 	"soral/internal/obs/journal"
 	"soral/internal/resilience"
 )
@@ -20,42 +18,28 @@ import (
 // reference bit-for-bit.
 type ChaosResult struct {
 	// Schedule names the fault schedule (e.g. "kill/slot-3", "torn/footer").
-	Schedule string `json:"schedule"`
+	Schedule string
 	// Kind is the fault family: "kill" (clean truncation at a record
 	// boundary), "torn" (mid-record truncation), "fault" (transient solver
 	// fault absorbed by the supervisor), or "resume" (resume-protocol edge
 	// cases).
-	Kind string `json:"kind"`
+	Kind string
 	// Slots is the horizon length of the run under test.
-	Slots int `json:"slots"`
+	Slots int
 	// ResumedFrom is the first slot the recovery re-decided (-1 when the
 	// schedule involves no journal resume).
-	ResumedFrom int `json:"resumed_from"`
+	ResumedFrom int
 	// CaughtUp counts recorded slots re-solved and digest-verified because
 	// their state checkpoint died with the torn tail.
-	CaughtUp int `json:"caught_up"`
+	CaughtUp int
 	// Retries counts supervisor re-attempts (fault schedules only).
-	Retries int `json:"retries"`
+	Retries int
 	// NsPerOp is the wall time of the recovery path (recover + resume, or
 	// the supervised run) in nanoseconds.
-	NsPerOp int64 `json:"ns_per_op"`
+	NsPerOp int64
 	// BitIdentical reports whether every per-slot decision digest of the
 	// recovered run equals the uninterrupted reference run's.
-	BitIdentical bool `json:"bit_identical"`
-}
-
-// ChaosReport is the BENCH_chaos.json schema: the seed that generated the
-// fault schedules plus one record per schedule. Every schedule is a pure
-// function of Seed, so a report regenerates identically on any machine.
-type ChaosReport struct {
-	Seed  uint64 `json:"seed"`
-	Slots int    `json:"slots"`
-	// Machine envelope: recovery wall times depend on the core count, so
-	// -compare warns when two snapshots disagree here.
-	Cores      int           `json:"cores"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Workers    int           `json:"workers"`
-	Results    []ChaosResult `json:"results"`
+	BitIdentical bool
 }
 
 // chaosSeed drives every derived quantity of the chaos experiment: the kill
@@ -216,20 +200,19 @@ func (c *chaosRun) faultRun(ctx context.Context, name string, plan *resilience.F
 // pipeline — process kills at record boundaries, torn writes into every
 // record kind, transient solver faults under the supervisor, and the resume
 // protocol's edge cases — asserting that every recovery path reproduces the
-// uninterrupted run's per-slot decision digests exactly. The report is
-// written as BENCH_chaos.json by cmd/soralbench -exp chaos -json.
-func Chaos(log Logger) (*Table, *ChaosReport, error) {
+// uninterrupted run's per-slot decision digests exactly. Each schedule is
+// one "chaos/<schedule>" entry carrying the seed it was drawn from (every
+// schedule is a pure function of it), its recovery bookkeeping, and the
+// recovery wall time as ns_per_op. The report is written as
+// BENCH_chaos.json by cmd/soralbench -exp chaos -json.
+func Chaos(log Logger) (*Table, *Bench, error) {
 	return ChaosCtx(context.Background(), log)
 }
 
 // ChaosCtx is Chaos with cancellation.
-func ChaosCtx(ctx context.Context, log Logger) (*Table, *ChaosReport, error) {
+func ChaosCtx(ctx context.Context, log Logger) (*Table, *Bench, error) {
 	cfg := chaosSpec().canonical()
-	rep := &ChaosReport{
-		Seed: chaosSeed, Slots: cfg.Spec.T,
-		Cores: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers: linalg.ResolveWorkers(0),
-	}
+	rep := &Bench{BenchEnv: HostEnv()}
 
 	dir, err := os.MkdirTemp("", "soral-chaos-*")
 	if err != nil {
@@ -429,7 +412,16 @@ func ChaosCtx(ctx context.Context, log Logger) (*Table, *ChaosReport, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		rep.Results = append(rep.Results, r)
+		rep.Results = append(rep.Results, BenchEntry{
+			Name:    "chaos/" + r.Schedule,
+			Metrics: map[string]float64{"ns_per_op": float64(r.NsPerOp)},
+			Info: map[string]float64{
+				"seed": float64(chaosSeed), "slots": float64(r.Slots),
+				"resumed_from": float64(r.ResumedFrom), "caught_up": float64(r.CaughtUp),
+				"retries": float64(r.Retries),
+			},
+			BitIdentical: &r.BitIdentical,
+		})
 		tbl.Rows = append(tbl.Rows, []string{
 			r.Schedule, r.Kind,
 			fmt.Sprintf("%d", r.ResumedFrom),

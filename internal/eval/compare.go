@@ -5,20 +5,35 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+
+	"soral/internal/linalg"
 )
 
-// BenchEntry is one named benchmark with its numeric metrics, the common
-// shape every BENCH_<name>.json schema (the per-experiment benchResult, the
-// kernels report, and the chaos report) flattens into for diffing.
+// Bench is the one BENCH_<name>.json schema every experiment writes: the
+// machine envelope the snapshot was recorded under, then one named entry per
+// measured configuration. -compare pairs two snapshots by entry name.
+type Bench struct {
+	BenchEnv
+	Results []BenchEntry `json:"results"`
+}
+
+// BenchEntry is one named benchmark. Every number in Metrics is a
+// regression axis for -compare: bigger is worse, except metrics whose name
+// starts with "speedup". Info carries the numbers recorded for the reader
+// (seeds, horizons, sample counts, adaptive loop counts, gauges where
+// bigger is better) that -compare never scores.
 type BenchEntry struct {
-	Name    string
-	Metrics map[string]float64
-	// BitIdentical is non-nil for kernel cells and chaos schedules, which
-	// carry a bit-identity verdict (serial-vs-parallel for kernels,
-	// recovered-vs-uninterrupted for chaos).
-	BitIdentical *bool
+	Name    string             `json:"name"`
+	Metrics map[string]float64 `json:"metrics"`
+	Info    map[string]float64 `json:"info,omitempty"`
+	// BitIdentical is set on entries that carry a determinism verdict
+	// (serial-vs-parallel for kernels, recovered-vs-uninterrupted for chaos,
+	// run-to-run for warmstart and watch); a true → false flip regresses
+	// unconditionally.
+	BitIdentical *bool `json:"bit_identical,omitempty"`
 }
 
 // BenchEnv is the machine envelope a BENCH snapshot was recorded under.
@@ -30,9 +45,13 @@ type BenchEnv struct {
 	Workers    int `json:"workers"`
 }
 
+// HostEnv is the envelope of the running process.
+func HostEnv() BenchEnv {
+	return BenchEnv{Cores: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0), Workers: linalg.ResolveWorkers(0)}
+}
+
 // Comparable reports whether the two envelopes describe the same parallel
-// envelope; an unrecorded envelope (zero Cores, pre-metadata snapshot) is
-// never flagged.
+// envelope; an unrecorded envelope (zero Cores) is never flagged.
 func (e BenchEnv) Comparable(o BenchEnv) bool {
 	if e.Cores == 0 || o.Cores == 0 {
 		return true
@@ -40,179 +59,30 @@ func (e BenchEnv) Comparable(o BenchEnv) bool {
 	return e.Cores == o.Cores && e.GoMaxProcs == o.GoMaxProcs
 }
 
-// benchFile mirrors the union of the BENCH JSON schemas closely enough to
-// sniff which one a file is.
-type benchFile struct {
-	// benchResult fields (per-experiment files).
-	Name                  string           `json:"name"`
-	NsPerOp               int64            `json:"ns_per_op"`
-	TotalSolverIterations int64            `json:"total_solver_iterations"`
-	SolverIterations      map[string]int64 `json:"solver_iterations"`
-	LintPackages          map[string]int64 `json:"lint_packages"`
-	LintAnalyzers         map[string]int64 `json:"lint_analyzers"`
-	LintLoadNs            int64            `json:"lint_load_ns"`
-
-	// Machine-envelope metadata (every schema).
-	Cores      int `json:"cores"`
-	GoMaxProcs int `json:"gomaxprocs"`
-	Workers    int `json:"workers"`
-
-	// Report fields shared by BENCH_kernels.json (Kernel non-empty),
-	// BENCH_chaos.json (Schedule non-empty), BENCH_latency.json (Phase
-	// non-empty), BENCH_warmstart.json (Entry non-empty), and
-	// BENCH_watch.json (Watch non-empty).
-	Results []struct {
-		Kernel       string  `json:"kernel"`
-		N            int     `json:"n"`
-		Workers      int     `json:"workers"`
-		Schedule     string  `json:"schedule"`
-		Phase        string  `json:"phase"`
-		Entry        string  `json:"entry"`
-		Watch        string  `json:"watch"`
-		NsPerOp      int64   `json:"ns_per_op"`
-		Speedup      float64 `json:"speedup"`
-		BitIdentical bool    `json:"bit_identical"`
-		P50Ns        int64   `json:"p50_ns"`
-		P99Ns        int64   `json:"p99_ns"`
-		P999Ns       int64   `json:"p999_ns"`
-		MeanIters    float64 `json:"mean_iters"`
-
-		// BENCH_watch.json scenario metrics.
-		FiredTick     int     `json:"fired_tick"`
-		Alerts        int     `json:"alerts"`
-		Ratio         float64 `json:"ratio"`
-		RecordNsPerOp float64 `json:"record_ns_per_op"`
-		TickNs        int64   `json:"tick_ns"`
-		OverheadFrac  float64 `json:"overhead_frac"`
-	} `json:"results"`
-}
-
-// LoadBench parses one BENCH_<name>.json file (any schema) into the flat
-// entry list Compare consumes. A kernels report yields one entry per
-// (kernel, n, workers) cell; a chaos report yields one entry per fault
-// schedule; a latency report yields one entry per pipeline phase; a
-// per-experiment file yields one entry whose metrics include the per-stage
-// solver-iteration counters.
+// LoadBench parses one BENCH_<name>.json file into the entry list Compare
+// consumes.
 func LoadBench(r io.Reader) ([]BenchEntry, error) {
 	entries, _, err := LoadBenchEnv(r)
 	return entries, err
 }
 
 // LoadBenchEnv is LoadBench plus the machine envelope the snapshot was
-// recorded under (the zero BenchEnv for pre-metadata snapshots).
+// recorded under. A file without named results (such as one written before
+// the schema was unified) is an error.
 func LoadBenchEnv(r io.Reader) ([]BenchEntry, BenchEnv, error) {
-	var f benchFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
+	var b Bench
+	if err := json.NewDecoder(r).Decode(&b); err != nil {
 		return nil, BenchEnv{}, fmt.Errorf("eval: parsing bench file: %w", err)
 	}
-	env := BenchEnv{Cores: f.Cores, GoMaxProcs: f.GoMaxProcs, Workers: f.Workers}
-	if len(f.Results) > 0 {
-		out := make([]BenchEntry, 0, len(f.Results))
-		for _, c := range f.Results {
-			c := c
-			if c.Entry != "" {
-				// A warm-start entry: steady-state quantiles and the mean
-				// iteration count regress like timings (higher is worse);
-				// the determinism verdict gates unconditionally.
-				out = append(out, BenchEntry{
-					Name: "warmstart/" + c.Entry,
-					Metrics: map[string]float64{
-						"p50_ns":     float64(c.P50Ns),
-						"p99_ns":     float64(c.P99Ns),
-						"mean_iters": c.MeanIters,
-					},
-					BitIdentical: &c.BitIdentical,
-				})
-				continue
-			}
-			if c.Watch != "" {
-				// A watchdog scenario: detection latency, alert volume, and
-				// monitoring cost all regress upward; the bit-identity verdict
-				// (reproducible alert trail, allocation-free record path)
-				// gates unconditionally. Zero-valued metrics are omitted —
-				// each scenario populates its own subset.
-				m := map[string]float64{}
-				if c.FiredTick != 0 {
-					m["fired_tick"] = float64(c.FiredTick)
-				}
-				if c.Alerts != 0 {
-					m["alerts"] = float64(c.Alerts)
-				}
-				//sorallint:ignore floatcmp omitted-field detection: the JSON decoder leaves absent metrics exactly 0.0, no arithmetic involved
-				if c.Ratio != 0 {
-					m["ratio"] = c.Ratio
-				}
-				//sorallint:ignore floatcmp omitted-field detection, exact decoder zero
-				if c.RecordNsPerOp != 0 {
-					m["record_ns_per_op"] = c.RecordNsPerOp
-				}
-				if c.TickNs != 0 {
-					m["tick_ns"] = float64(c.TickNs)
-				}
-				//sorallint:ignore floatcmp omitted-field detection, exact decoder zero
-				if c.OverheadFrac != 0 {
-					m["overhead_frac"] = c.OverheadFrac
-				}
-				out = append(out, BenchEntry{
-					Name:         "watch/" + c.Watch,
-					Metrics:      m,
-					BitIdentical: &c.BitIdentical,
-				})
-				continue
-			}
-			if c.Phase != "" {
-				// A latency phase: quantiles are the metrics; the sample
-				// count is coverage, not a regression axis, and stays out.
-				out = append(out, BenchEntry{
-					Name: "latency/" + c.Phase,
-					Metrics: map[string]float64{
-						"p50_ns":  float64(c.P50Ns),
-						"p99_ns":  float64(c.P99Ns),
-						"p999_ns": float64(c.P999Ns),
-					},
-				})
-				continue
-			}
-			e := BenchEntry{
-				Metrics:      map[string]float64{"ns_per_op": float64(c.NsPerOp)},
-				BitIdentical: &c.BitIdentical,
-			}
-			if c.Schedule != "" {
-				// A chaos schedule: the name keys the recovery path, the only
-				// timing is the recovery wall time, and the bit-identity
-				// verdict is the metric that matters.
-				e.Name = "chaos/" + c.Schedule
-			} else {
-				e.Name = fmt.Sprintf("%s/n=%d/w=%d", c.Kernel, c.N, c.Workers)
-				e.Metrics["speedup"] = c.Speedup
-			}
-			out = append(out, e)
+	if len(b.Results) == 0 {
+		return nil, BenchEnv{}, fmt.Errorf("eval: bench file has no results[].name entries")
+	}
+	for i, e := range b.Results {
+		if e.Name == "" {
+			return nil, BenchEnv{}, fmt.Errorf("eval: bench file results[%d].name is missing", i)
 		}
-		return out, env, nil
 	}
-	if f.Name == "" {
-		return nil, BenchEnv{}, fmt.Errorf("eval: bench file matches neither schema (no name, no results)")
-	}
-	e := BenchEntry{Name: f.Name, Metrics: map[string]float64{
-		"ns_per_op": float64(f.NsPerOp),
-	}}
-	if f.TotalSolverIterations != 0 {
-		e.Metrics["total_solver_iterations"] = float64(f.TotalSolverIterations)
-	}
-	for k, v := range f.SolverIterations {
-		e.Metrics["solver_iterations."+k] = float64(v)
-	}
-	for k, v := range f.LintPackages {
-		e.Metrics["lint_packages."+k] = float64(v)
-	}
-	for k, v := range f.LintAnalyzers {
-		e.Metrics["lint_analyzers."+k] = float64(v)
-	}
-	if f.LintLoadNs != 0 {
-		e.Metrics["lint_load_ns"] = float64(f.LintLoadNs)
-	}
-	return []BenchEntry{e}, env, nil
+	return b.Results, b.BenchEnv, nil
 }
 
 // CompareOptions tunes the regression verdict.
@@ -301,7 +171,7 @@ func (d *BenchDiff) Regressed() bool {
 
 // metricWorsening converts an old/new pair into a signed relative
 // worsening. For almost every metric (times, iteration counts) bigger is
-// worse; speedup is the one higher-is-better metric in the BENCH schemas.
+// worse; metrics named "speedup…" are the higher-is-better exception.
 // The second return is false when the pair carries no information (old
 // value too small to normalize against).
 func metricWorsening(metric string, oldV, newV float64) (float64, bool) {
@@ -310,14 +180,14 @@ func metricWorsening(metric string, oldV, newV float64) (float64, bool) {
 		return 0, math.Abs(newV) < tiny // both ~zero: a zero delta; else unscorable
 	}
 	d := (newV - oldV) / math.Abs(oldV)
-	if metric == "speedup" {
+	if strings.HasPrefix(metric, "speedup") {
 		d = -d
 	}
 	return d, true
 }
 
 // Compare pairs two snapshots by entry name and runs every shared metric
-// through the regression rules. A family (one metric across all paired
+// (never an Info number) through the regression rules. A family (one metric across all paired
 // entries) regresses when:
 //
 //   - sign test: N ≥ 3, the exact binomial tail P(X ≥ worse | N, ½) ≤ α,

@@ -1,7 +1,10 @@
 package eval
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -96,20 +99,22 @@ func TestCompareSingleEntryNeedsFullThreshold(t *testing.T) {
 }
 
 func TestCompareSpeedupDirection(t *testing.T) {
-	mk := func(sp float64) []BenchEntry {
-		out := make([]BenchEntry, 3)
-		for i, n := range []string{"a", "b", "c"} {
-			out[i] = BenchEntry{Name: n, Metrics: map[string]float64{"speedup": sp}}
+	for _, metric := range []string{"speedup", "speedup_p50"} {
+		mk := func(sp float64) []BenchEntry {
+			out := make([]BenchEntry, 3)
+			for i, n := range []string{"a", "b", "c"} {
+				out[i] = BenchEntry{Name: n, Metrics: map[string]float64{metric: sp}}
+			}
+			return out
 		}
-		return out
-	}
-	// Speedup dropping from 2.0 to 1.5 is a 25% worsening.
-	if !Compare(mk(2.0), mk(1.5), CompareOptions{}).Regressed() {
-		t.Fatal("parallel speedup collapse passed")
-	}
-	// Speedup rising is an improvement, not a regression.
-	if Compare(mk(1.5), mk(2.0), CompareOptions{}).Regressed() {
-		t.Fatal("speedup improvement regressed")
+		// Speedup dropping from 2.0 to 1.5 is a 25% worsening.
+		if !Compare(mk(2.0), mk(1.5), CompareOptions{}).Regressed() {
+			t.Fatalf("%s collapse passed", metric)
+		}
+		// Speedup rising is an improvement, not a regression.
+		if Compare(mk(1.5), mk(2.0), CompareOptions{}).Regressed() {
+			t.Fatalf("%s improvement regressed", metric)
+		}
 	}
 }
 
@@ -146,57 +151,99 @@ func TestBinomTailExact(t *testing.T) {
 	}
 }
 
+// TestLoadBenchBothSchemas pins the two sides of the schema boundary: a
+// file in the unified schema loads with its envelope, metrics and
+// bit-identity verdicts, and a file in a pre-unification shape is rejected
+// by name instead of loading as an empty snapshot.
 func TestLoadBenchBothSchemas(t *testing.T) {
-	kernels := `{"cores":4,"gomaxprocs":4,"results":[
-		{"kernel":"cholesky","n":64,"workers":2,"iters":10,"ns_per_op":100,"speedup":1.5,"bit_identical":true}]}`
-	entries, err := LoadBench(strings.NewReader(kernels))
+	unified := `{"cores":4,"gomaxprocs":4,"workers":2,"results":[
+		{"name":"cholesky/n=64/w=2","metrics":{"ns_per_op":100,"speedup":1.5},"info":{"iters":10},"bit_identical":true},
+		{"name":"fig5","metrics":{"ns_per_op":1234,"solver_iterations.lp.mehrotra.iterations":50}}]}`
+	entries, env, err := LoadBenchEnv(strings.NewReader(unified))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name != "cholesky/n=64/w=2" {
-		t.Fatalf("kernel entries = %+v", entries)
+	if env != (BenchEnv{Cores: 4, GoMaxProcs: 4, Workers: 2}) {
+		t.Fatalf("envelope = %+v", env)
 	}
-	if entries[0].BitIdentical == nil || !*entries[0].BitIdentical {
-		t.Fatalf("bit_identical not carried: %+v", entries[0])
+	if len(entries) != 2 || entries[0].Name != "cholesky/n=64/w=2" || entries[1].Name != "fig5" {
+		t.Fatalf("entries = %+v", entries)
+	}
+	if entries[0].BitIdentical == nil || !*entries[0].BitIdentical || entries[0].Metrics["speedup"] != 1.5 || entries[0].Info["iters"] != 10 {
+		t.Fatalf("kernel entry = %+v", entries[0])
+	}
+	if entries[1].BitIdentical != nil || entries[1].Metrics["solver_iterations.lp.mehrotra.iterations"] != 50 {
+		t.Fatalf("experiment entry = %+v", entries[1])
 	}
 
-	exp := `{"name":"fig5","iters":1,"ns_per_op":1234,
-		"solver_iterations":{"lp.mehrotra.iterations":50},"total_solver_iterations":70}`
-	entries, err = LoadBench(strings.NewReader(exp))
+	for _, old := range []string{
+		`{"cores":1,"gomaxprocs":1,"results":[{"kernel":"cholesky","n":64,"workers":1,"ns_per_op":100,"bit_identical":true}]}`,
+		`{"name":"fig5","iters":1,"ns_per_op":1234,"total_solver_iterations":70}`,
+		`{"neither":true}`,
+	} {
+		if _, err := LoadBench(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "results[") || !strings.Contains(err.Error(), "name") {
+			t.Fatalf("old-shape file %s: err = %v, want one naming results[].name", old, err)
+		}
+	}
+}
+
+// TestCommittedBenchFilesLoad loads every committed results/BENCH_*.json
+// through the one schema: each must yield named entries under a recorded
+// envelope and compare clean against itself, so schema drift between the
+// writers and the loader fails here rather than only in make bench-compare.
+func TestCommittedBenchFilesLoad(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "results", "BENCH_*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name != "fig5" {
-		t.Fatalf("experiment entries = %+v", entries)
+	if len(paths) == 0 {
+		t.Fatal("no committed BENCH files found")
 	}
-	m := entries[0].Metrics
-	if m["ns_per_op"] != 1234 || m["total_solver_iterations"] != 70 || m["solver_iterations.lp.mehrotra.iterations"] != 50 {
-		t.Fatalf("metrics = %v", m)
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, env, err := LoadBenchEnv(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if env.Cores <= 0 || env.GoMaxProcs <= 0 {
+			t.Fatalf("%s: envelope not recorded: %+v", path, env)
+		}
+		for _, e := range entries {
+			if len(e.Metrics) == 0 {
+				t.Fatalf("%s: entry %q has no metrics", path, e.Name)
+			}
+		}
+		if d := Compare(entries, entries, CompareOptions{}); d.Regressed() {
+			t.Fatalf("%s: self-compare regressed", path)
+		}
 	}
+}
 
-	chaos := `{"seed":42,"slots":8,"results":[
-		{"schedule":"kill/slot-3","kind":"kill","slots":8,"resumed_from":4,"ns_per_op":5000,"bit_identical":true},
-		{"schedule":"torn/footer","kind":"torn","slots":8,"resumed_from":8,"ns_per_op":800,"bit_identical":false}]}`
-	entries, err = LoadBench(strings.NewReader(chaos))
-	if err != nil {
-		t.Fatal(err)
+// TestCompareSkipsInfo pins that Info numbers are never scored: a faster
+// kernel times more loop iterations, and a warm-start collapse shows as
+// fewer warm slots, yet neither may read as a regression or an improvement.
+func TestCompareSkipsInfo(t *testing.T) {
+	oldK, newK := kernelEntries(1, true), kernelEntries(1, true)
+	for i := range oldK {
+		oldK[i].Info = map[string]float64{"iters": 100}
+		newK[i].Info = map[string]float64{"iters": 1000}
 	}
-	if len(entries) != 2 || entries[0].Name != "chaos/kill/slot-3" || entries[1].Name != "chaos/torn/footer" {
-		t.Fatalf("chaos entries = %+v", entries)
-	}
-	if entries[0].Metrics["ns_per_op"] != 5000 {
-		t.Fatalf("chaos metrics = %v", entries[0].Metrics)
-	}
-	if _, ok := entries[0].Metrics["speedup"]; ok {
-		t.Fatal("chaos entry grew a kernel-only speedup metric")
-	}
-	if entries[0].BitIdentical == nil || !*entries[0].BitIdentical ||
-		entries[1].BitIdentical == nil || *entries[1].BitIdentical {
-		t.Fatalf("chaos bit_identical not carried: %+v", entries)
-	}
-
-	if _, err := LoadBench(strings.NewReader(`{"neither":true}`)); err == nil {
-		t.Fatal("schema-less JSON accepted")
+	oldW := []BenchEntry{{Name: "warmstart/warm", Metrics: map[string]float64{"p50_ns": 4e5},
+		Info: map[string]float64{"warm_slots": 100, "cache_hits": 0}}}
+	newW := []BenchEntry{{Name: "warmstart/warm", Metrics: map[string]float64{"p50_ns": 4e5},
+		Info: map[string]float64{"warm_slots": 10, "cache_hits": 0}}}
+	for _, d := range []*BenchDiff{Compare(oldK, newK, CompareOptions{}), Compare(oldW, newW, CompareOptions{})} {
+		if d.Regressed() {
+			t.Fatal("a change in Info regressed the comparison")
+		}
+		for _, md := range d.Deltas {
+			if md.Metric == "iters" || md.Metric == "warm_slots" || md.Metric == "cache_hits" {
+				t.Fatalf("Info number scored: %+v", md)
+			}
+		}
 	}
 }
 

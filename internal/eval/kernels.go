@@ -4,40 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"soral/internal/linalg"
 	"soral/internal/lp"
 )
-
-// KernelBench is one (kernel, n, workers) timing record of the kernels
-// experiment.
-type KernelBench struct {
-	Kernel  string `json:"kernel"`
-	N       int    `json:"n"`
-	Workers int    `json:"workers"`
-	Iters   int    `json:"iters"`
-	NsPerOp int64  `json:"ns_per_op"`
-	// Speedup is serial-ns/this-ns for the same kernel and size (1 for the
-	// serial rows themselves).
-	Speedup float64 `json:"speedup"`
-	// BitIdentical reports whether this run's output was byte-for-byte equal
-	// to the serial run's — the determinism contract of DESIGN.md §8,
-	// re-verified on every benchmark run.
-	BitIdentical bool `json:"bit_identical"`
-}
-
-// KernelReport is the BENCH_kernels.json schema: the machine's parallel
-// envelope plus one record per (kernel, size, workers) cell. Speedups are
-// only meaningful when Cores > 1; the report records the envelope so a
-// single-core run is never mistaken for a parallelism regression.
-type KernelReport struct {
-	Cores      int           `json:"cores"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Workers    int           `json:"workers"`
-	Results    []KernelBench `json:"results"`
-}
 
 // kernelSizes are the benchmarked matrix dimensions (matching the
 // BenchmarkSymRankKUpdate/BenchmarkCholesky families in internal/linalg).
@@ -214,14 +185,13 @@ func kernelCases(n int) []kernelCase {
 // Kernels times the parallel structured kernels (SymRankKUpdate,
 // AssembleNormal, blocked Cholesky, block-tridiagonal Cholesky) serial vs
 // parallel at each benchmark size, re-verifying on the way that the parallel
-// outputs are bit-identical to the serial ones. The report is written as
-// BENCH_kernels.json by cmd/soralbench -exp kernels -json.
-func Kernels(log Logger) (*Table, *KernelReport, error) {
-	rep := &KernelReport{
-		Cores:      runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    linalg.ResolveWorkers(0),
-	}
+// outputs are bit-identical to the serial ones. Each (kernel, n, workers)
+// cell is one "<kernel>/n=<n>/w=<workers>" entry with iters, ns_per_op and
+// speedup (serial-ns/this-ns, 1 for the serial rows); speedups are only
+// meaningful when Cores > 1. The report is written as BENCH_kernels.json by
+// cmd/soralbench -exp kernels -json.
+func Kernels(log Logger) (*Table, *Bench, error) {
+	rep := &Bench{BenchEnv: HostEnv()}
 	workerSettings := []int{1}
 	if full := linalg.ResolveWorkers(0); full > 1 {
 		workerSettings = append(workerSettings, full)
@@ -250,9 +220,11 @@ func Kernels(log Logger) (*Table, *KernelReport, error) {
 				if w != 1 && ns > 0 {
 					speedup = float64(serialNs) / float64(ns)
 				}
-				rep.Results = append(rep.Results, KernelBench{
-					Kernel: kc.name, N: n, Workers: w, Iters: iters,
-					NsPerOp: ns, Speedup: speedup, BitIdentical: identical,
+				rep.Results = append(rep.Results, BenchEntry{
+					Name:         fmt.Sprintf("%s/n=%d/w=%d", kc.name, n, w),
+					Metrics:      map[string]float64{"ns_per_op": float64(ns), "speedup": speedup},
+					Info:         map[string]float64{"iters": float64(iters)},
+					BitIdentical: &identical,
 				})
 				tbl.Rows = append(tbl.Rows, []string{
 					kc.name, fmt.Sprintf("%d", n), fmt.Sprintf("%d", w),

@@ -2,9 +2,7 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 
-	"soral/internal/linalg"
 	"soral/internal/obs"
 )
 
@@ -20,28 +18,6 @@ var LatencyPhases = []string{
 	"core.solve",
 	"core.commit",
 	"core.slot",
-}
-
-// PhaseLatency is one phase's tail-latency record: exact count, bucket-
-// precision quantiles, and the exact maximum, all in nanoseconds.
-type PhaseLatency struct {
-	Phase  string `json:"phase"`
-	Count  int64  `json:"count"`
-	P50Ns  int64  `json:"p50_ns"`
-	P99Ns  int64  `json:"p99_ns"`
-	P999Ns int64  `json:"p999_ns"`
-	MaxNs  int64  `json:"max_ns"`
-}
-
-// LatencyReport is the BENCH_latency.json schema: the machine's parallel
-// envelope (quantiles shift with core count, so -compare warns across
-// differing envelopes) plus one record per instrumented phase.
-type LatencyReport struct {
-	Cores      int            `json:"cores"`
-	GoMaxProcs int            `json:"gomaxprocs"`
-	Workers    int            `json:"workers"`
-	Slots      int            `json:"slots"`
-	Results    []PhaseLatency `json:"results"`
 }
 
 // latencySpec is the scenario under measurement: mid-sized so a single slot
@@ -62,11 +38,13 @@ func latencySpec() RunConfig {
 const latencyRepeats = 5
 
 // Latency runs the online pipeline repeatedly with a dedicated registry and
-// reports per-phase latency distributions (p50/p99/p999/max) from the
-// log-bucketed histograms the core spans feed. The report is written as
-// BENCH_latency.json by cmd/soralbench -exp latency -json and diffed by
-// -compare like any other snapshot.
-func Latency(log Logger) (*Table, *LatencyReport, error) {
+// reports per-phase latency distributions from the log-bucketed histograms
+// the core spans feed: one "latency/<phase>" entry per phase with the number
+// of online slots measured, the exact sample count, bucket-precision
+// p50/p99/p999 and the exact maximum, all in nanoseconds. The report is
+// written as BENCH_latency.json by cmd/soralbench -exp latency -json and
+// diffed by -compare like any other snapshot.
+func Latency(log Logger) (*Table, *Bench, error) {
 	cfg := latencySpec().canonical()
 	scen, err := Build(cfg.Spec)
 	if err != nil {
@@ -86,28 +64,27 @@ func Latency(log Logger) (*Table, *LatencyReport, error) {
 		}
 		slots += len(run.Decisions)
 	}
-	rep := &LatencyReport{
-		Cores:      runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    linalg.ResolveWorkers(0),
-		Slots:      slots,
-	}
+	rep := &Bench{BenchEnv: HostEnv()}
 	tbl := &Table{
 		Title: fmt.Sprintf("Per-phase latency over %d online slots (%d cores, GOMAXPROCS %d, workers %d)",
 			slots, rep.Cores, rep.GoMaxProcs, rep.Workers),
 		Header: []string{"phase", "count", "p50(ms)", "p99(ms)", "p999(ms)", "max(ms)"},
 	}
 	snap := reg.Snapshot()
-	toNs := func(sec float64) int64 { return int64(sec * 1e9) }
+	toNs := func(sec float64) float64 { return float64(int64(sec * 1e9)) }
 	for _, phase := range LatencyPhases {
 		st, ok := snap.Latencies["latency."+phase+".seconds"]
 		if !ok || st.Count == 0 {
 			return nil, nil, fmt.Errorf("eval: latency phase %q recorded no samples (span wiring broke?)", phase)
 		}
-		rep.Results = append(rep.Results, PhaseLatency{
-			Phase: phase, Count: st.Count,
-			P50Ns: toNs(st.P50), P99Ns: toNs(st.P99), P999Ns: toNs(st.P999),
-			MaxNs: toNs(st.Max),
+		rep.Results = append(rep.Results, BenchEntry{
+			Name: "latency/" + phase,
+			Metrics: map[string]float64{
+				"p50_ns": toNs(st.P50), "p99_ns": toNs(st.P99), "p999_ns": toNs(st.P999),
+			},
+			Info: map[string]float64{
+				"slots": float64(slots), "count": float64(st.Count), "max_ns": toNs(st.Max),
+			},
 		})
 		tbl.Rows = append(tbl.Rows, []string{
 			phase, fmt.Sprintf("%d", st.Count),

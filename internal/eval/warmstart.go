@@ -2,55 +2,36 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
-	"soral/internal/linalg"
 	"soral/internal/obs"
 	"soral/internal/obs/journal"
 )
 
-// WarmstartEntry is one configuration's steady-state measurement in the
+// warmEntry is one configuration's steady-state measurement in the
 // warm-start benchmark: per-slot wall-time quantiles and solver-iteration
 // means over the post-warmup slots, plus the warm bookkeeping.
-type WarmstartEntry struct {
-	// Entry names the configuration: "cold" (WarmStart off — the baseline),
+type warmEntry struct {
+	// name is the configuration: "cold" (WarmStart off — the baseline),
 	// "warm" (WarmStart on, same instance), "cache" (WarmStart on over a
 	// stationary instance where the decision cache can engage).
-	Entry string `json:"entry"`
-	// Samples counts the steady-state slots aggregated into the quantiles
+	name string
+	// samples counts the steady-state slots aggregated into the quantiles
 	// (slots past warmstartSteadyAfter, summed over repeats).
-	Samples int `json:"samples"`
-	// P50Ns and P99Ns are the steady-state per-slot wall-time quantiles.
-	P50Ns int64 `json:"p50_ns"`
-	P99Ns int64 `json:"p99_ns"`
-	// MeanIters is the mean solver iteration count per steady-state slot.
-	MeanIters float64 `json:"mean_iters"`
-	// WarmSlots counts steady-state slots committed warm (carried iterate
+	samples int
+	// p50Ns and p99Ns are the steady-state per-slot wall-time quantiles.
+	p50Ns, p99Ns int64
+	// meanIters is the mean solver iteration count per steady-state slot.
+	meanIters float64
+	// warmSlots counts steady-state slots committed warm (carried iterate
 	// accepted, or decision-cache hit), summed over repeats.
-	WarmSlots int `json:"warm_slots"`
-	// CacheHits is the decision-cache hit count summed over repeats.
-	CacheHits int64 `json:"cache_hits"`
-	// BitIdentical reports that every repeat reproduced the first repeat's
+	warmSlots int
+	// cacheHits is the decision-cache hit count summed over repeats.
+	cacheHits int64
+	// bitIdentical reports that every repeat reproduced the first repeat's
 	// per-slot decision digests exactly (the determinism contract; -compare
 	// fails unconditionally when this flips true → false).
-	BitIdentical bool `json:"bit_identical"`
-}
-
-// WarmstartReport is the BENCH_warmstart.json schema: the machine envelope,
-// the headline cold-vs-warm verdicts, and one record per configuration.
-type WarmstartReport struct {
-	Cores      int `json:"cores"`
-	GoMaxProcs int `json:"gomaxprocs"`
-	Workers    int `json:"workers"`
-	Slots      int `json:"slots"` // horizon length per run
-	// SpeedupP50 is cold steady-state p50 over warm steady-state p50.
-	SpeedupP50 float64 `json:"speedup_p50"`
-	// WarmFewerIters reports that every steady-state slot the warm run
-	// committed warm took strictly fewer solver iterations than the cold
-	// run's same slot.
-	WarmFewerIters bool             `json:"warm_fewer_iters"`
-	Results        []WarmstartEntry `json:"results"`
+	bitIdentical bool
 }
 
 // warmstartSpec is the default multi-tier instance the warm-start acceptance
@@ -88,7 +69,7 @@ const warmstartRepeats = 5
 
 // warmMeasure is one configuration's raw measurement.
 type warmMeasure struct {
-	entry WarmstartEntry
+	entry warmEntry
 	durs  []int64 // steady-state per-slot wall times, all repeats
 	// slotIters and slotWarm are the first repeat's per-slot solver
 	// iteration counts and warm flags, indexed by slot.
@@ -103,7 +84,7 @@ func warmstartRun(cfg RunConfig, entry string, warm bool, log Logger) (*warmMeas
 	if err != nil {
 		return nil, fmt.Errorf("eval: warmstart scenario: %w", err)
 	}
-	m := &warmMeasure{entry: WarmstartEntry{Entry: entry, BitIdentical: true}}
+	m := &warmMeasure{entry: warmEntry{name: entry, bitIdentical: true}}
 	var refDigests []string
 	var iterSum int64
 	for r := 0; r < warmstartRepeats; r++ {
@@ -134,7 +115,7 @@ func warmstartRun(cfg RunConfig, entry string, warm bool, log Logger) (*warmMeas
 				m.slotWarm[sr.Slot] = sr.Warm
 			}
 		} else if !digestsEqual(digests, refDigests) {
-			m.entry.BitIdentical = false
+			m.entry.bitIdentical = false
 		}
 		for _, sr := range run.Report.Slots {
 			if sr.Slot <= warmstartSteadyAfter {
@@ -143,16 +124,16 @@ func warmstartRun(cfg RunConfig, entry string, warm bool, log Logger) (*warmMeas
 			m.durs = append(m.durs, sr.Duration.Nanoseconds())
 			iterSum += int64(sr.Iterations)
 			if sr.Warm {
-				m.entry.WarmSlots++
+				m.entry.warmSlots++
 			}
 		}
-		m.entry.CacheHits += scope.CounterValue(obs.MetricWarmCacheHits)
+		m.entry.cacheHits += scope.CounterValue(obs.MetricWarmCacheHits)
 	}
-	m.entry.Samples = len(m.durs)
-	m.entry.P50Ns = quantileNs(m.durs, 0.50)
-	m.entry.P99Ns = quantileNs(m.durs, 0.99)
-	if m.entry.Samples > 0 {
-		m.entry.MeanIters = float64(iterSum) / float64(m.entry.Samples)
+	m.entry.samples = len(m.durs)
+	m.entry.p50Ns = quantileNs(m.durs, 0.50)
+	m.entry.p99Ns = quantileNs(m.durs, 0.99)
+	if m.entry.samples > 0 {
+		m.entry.meanIters = float64(iterSum) / float64(m.entry.samples)
 	}
 	return m, nil
 }
@@ -176,9 +157,11 @@ func quantileNs(samples []int64, q float64) int64 {
 // the cold baseline on the default multi-tier instance and enforces the
 // acceptance criteria: ≥5× lower steady-state p50 slot latency, strictly
 // fewer solver iterations on every warm steady-state slot, and per-entry
-// run-to-run determinism. The report is written as BENCH_warmstart.json by
-// cmd/soralbench -exp warmstart -json and diffed by -compare.
-func Warmstart(log Logger) (*Table, *WarmstartReport, error) {
+// run-to-run determinism. Each configuration is one "warmstart/<name>"
+// entry; the warm entry also carries speedup_p50, cold steady-state p50 over
+// warm. The report is written as BENCH_warmstart.json by cmd/soralbench
+// -exp warmstart -json and diffed by -compare.
+func Warmstart(log Logger) (*Table, *Bench, error) {
 	cfg := warmstartSpec()
 	cold, err := warmstartRun(cfg, "cold", false, log)
 	if err != nil {
@@ -193,53 +176,62 @@ func Warmstart(log Logger) (*Table, *WarmstartReport, error) {
 		return nil, nil, err
 	}
 
-	rep := &WarmstartReport{
-		Cores:      runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    linalg.ResolveWorkers(0),
-		Slots:      cfg.Spec.T,
-		Results:    []WarmstartEntry{cold.entry, warm.entry, cache.entry},
+	var speedup float64
+	if warm.entry.p50Ns > 0 {
+		speedup = float64(cold.entry.p50Ns) / float64(warm.entry.p50Ns)
 	}
-	if warm.entry.P50Ns > 0 {
-		rep.SpeedupP50 = float64(cold.entry.P50Ns) / float64(warm.entry.P50Ns)
-	}
-	rep.WarmFewerIters = warm.entry.WarmSlots > 0
+	fewerIters := warm.entry.warmSlots > 0
 	for t := warmstartSteadyAfter + 1; t < len(warm.slotIters); t++ {
 		if warm.slotWarm[t] && warm.slotIters[t] >= cold.slotIters[t] {
-			rep.WarmFewerIters = false
+			fewerIters = false
 		}
 	}
 
+	rep := &Bench{BenchEnv: HostEnv()}
 	tbl := &Table{
 		Title: fmt.Sprintf("Warm-started re-solve — steady-state slot latency (slots > %d, %d repeats, p50 speedup %.1f×)",
-			warmstartSteadyAfter, warmstartRepeats, rep.SpeedupP50),
+			warmstartSteadyAfter, warmstartRepeats, speedup),
 		Header: []string{"entry", "samples", "p50(ms)", "p99(ms)", "iters/slot", "warm", "cache-hits", "bit-identical"},
 	}
-	for _, e := range rep.Results {
+	for _, m := range []*warmMeasure{cold, warm, cache} {
+		e := m.entry
+		info := map[string]float64{
+			"slots": float64(cfg.Spec.T), "samples": float64(e.samples),
+			"warm_slots": float64(e.warmSlots), "cache_hits": float64(e.cacheHits),
+		}
+		if m == warm {
+			info["speedup_p50"] = speedup
+		}
+		rep.Results = append(rep.Results, BenchEntry{
+			Name:         "warmstart/" + e.name,
+			Metrics:      map[string]float64{"p50_ns": float64(e.p50Ns), "p99_ns": float64(e.p99Ns), "mean_iters": e.meanIters},
+			Info:         info,
+			BitIdentical: &e.bitIdentical,
+		})
 		tbl.Rows = append(tbl.Rows, []string{
-			e.Entry, fmt.Sprintf("%d", e.Samples),
-			fmt.Sprintf("%.3f", float64(e.P50Ns)/1e6),
-			fmt.Sprintf("%.3f", float64(e.P99Ns)/1e6),
-			fmt.Sprintf("%.1f", e.MeanIters),
-			fmt.Sprintf("%d", e.WarmSlots),
-			fmt.Sprintf("%d", e.CacheHits),
-			fmt.Sprintf("%v", e.BitIdentical),
+			e.name, fmt.Sprintf("%d", e.samples),
+			fmt.Sprintf("%.3f", float64(e.p50Ns)/1e6),
+			fmt.Sprintf("%.3f", float64(e.p99Ns)/1e6),
+			fmt.Sprintf("%.1f", e.meanIters),
+			fmt.Sprintf("%d", e.warmSlots),
+			fmt.Sprintf("%d", e.cacheHits),
+			fmt.Sprintf("%v", e.bitIdentical),
 		})
 	}
 
-	for _, e := range rep.Results {
-		if !e.BitIdentical {
-			return tbl, rep, fmt.Errorf("eval: warmstart entry %q broke run-to-run bit-identity", e.Entry)
+	for _, m := range []*warmMeasure{cold, warm, cache} {
+		if !m.entry.bitIdentical {
+			return tbl, rep, fmt.Errorf("eval: warmstart entry %q broke run-to-run bit-identity", m.entry.name)
 		}
 	}
-	if warm.entry.WarmSlots == 0 {
+	if warm.entry.warmSlots == 0 {
 		return tbl, rep, fmt.Errorf("eval: warmstart: no steady-state slot committed warm")
 	}
-	if !rep.WarmFewerIters {
+	if !fewerIters {
 		return tbl, rep, fmt.Errorf("eval: warmstart: a warm slot took no fewer solver iterations than cold")
 	}
-	if rep.SpeedupP50 < 5 {
-		return tbl, rep, fmt.Errorf("eval: warmstart: steady-state p50 speedup %.2f× < 5×", rep.SpeedupP50)
+	if speedup < 5 {
+		return tbl, rep, fmt.Errorf("eval: warmstart: steady-state p50 speedup %.2f× < 5×", speedup)
 	}
 	return tbl, rep, nil
 }

@@ -16,51 +16,6 @@ import (
 	"soral/internal/obs/watch"
 )
 
-// WatchEntry is one scenario of the watchdog benchmark: either a seeded
-// fault trace that must fire (and resolve) the right alert, or the
-// monitoring-overhead measurement.
-type WatchEntry struct {
-	// Watch names the scenario: "slo-spike" (seeded latency spike through
-	// the SLO burn-rate detector), "ratio-adversarial" (adversarial online
-	// run through the competitive-ratio detector), or "overhead" (tsdb
-	// record-path and sampler-tick cost against the slot p50).
-	Watch string `json:"watch"`
-	// FiredTick and ResolvedTick are the sample ticks at which the alert
-	// fired and resolved (fault scenarios; -1 when the transition never
-	// happened, which fails the experiment).
-	FiredTick    int `json:"fired_tick,omitempty"`
-	ResolvedTick int `json:"resolved_tick,omitempty"`
-	// Alerts counts the journaled alert records (every firing/resolved
-	// transition, as read back from the journal).
-	Alerts int `json:"alerts,omitempty"`
-	// Ratio and Certificate are the final CumCost/CumLB ratio and the 1+2/ε
-	// certificate it is judged against (ratio-adversarial only).
-	Ratio       float64 `json:"ratio,omitempty"`
-	Certificate float64 `json:"certificate,omitempty"`
-	// RecordNsPerOp and RecordAllocs measure the tsdb Series.Record hot
-	// path; TickNs is one full Sampler.Tick over a post-run registry;
-	// OverheadFrac is TickNs over SlotP50Ns (overhead only).
-	RecordNsPerOp float64 `json:"record_ns_per_op,omitempty"`
-	RecordAllocs  float64 `json:"record_allocs"`
-	TickNs        int64   `json:"tick_ns,omitempty"`
-	SlotP50Ns     int64   `json:"slot_p50_ns,omitempty"`
-	OverheadFrac  float64 `json:"overhead_frac,omitempty"`
-	// BitIdentical reports that the scenario reproduced exactly across
-	// repeats: identical journal bytes for the synthetic trace, identical
-	// alert records plus a clean Replay for the adversarial run, and a zero
-	// alloc count for the overhead entry. -compare gates on true → false.
-	BitIdentical bool `json:"bit_identical"`
-}
-
-// WatchReport is the BENCH_watch.json schema: the machine envelope and one
-// record per watchdog scenario.
-type WatchReport struct {
-	Cores      int          `json:"cores"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Workers    int          `json:"workers"`
-	Results    []WatchEntry `json:"results"`
-}
-
 // watchEpochNS anchors the deterministic journal clock: repeats stamp the
 // same t_ns sequence, so journal bytes can be compared bit-for-bit.
 const watchEpochNS = int64(1_700_000_000_000_000_000)
@@ -275,8 +230,19 @@ func alertRecordsEqual(a, b []journal.AlertRecord) bool {
 // replays clean with the alerts surfaced as advisories), and monitoring
 // costs stay under 1% of the slot p50 with an allocation-free tsdb record
 // path. The report is written as BENCH_watch.json by cmd/soralbench -exp
-// watch -json and diffed by -compare.
-func Watch(log Logger) (*Table, *WatchReport, error) {
+// watch -json and diffed by -compare, one "watch/<scenario>" entry each:
+//
+//   - slo-spike: the sample ticks at which the burn-rate alert fired and
+//     resolved, and the journaled alert count; bit-identical when the
+//     journal bytes repeat exactly.
+//   - ratio-adversarial: the journaled alert count and the final CumCost/
+//     CumLB ratio against its 1+2/ε certificate; bit-identical when the
+//     alert records repeat and the journal replays clean.
+//   - overhead: the tsdb Series.Record cost (record_ns_per_op,
+//     record_allocs), one Sampler.Tick over a post-run registry (tick_ns),
+//     the slot p50 and their ratio (overhead_frac); bit-identical when the
+//     record path allocates nothing.
+func Watch(log Logger) (*Table, *Bench, error) {
 	// --- SLO burn rate on the seeded spike trace, twice for bit-identity.
 	log.printf("watch slo: seeded latency-spike trace (2 repeats)...")
 	bytes1, j1, fired, resolved, err := watchSLOTrial()
@@ -287,11 +253,7 @@ func Watch(log Logger) (*Table, *WatchReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	slo := WatchEntry{
-		Watch: "slo-spike", FiredTick: fired, ResolvedTick: resolved,
-		Alerts:       len(j1.Alerts),
-		BitIdentical: bytes.Equal(bytes1, bytes2),
-	}
+	sloIdentical := bytes.Equal(bytes1, bytes2)
 
 	// --- Competitive ratio on the adversarial run, twice for bit-identity.
 	log.printf("watch ratio: adversarial thrashing trace (2 repeats)...")
@@ -313,47 +275,49 @@ func Watch(log Logger) (*Table, *WatchReport, error) {
 			alertAdvisories++
 		}
 	}
-	ratioEntry := WatchEntry{
-		Watch: "ratio-adversarial", Alerts: len(alerts1),
-		Ratio: ratio, Certificate: cert,
-		BitIdentical: alertRecordsEqual(alerts1, alerts2) && rep.Clean(),
-	}
+	ratioIdentical := alertRecordsEqual(alerts1, alerts2) && rep.Clean()
 
 	// --- Monitoring overhead against the adversarial run's slot p50.
 	log.printf("watch overhead: tsdb record path and sampler tick...")
 	recordNs, recordAllocs := watchRecordCost()
 	tickNs := watchTickCost(ratioReg)
 	slotP50 := int64(ratioReg.Snapshot().Latencies["latency.core.slot.seconds"].P50 * 1e9)
-	overhead := WatchEntry{
-		Watch:         "overhead",
-		RecordNsPerOp: recordNs, RecordAllocs: recordAllocs,
-		TickNs: tickNs, SlotP50Ns: slotP50,
-		//sorallint:ignore floatcmp allocs/op is a mallocs-delta ratio; the zero-allocation verdict is exact by construction
-		BitIdentical: recordAllocs == 0,
-	}
+	//sorallint:ignore floatcmp allocs/op is a mallocs-delta ratio; the zero-allocation verdict is exact by construction
+	allocFree := recordAllocs == 0
+	var overheadFrac float64
 	if slotP50 > 0 {
-		overhead.OverheadFrac = float64(tickNs) / float64(slotP50)
+		overheadFrac = float64(tickNs) / float64(slotP50)
 	}
 
-	report := &WatchReport{
-		Cores:      runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    linalg.ResolveWorkers(0),
-		Results:    []WatchEntry{slo, ratioEntry, overhead},
-	}
+	report := &Bench{BenchEnv: HostEnv(), Results: []BenchEntry{
+		{Name: "watch/slo-spike",
+			Metrics:      map[string]float64{"fired_tick": float64(fired), "alerts": float64(len(j1.Alerts))},
+			Info:         map[string]float64{"resolved_tick": float64(resolved)},
+			BitIdentical: &sloIdentical},
+		{Name: "watch/ratio-adversarial",
+			Metrics:      map[string]float64{"alerts": float64(len(alerts1)), "ratio": ratio},
+			Info:         map[string]float64{"certificate": cert},
+			BitIdentical: &ratioIdentical},
+		{Name: "watch/overhead",
+			Metrics: map[string]float64{
+				"record_ns_per_op": recordNs, "tick_ns": float64(tickNs), "overhead_frac": overheadFrac,
+			},
+			Info:         map[string]float64{"record_allocs": recordAllocs, "slot_p50_ns": float64(slotP50)},
+			BitIdentical: &allocFree},
+	}}
 	tbl := &Table{
 		Title: fmt.Sprintf("Watchdog — seeded fault traces and monitoring overhead (tick %.1fµs vs slot p50 %.1fµs)",
 			float64(tickNs)/1e3, float64(slotP50)/1e3),
 		Header: []string{"scenario", "fired@", "resolved@", "alerts", "value", "threshold", "bit-identical"},
 	}
 	tbl.Rows = append(tbl.Rows,
-		[]string{"slo-spike", fmt.Sprintf("%d", slo.FiredTick), fmt.Sprintf("%d", slo.ResolvedTick),
-			fmt.Sprintf("%d", slo.Alerts), "burn>=10", "10", fmt.Sprintf("%v", slo.BitIdentical)},
-		[]string{"ratio-adversarial", "post-run", "-", fmt.Sprintf("%d", ratioEntry.Alerts),
-			fmt.Sprintf("%.2f", ratio), fmt.Sprintf("%.2f", cert), fmt.Sprintf("%v", ratioEntry.BitIdentical)},
+		[]string{"slo-spike", fmt.Sprintf("%d", fired), fmt.Sprintf("%d", resolved),
+			fmt.Sprintf("%d", len(j1.Alerts)), "burn>=10", "10", fmt.Sprintf("%v", sloIdentical)},
+		[]string{"ratio-adversarial", "post-run", "-", fmt.Sprintf("%d", len(alerts1)),
+			fmt.Sprintf("%.2f", ratio), fmt.Sprintf("%.2f", cert), fmt.Sprintf("%v", ratioIdentical)},
 		[]string{"overhead", "-", "-", "-",
-			fmt.Sprintf("%.2f%% of p50", 100*overhead.OverheadFrac),
-			"1%", fmt.Sprintf("%v", overhead.BitIdentical)},
+			fmt.Sprintf("%.2f%% of p50", 100*overheadFrac),
+			"1%", fmt.Sprintf("%v", allocFree)},
 	)
 
 	// --- Acceptance criteria.
@@ -363,7 +327,7 @@ func Watch(log Logger) (*Table, *WatchReport, error) {
 	if resolved < 0 {
 		return tbl, report, fmt.Errorf("eval: watch: SLO burn-rate never resolved after recovery")
 	}
-	if !slo.BitIdentical {
+	if !sloIdentical {
 		return tbl, report, fmt.Errorf("eval: watch: slo-spike journal is not bit-identical across repeats")
 	}
 	criticalFired := false
@@ -381,16 +345,15 @@ func Watch(log Logger) (*Table, *WatchReport, error) {
 	if alertAdvisories != len(alerts1) {
 		return tbl, report, fmt.Errorf("eval: watch: replay surfaced %d alert advisories, want %d", alertAdvisories, len(alerts1))
 	}
-	if !ratioEntry.BitIdentical {
+	if !ratioIdentical {
 		return tbl, report, fmt.Errorf("eval: watch: adversarial alert records differ across repeats")
 	}
-	//sorallint:ignore floatcmp the budget is exactly zero allocations; any nonzero mallocs delta must fail
-	if recordAllocs != 0 {
+	if !allocFree {
 		return tbl, report, fmt.Errorf("eval: watch: tsdb record path allocates (%.3g allocs/op)", recordAllocs)
 	}
-	if slotP50 > 0 && overhead.OverheadFrac >= 0.01 {
+	if slotP50 > 0 && overheadFrac >= 0.01 {
 		return tbl, report, fmt.Errorf("eval: watch: sampler tick %.0fns is %.2f%% of slot p50 %.0fns (budget 1%%)",
-			float64(tickNs), 100*overhead.OverheadFrac, float64(slotP50))
+			float64(tickNs), 100*overheadFrac, float64(slotP50))
 	}
 	return tbl, report, nil
 }

@@ -21,16 +21,17 @@ func TestWatchExperiment(t *testing.T) {
 		t.Fatalf("report shape: %d rows, %+v", len(tbl.Rows), rep)
 	}
 	slo, ratio, overhead := rep.Results[0], rep.Results[1], rep.Results[2]
-	if slo.Watch != "slo-spike" || slo.FiredTick < 12 || slo.FiredTick >= 21 {
+	sm, rm, om := slo.Metrics, ratio.Metrics, overhead.Metrics
+	if slo.Name != "watch/slo-spike" || sm["fired_tick"] < 12 || sm["fired_tick"] >= 21 {
 		t.Fatalf("slo entry = %+v (want firing inside the spike phase)", slo)
 	}
-	if slo.ResolvedTick <= slo.FiredTick || slo.Alerts != 2 || !slo.BitIdentical {
+	if slo.Info["resolved_tick"] <= sm["fired_tick"] || sm["alerts"] != 2 || !*slo.BitIdentical {
 		t.Fatalf("slo entry = %+v", slo)
 	}
-	if ratio.Ratio <= ratio.Certificate || !ratio.BitIdentical {
+	if ratio.Name != "watch/ratio-adversarial" || rm["ratio"] <= ratio.Info["certificate"] || !*ratio.BitIdentical {
 		t.Fatalf("ratio entry = %+v", ratio)
 	}
-	if overhead.RecordAllocs != 0 || overhead.OverheadFrac >= 0.01 {
+	if overhead.Name != "watch/overhead" || overhead.Info["record_allocs"] != 0 || om["overhead_frac"] >= 0.01 {
 		t.Fatalf("overhead entry = %+v", overhead)
 	}
 }

@@ -1,8 +1,7 @@
 // Package linalg provides the dense and block-structured linear algebra
 // kernels that the soral optimization solvers are built on.
 //
-// It deliberately implements only what the interior-point and ADMM solvers
-// need, but implements those pieces carefully:
+// It deliberately implements only what the interior-point solvers need, but implements those pieces carefully:
 //
 //   - level-1 vector kernels (Dot, Axpy, norms) on raw []float64,
 //   - a dense row-major matrix type with multiply and transpose-multiply,

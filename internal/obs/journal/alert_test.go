@@ -108,7 +108,7 @@ func TestReaderRejectsBadAlert(t *testing.T) {
 //
 //	received + Dropped() == lines published
 //
-// Run under -race (the obs-race make target).
+// Run under -race (the obs-serve make target).
 func TestFeedDropOldestUnderConcurrentCommits(t *testing.T) {
 	const workers, perWorker = 8, 128
 	f := NewFeed(16)

@@ -41,24 +41,16 @@ func promEscape(s string) string {
 // round-trip form.
 func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// histogramHelp is the quantile-semantics caveat attached to every exposed
-// histogram: the reservoir overwrites ring-style at histogramCap
-// observations, so the quantiles are a recent-window estimate while
-// count/sum/min/max stay exact (pinned by TestHistogramReservoirOverflow).
-var histogramHelp = fmt.Sprintf(
-	"count/sum/min/max are exact over the whole run; quantiles are nearest-rank over the most recent %d observations (ring reservoir).",
-	histogramCap)
-
 // latencyHelp explains the log-bucketed histogram semantics: buckets are
 // exact over the whole run, quantiles carry at most one bucket of relative
 // error, and only non-empty buckets are exposed.
 const latencyHelp = "log-bucketed (8 sub-buckets per octave, <=12.5% relative bucket width); counts exact over the whole run; only non-empty buckets exposed."
 
 // WritePrometheus encodes a registry snapshot in the Prometheus text
-// exposition format (version 0.0.4): counters, then gauges, then histograms
-// as summaries with p50/p95/p99 quantile samples plus _sum/_count and _min/
-// _max companions, each group sorted by name so the output is byte-stable
-// for equal snapshots (golden-pinned by TestPrometheusGolden).
+// exposition format (version 0.0.4): counters, then gauges, then latency
+// histograms with cumulative buckets, _sum/_count and p50/p99/p999 gauge
+// companions, each group sorted by name so the output is byte-stable for
+// equal snapshots (golden-pinned by TestPrometheusGolden).
 func WritePrometheus(w io.Writer, snap Snapshot) error {
 	for _, name := range sortedKeys(snap.Counters) {
 		pn := promName(name)
@@ -71,30 +63,6 @@ func WritePrometheus(w io.Writer, snap Snapshot) error {
 		pn := promName(name)
 		if _, err := fmt.Fprintf(w, "# HELP %s Gauge %s.\n# TYPE %s gauge\n%s %s\n",
 			pn, promEscape(name), pn, pn, promFloat(snap.Gauges[name])); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(snap.Histograms) {
-		h := snap.Histograms[name]
-		pn := promName(name)
-		if _, err := fmt.Fprintf(w, "# HELP %s Histogram %s: %s\n# TYPE %s summary\n",
-			pn, promEscape(name), promEscape(histogramHelp), pn); err != nil {
-			return err
-		}
-		for _, q := range [...]struct {
-			label string
-			v     float64
-		}{{"0.5", h.P50}, {"0.95", h.P95}, {"0.99", h.P99}} {
-			if _, err := fmt.Fprintf(w, "%s{quantile=%q} %s\n", pn, q.label, promFloat(q.v)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n",
-			pn, promFloat(h.Sum), pn, h.Count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s_min gauge\n%s_min %s\n# TYPE %s_max gauge\n%s_max %s\n",
-			pn, pn, promFloat(h.Min), pn, pn, promFloat(h.Max)); err != nil {
 			return err
 		}
 	}

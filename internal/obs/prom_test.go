@@ -19,15 +19,14 @@ func promRegistry() *Registry {
 	reg.SetGauge("solver.workers", 4)
 	reg.SetGauge("weird-name с юникодом", 1.5)
 	for i := 1; i <= 10; i++ {
-		reg.Observe("span.core.slot.seconds", float64(i)/1000)
 		reg.RecordLatency("latency.core.slot.seconds", float64(i)/1000)
 	}
 	return reg
 }
 
 // TestPrometheusGolden pins the /metrics wire format: metric naming and
-// sanitization, HELP escaping, stable ordering, and the histogram summary
-// lines (quantiles, _sum/_count, _min/_max). Regenerate with
+// sanitization, HELP escaping, stable ordering, and the latency histogram
+// lines (buckets, _sum/_count, quantile gauges). Regenerate with
 // `go test ./internal/obs -run PrometheusGolden -update` after intentional
 // format changes — scrapers parse these lines.
 func TestPrometheusGolden(t *testing.T) {
@@ -73,9 +72,9 @@ func TestPrometheusStableAcrossSnapshots(t *testing.T) {
 
 func TestPromNameSanitization(t *testing.T) {
 	cases := map[string]string{
-		"lp.mehrotra.iterations": "soral_lp_mehrotra_iterations",
-		"span.core.slot.seconds": "soral_span_core_slot_seconds",
-		"weird-name с юникодом":  "soral_weird_name___________",
+		"lp.mehrotra.iterations":    "soral_lp_mehrotra_iterations",
+		"latency.core.slot.seconds": "soral_latency_core_slot_seconds",
+		"weird-name с юникодом":     "soral_weird_name___________",
 	}
 	for in, want := range cases {
 		if got := promName(in); got != want {
@@ -136,22 +135,5 @@ func TestPrometheusLatencyBuckets(t *testing.T) {
 		if !strings.Contains(out, "soral_latency_core_slot_seconds"+suffix+" ") {
 			t.Errorf("missing quantile gauge %s", suffix)
 		}
-	}
-}
-
-// TestPrometheusHistogramHelpDocumentsWindow pins that the exposed HELP
-// text states the reservoir-window quantile semantics, so a scrape consumer
-// is never misled into reading p99 as a whole-run quantile.
-func TestPrometheusHistogramHelpDocumentsWindow(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, promRegistry().Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "most recent 2048 observations") {
-		t.Errorf("histogram HELP text does not document the %d-observation window:\n%s", histogramCap, out)
-	}
-	if !strings.Contains(out, "count/sum/min/max are exact") {
-		t.Error("histogram HELP text does not state which fields are exact")
 	}
 }

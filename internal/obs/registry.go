@@ -11,21 +11,15 @@ import (
 	"soral/internal/obs/hist"
 )
 
-// histogramCap bounds the per-histogram observation reservoir. Once full,
-// new observations overwrite the oldest ring-style, so quantiles reflect the
-// most recent window while count/sum/min/max stay exact over the whole run.
-const histogramCap = 2048
-
-// Registry is a concurrency-safe metrics registry. Counters and gauges are
-// lock-free after first creation (atomic loads/stores behind an RWMutex-
-// protected name table); histograms serialize observations on a per-
-// histogram mutex.
+// Registry is a concurrency-safe metrics registry. Counters, gauges and
+// latency histograms are lock-free after first creation (atomic loads/stores
+// behind an RWMutex-protected name table).
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*atomic.Int64
 	gauges   map[string]*atomic.Uint64 // float64 bits
-	hists    map[string]*histogram
 	lats     map[string]*hist.Hist
+	spans    map[string]*hist.Hist // span name -> its lats entry
 }
 
 // NewRegistry returns an empty registry.
@@ -33,8 +27,8 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*atomic.Int64{},
 		gauges:   map[string]*atomic.Uint64{},
-		hists:    map[string]*histogram{},
 		lats:     map[string]*hist.Hist{},
+		spans:    map[string]*hist.Hist{},
 	}
 }
 
@@ -105,25 +99,6 @@ func (r *Registry) Gauge(name string) float64 {
 	return math.Float64frombits(g.Load())
 }
 
-func (r *Registry) histogram(name string) *histogram {
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = &histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Observe records one value into the named bounded histogram.
-func (r *Registry) Observe(name string, v float64) { r.histogram(name).observe(v) }
-
 // LatencyHist returns (creating if needed) the named log-bucketed latency
 // histogram. Hot paths may cache the returned handle; its Record method is
 // lock-free and allocation-free.
@@ -143,28 +118,33 @@ func (r *Registry) LatencyHist(name string) *hist.Hist {
 	return h
 }
 
+// spanHist returns the "latency.<span>.seconds" histogram. It is indexed by
+// the bare span name, so Span.End builds no string: only the histogram's
+// creation allocates.
+func (r *Registry) spanHist(span string) *hist.Hist {
+	r.mu.RLock()
+	h := r.spans[span]
+	r.mu.RUnlock()
+	if h == nil {
+		h = r.LatencyHist("latency." + span + ".seconds")
+		r.mu.Lock()
+		r.spans[span] = h
+		r.mu.Unlock()
+	}
+	return h
+}
+
 // RecordLatency records one observation (seconds) into the named
-// log-bucketed latency histogram. Unlike Observe's bounded reservoir, the
-// latency histogram's quantiles cover every observation of the run and
-// resolve tail quantiles (p999) to bucket precision.
+// log-bucketed latency histogram. Its quantiles cover every observation of
+// the run and resolve tail quantiles (p999) to bucket precision.
 func (r *Registry) RecordLatency(name string, seconds float64) {
 	r.LatencyHist(name).Record(seconds)
 }
 
-// HistogramStats summarizes one bounded histogram. Count and Sum are exact
-// over every observation; the quantiles are computed from the bounded
-// reservoir (the most recent histogramCap observations).
-type HistogramStats struct {
-	Count         int64
-	Sum, Min, Max float64
-	P50, P95, P99 float64
-}
-
 // Snapshot is a point-in-time copy of every metric in a registry.
 type Snapshot struct {
-	Counters   map[string]int64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramStats
+	Counters map[string]int64
+	Gauges   map[string]float64
 	// Latencies summarizes the log-bucketed latency histograms: exact
 	// count/sum/min/max, bucket-precision p50/p99/p999, and the non-empty
 	// cumulative buckets for exposition.
@@ -183,10 +163,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	hists := make(map[string]*histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
 	lats := make(map[string]*hist.Hist, len(r.lats))
 	for k, v := range r.lats {
 		lats[k] = v
@@ -194,19 +170,15 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.RUnlock()
 
 	snap := Snapshot{
-		Counters:   make(map[string]int64, len(counters)),
-		Gauges:     make(map[string]float64, len(gauges)),
-		Histograms: make(map[string]HistogramStats, len(hists)),
-		Latencies:  make(map[string]hist.Stats, len(lats)),
+		Counters:  make(map[string]int64, len(counters)),
+		Gauges:    make(map[string]float64, len(gauges)),
+		Latencies: make(map[string]hist.Stats, len(lats)),
 	}
 	for k, v := range counters {
 		snap.Counters[k] = v.Load()
 	}
 	for k, v := range gauges {
 		snap.Gauges[k] = math.Float64frombits(v.Load())
-	}
-	for k, v := range hists {
-		snap.Histograms[k] = v.stats()
 	}
 	for k, v := range lats {
 		snap.Latencies[k] = v.Snapshot()
@@ -215,10 +187,9 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // EachCounter calls fn for every counter under the registry's read lock.
-// With EachGauge, EachLatency, and EachHistogramQuantile it forms the
-// sampling path: a tsdb sampler tick reads every metric without building
-// the Snapshot maps or sorting any reservoir, so sampling cadence is not
-// bounded by scrape cost. fn must not call back into the registry.
+// With EachGauge and EachLatency it forms the sampling path: a tsdb sampler
+// tick reads every metric without building the Snapshot maps, so sampling
+// cadence is not bounded by scrape cost. fn must not call back into the registry.
 func (r *Registry) EachCounter(fn func(name string, v int64)) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -247,18 +218,6 @@ func (r *Registry) EachLatency(fn func(name string, h *hist.Hist)) {
 	}
 }
 
-// EachHistogramQuantile calls fn with the q-quantile of every bounded
-// histogram. Unlike Snapshot, which fully sorts each reservoir, the single
-// quantile is selected in linear time against a reusable scratch buffer, so
-// the per-tick cost stays flat however often the sampler fires.
-func (r *Registry) EachHistogramQuantile(q float64, fn func(name string, v float64)) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for k, v := range r.hists {
-		fn(k, v.quantileOnly(q))
-	}
-}
-
 // WriteText dumps the registry as sorted, expvar-style text: one metric per
 // line, grouped by kind, stable across runs with equal values.
 func (r *Registry) WriteText(w io.Writer) error {
@@ -270,13 +229,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	}
 	for _, name := range sortedKeys(snap.Gauges) {
 		if _, err := fmt.Fprintf(w, "gauge %s %g\n", name, snap.Gauges[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(snap.Histograms) {
-		h := snap.Histograms[name]
-		if _, err := fmt.Fprintf(w, "histogram %s count=%d sum=%g min=%g max=%g p50=%g p95=%g p99=%g\n",
-			name, h.Count, h.Sum, h.Min, h.Max, h.P50, h.P95, h.P99); err != nil {
 			return err
 		}
 	}
@@ -297,128 +249,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-type histogram struct {
-	mu       sync.Mutex
-	count    int64
-	sum      float64
-	min, max float64
-	ring     []float64
-	next     int
-	// scratch backs quantileOnly's selection so the sampling path stops
-	// allocating once the reservoir reaches steady state.
-	scratch []float64
-}
-
-func (h *histogram) observe(v float64) {
-	h.mu.Lock()
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	if len(h.ring) < histogramCap {
-		h.ring = append(h.ring, v)
-	} else {
-		h.ring[h.next] = v
-		h.next = (h.next + 1) % histogramCap
-	}
-	h.mu.Unlock()
-}
-
-func (h *histogram) stats() HistogramStats {
-	h.mu.Lock()
-	st := HistogramStats{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	vals := append([]float64(nil), h.ring...)
-	h.mu.Unlock()
-	if len(vals) == 0 {
-		return st
-	}
-	sort.Float64s(vals)
-	st.P50 = quantile(vals, 0.50)
-	st.P95 = quantile(vals, 0.95)
-	st.P99 = quantile(vals, 0.99)
-	return st
-}
-
-// quantileOnly returns the nearest-rank q-quantile of the reservoir via
-// linear-time selection on a reused scratch buffer (0 when empty).
-func (h *histogram) quantileOnly(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.ring)
-	if n == 0 {
-		return 0
-	}
-	if cap(h.scratch) < n {
-		h.scratch = make([]float64, n)
-	}
-	s := h.scratch[:n]
-	copy(s, h.ring)
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	quickselect(s, idx)
-	return s[idx]
-}
-
-// quickselect partially orders s so s[k] holds its sorted-position value,
-// using median-of-three Hoare partitioning (expected linear time).
-func quickselect(s []float64, k int) {
-	lo, hi := 0, len(s)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		// Median-of-three pivot guards against sorted and constant runs.
-		if s[mid] < s[lo] {
-			s[mid], s[lo] = s[lo], s[mid]
-		}
-		if s[hi] < s[lo] {
-			s[hi], s[lo] = s[lo], s[hi]
-		}
-		if s[hi] < s[mid] {
-			s[hi], s[mid] = s[mid], s[hi]
-		}
-		pivot := s[mid]
-		i, j := lo, hi
-		for i <= j {
-			for s[i] < pivot {
-				i++
-			}
-			for s[j] > pivot {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			return
-		}
-	}
-}
-
-// quantile returns the nearest-rank q-quantile of a sorted sample.
-func quantile(sorted []float64, q float64) float64 {
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

@@ -26,105 +26,12 @@ func TestRegistryCountersGauges(t *testing.T) {
 	}
 }
 
-func TestRegistryHistogramStats(t *testing.T) {
-	r := NewRegistry()
-	for i := 1; i <= 100; i++ {
-		r.Observe("h", float64(i))
-	}
-	st := r.Snapshot().Histograms["h"]
-	if st.Count != 100 {
-		t.Fatalf("count = %d, want 100", st.Count)
-	}
-	if st.Sum != 5050 {
-		t.Fatalf("sum = %g, want 5050", st.Sum)
-	}
-	if st.Min != 1 || st.Max != 100 {
-		t.Fatalf("min,max = %g,%g, want 1,100", st.Min, st.Max)
-	}
-	if st.P50 != 50 || st.P95 != 95 || st.P99 != 99 {
-		t.Fatalf("p50,p95,p99 = %g,%g,%g, want 50,95,99", st.P50, st.P95, st.P99)
-	}
-}
-
-func TestRegistryHistogramBounded(t *testing.T) {
-	r := NewRegistry()
-	n := histogramCap + 500
-	for i := 0; i < n; i++ {
-		r.Observe("h", float64(i))
-	}
-	st := r.Snapshot().Histograms["h"]
-	if st.Count != int64(n) {
-		t.Fatalf("count = %d, want %d", st.Count, n)
-	}
-	// Quantiles come from the most recent histogramCap observations
-	// [500, n), so the median sits near 500 + histogramCap/2.
-	lo, hi := float64(500+histogramCap/2-1), float64(500+histogramCap/2+1)
-	if st.P50 < lo || st.P50 > hi {
-		t.Fatalf("p50 = %g, want within [%g, %g]", st.P50, lo, hi)
-	}
-	// Min/max remain exact over the whole run.
-	if st.Min != 0 || st.Max != float64(n-1) {
-		t.Fatalf("min,max = %g,%g, want 0,%d", st.Min, st.Max, n-1)
-	}
-}
-
-// TestHistogramReservoirOverflow pins the documented histogram semantics on
-// reservoir overflow (the 2048-cap ring overwrites oldest-first):
-// count/sum/min/max stay exact over every observation ever made, while the
-// quantiles are nearest-rank estimates over exactly the most recent
-// histogramCap observations. The /metrics HELP text states the same
-// contract (TestPrometheusHistogramHelpDocumentsWindow).
-func TestHistogramReservoirOverflow(t *testing.T) {
-	r := NewRegistry()
-	n := histogramCap + 952 // 3000 observations: 0, 1, ..., 2999
-	for i := 0; i < n; i++ {
-		r.Observe("h", float64(i))
-	}
-	st := r.Snapshot().Histograms["h"]
-
-	// Exact over the whole run, unaffected by the overflow.
-	if st.Count != int64(n) {
-		t.Fatalf("count = %d, want %d (exact)", st.Count, n)
-	}
-	if want := float64(n*(n-1)) / 2; st.Sum != want {
-		t.Fatalf("sum = %g, want %g (exact)", st.Sum, want)
-	}
-	if st.Min != 0 || st.Max != float64(n-1) {
-		t.Fatalf("min,max = %g,%g, want 0,%d (exact)", st.Min, st.Max, n-1)
-	}
-
-	// Recent-window estimates: the reservoir holds exactly the last
-	// histogramCap observations [952, 2999], so the nearest-rank quantiles
-	// are offset + ceil(q*cap) - 1.
-	first := n - histogramCap
-	rank := func(q float64) float64 {
-		// ceil(q*2048) via rounding: exact for q=0.5 (1024) and matches
-		// ceil for 0.95 (1945.6→1946) and 0.99 (2027.52→2028).
-		idx := int(float64(histogramCap)*q+0.5) - 1
-		return float64(first + idx)
-	}
-	if want := rank(0.50); st.P50 != want {
-		t.Fatalf("p50 = %g, want %g (window [%d,%d])", st.P50, want, first, n-1)
-	}
-	if want := rank(0.95); st.P95 != want {
-		t.Fatalf("p95 = %g, want %g", st.P95, want)
-	}
-	if want := rank(0.99); st.P99 != want {
-		t.Fatalf("p99 = %g, want %g", st.P99, want)
-	}
-	// The whole-run p50 would be 1499.5-ish; the window estimate must sit
-	// far above it, or the window semantics silently changed.
-	if st.P50 < float64(first) {
-		t.Fatalf("p50 = %g includes evicted observations (window starts at %d)", st.P50, first)
-	}
-}
-
 func TestRegistryWriteText(t *testing.T) {
 	r := NewRegistry()
 	r.Add("z.count", 1)
 	r.Add("a.count", 7)
 	r.SetGauge("m.gauge", 0.5)
-	r.Observe("lat", 2)
+	r.RecordLatency("lat", 2)
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -132,7 +39,7 @@ func TestRegistryWriteText(t *testing.T) {
 	want := "counter a.count 7\n" +
 		"counter z.count 1\n" +
 		"gauge m.gauge 0.5\n" +
-		"histogram lat count=1 sum=2 min=2 max=2 p50=2 p95=2 p99=2\n"
+		"latency lat count=1 sum=2 min=2 max=2 p50=2 p99=2 p999=2\n"
 	if sb.String() != want {
 		t.Fatalf("WriteText:\n%s\nwant:\n%s", sb.String(), want)
 	}
@@ -142,6 +49,7 @@ func TestRegistryWriteText(t *testing.T) {
 // -race (Makefile check does) to catch data races.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
+	sc := NewScope(r, nil)
 	const workers = 16
 	const perWorker = 500
 	var wg sync.WaitGroup
@@ -153,7 +61,8 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Add("shared", 1)
 				r.Add("own", int64(w%3))
 				r.SetGauge("g", float64(i))
-				r.Observe("h", float64(i))
+				r.RecordLatency("h", float64(i))
+				sc.StartSpan("s").End()
 				if i%50 == 0 {
 					_ = r.Snapshot()
 				}
@@ -164,8 +73,10 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Counter("shared"); got != workers*perWorker {
 		t.Fatalf("shared = %d, want %d", got, workers*perWorker)
 	}
-	st := r.Snapshot().Histograms["h"]
-	if st.Count != workers*perWorker {
-		t.Fatalf("histogram count = %d, want %d", st.Count, workers*perWorker)
+	snap := r.Snapshot()
+	for _, name := range []string{"h", "latency.s.seconds"} {
+		if got := snap.Latencies[name].Count; got != workers*perWorker {
+			t.Fatalf("%s count = %d, want %d", name, got, workers*perWorker)
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 // Well-known metric names shared across the solver stack.
 const (
 	// MetricSolverIters is the cross-solver iteration counter: every
-	// Mehrotra, barrier-Newton, and ADMM-consensus iteration bumps it once
+	// Mehrotra and barrier-Newton iteration bumps it once
 	// (via Scope.Iteration). Ladder rungs and slot spans report their
 	// iteration budgets as deltas of this counter.
 	MetricSolverIters = "solver.iterations"
@@ -142,14 +142,6 @@ func (s *Scope) SetGauge(name string, v float64) {
 	s.core.reg.SetGauge(name, v)
 }
 
-// Observe records a value into a registry histogram.
-func (s *Scope) Observe(name string, v float64) {
-	if s == nil || s.core.reg == nil {
-		return
-	}
-	s.core.reg.Observe(name, v)
-}
-
 // RecordLatency records one observation (seconds) into a log-bucketed
 // latency histogram: exact count over the whole run, tail quantiles (p999)
 // at bucket precision, mergeable across registries.
@@ -248,11 +240,9 @@ func (s *Scope) StartSpan(name string) Span {
 
 // End closes the span: it emits a KindSpanEnd event carrying the duration
 // and the solver iterations consumed inside the span, records the duration
-// into the "span.<name>.seconds" summary histogram and the
-// "latency.<name>.seconds" log-bucketed latency histogram, and returns the
-// duration. The two namespaces never collide in the Prometheus exposition:
-// the summary carries recent-window p50/p95/p99, the latency histogram
-// whole-run buckets and p999.
+// into the "latency.<name>.seconds" log-bucketed histogram, and returns the
+// duration. Only a span name's first End allocates (to create the
+// histogram).
 func (sp Span) End() time.Duration {
 	if sp.sc == nil {
 		return 0
@@ -261,7 +251,8 @@ func (sp Span) End() time.Duration {
 	iters := sp.sc.CounterValue(MetricSolverIters) - sp.itersBefore
 	sp.sc.emit(Event{Kind: KindSpanEnd, Name: sp.name,
 		DurNS: d.Nanoseconds(), Iters: int(iters)})
-	sp.sc.Observe("span."+sp.name+".seconds", d.Seconds())
-	sp.sc.RecordLatency("latency."+sp.name+".seconds", d.Seconds())
+	if reg := sp.sc.core.reg; reg != nil {
+		reg.spanHist(sp.name).Record(d.Seconds())
+	}
 	return d
 }

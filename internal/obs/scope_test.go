@@ -15,7 +15,7 @@ func nilScopeExercise() {
 	child.Rung("stage", "rung", "ok", time.Millisecond, 2)
 	child.Count("x", 1)
 	child.SetGauge("g", 1)
-	child.Observe("h", 1)
+	child.RecordLatency("latency.h.seconds", 1)
 	_ = child.CounterValue(MetricSolverIters)
 	span.End()
 }
@@ -23,6 +23,19 @@ func nilScopeExercise() {
 func TestNilScopeZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, nilScopeExercise); allocs != 0 {
 		t.Fatalf("nil-scope path allocates %g bytes-worth of objects per run, want 0", allocs)
+	}
+}
+
+// TestSpanEndZeroAllocs pins the enabled span path with a nil sink: once
+// the span's latency histogram exists, StartSpan/End allocate nothing.
+func TestSpanEndZeroAllocs(t *testing.T) {
+	sc := NewScope(NewRegistry(), nil)
+	sc.StartSpan("core.slot").End() // creates latency.core.slot.seconds
+	if allocs := testing.AllocsPerRun(100, func() { sc.StartSpan("core.slot").End() }); allocs != 0 {
+		t.Fatalf("enabled span allocates %g objects per StartSpan/End, want 0", allocs)
+	}
+	if got := sc.Registry().Snapshot().Latencies["latency.core.slot.seconds"].Count; got != 102 {
+		t.Fatalf("latency.core.slot.seconds count = %d, want 102", got)
 	}
 }
 
@@ -71,5 +84,15 @@ func BenchmarkEnabledScope(b *testing.B) {
 		span := slot.StartSpan("core.slot")
 		slot.Iteration("convex.newton", 0, IterStats{Decrement: 0.1})
 		span.End()
+	}
+}
+
+// BenchmarkSpanEnd is the enabled span path with a nil sink, as the solvers
+// run it when only metrics are collected.
+func BenchmarkSpanEnd(b *testing.B) {
+	sc := NewScope(NewRegistry(), nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sc.StartSpan("core.slot").End()
 	}
 }

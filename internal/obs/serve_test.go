@@ -58,7 +58,7 @@ func TestServeMetricsAndHealthz(t *testing.T) {
 		t.Errorf("/metrics content-type %q", ctype)
 	}
 	if !strings.Contains(body, "soral_solver_iterations 42") ||
-		!strings.Contains(body, `soral_span_core_slot_seconds{quantile="0.5"}`) {
+		!strings.Contains(body, `soral_latency_core_slot_seconds_bucket{le="+Inf"} 10`) {
 		t.Errorf("/metrics body missing expected lines:\n%s", body)
 	}
 

@@ -14,8 +14,8 @@ const (
 	// KindSpanEnd closes a span, carrying its duration and the number of
 	// solver iterations it consumed.
 	KindSpanEnd = "span_end"
-	// KindIter is one solver iteration (Mehrotra, barrier Newton, ADMM
-	// consensus) with its convergence measures.
+	// KindIter is one solver iteration (Mehrotra, barrier Newton) with its
+	// convergence measures.
 	KindIter = "iter"
 	// KindRung records one fallback-ladder rung attempt and its outcome.
 	KindRung = "rung"
@@ -33,7 +33,7 @@ type Event struct {
 	// Kind is one of the Kind* constants.
 	Kind string `json:"kind"`
 	// Name identifies the emitting site: a solver stage for iter events
-	// ("lp.mehrotra", "convex.newton", "admm.consensus"), the ladder stage
+	// ("lp.mehrotra", "convex.newton"), the ladder stage
 	// for rung events, the span name otherwise.
 	Name string `json:"name"`
 	// Solver is the high-level solver/algorithm identity inherited from
@@ -66,7 +66,7 @@ type Event struct {
 }
 
 // Sink receives trace events. Implementations must be safe for concurrent
-// use: the ADMM worker pool and the LCP-M prefix solves emit from many
+// use: the parallel kernels and the LCP-M prefix solves emit from many
 // goroutines.
 type Sink interface {
 	Emit(Event)

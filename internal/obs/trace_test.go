@@ -62,8 +62,8 @@ func TestTraceGolden(t *testing.T) {
 }
 
 // TestJSONLSinkConcurrentNoTornLines hammers one trace sink from many
-// solver-like goroutines (the Workers>1 regime: parallel kernels, ADMM
-// workers, LCP-M prefix solves all emit into one sink) and asserts the
+// solver-like goroutines (the Workers>1 regime: parallel kernels and
+// LCP-M prefix solves all emit into one sink) and asserts the
 // JSONL output has no interleaved or torn lines: every line parses on its
 // own and every emitted event is present exactly once. Run under -race
 // (the obs-serve make target does).
@@ -153,8 +153,8 @@ func TestSpanIterationDelta(t *testing.T) {
 	if sc.CounterValue(MetricSolverIters) != 6 {
 		t.Fatalf("total iters = %d, want 6", sc.CounterValue(MetricSolverIters))
 	}
-	if st, ok := sc.Registry().Snapshot().Histograms["span.work.seconds"]; !ok || st.Count != 1 {
-		t.Fatalf("span.work.seconds histogram missing or wrong count: %+v", st)
+	if st, ok := sc.Registry().Snapshot().Latencies["latency.work.seconds"]; !ok || st.Count != 1 {
+		t.Fatalf("latency.work.seconds histogram missing or wrong count: %+v", st)
 	}
 }
 

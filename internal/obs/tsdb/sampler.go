@@ -18,9 +18,9 @@ type SourceGauge struct {
 
 // Sampler periodically copies the registry into the store: every counter and
 // gauge verbatim, every latency histogram as derived `<name>.p50`,
-// `<name>.p99`, and `<name>.count` series, every bounded histogram as
-// `<name>.p99`. One Tick is one column of the store; the watch engine hangs
-// off AfterSample so rules always evaluate against a freshly written column.
+// `<name>.p99`, and `<name>.count` series. One Tick is one column of the
+// store; the watch engine hangs off AfterSample so rules always evaluate
+// against a freshly written column.
 //
 // All sampling happens on the goroutine calling Tick (or Run) — the Series
 // write side is single-writer by construction.
@@ -50,8 +50,8 @@ func (s *Sampler) Tick(now time.Time) {
 			obs.CollectRuntime(s.Reg)
 		}
 		// The Each* walks are the registry's sampling path: no Snapshot maps,
-		// no reservoir sorts — a tick stays microseconds even against a
-		// registry a full run has populated.
+		// so a tick stays microseconds even against a registry a full run
+		// has populated.
 		s.Reg.EachCounter(func(name string, v int64) {
 			s.DB.Series(name).Record(tns, float64(v))
 		})
@@ -62,9 +62,6 @@ func (s *Sampler) Tick(now time.Time) {
 			s.DB.Series(name+".p50").Record(tns, h.Quantile(0.50))
 			s.DB.Series(name+".p99").Record(tns, h.Quantile(0.99))
 			s.DB.Series(name+".count").Record(tns, float64(h.Count()))
-		})
-		s.Reg.EachHistogramQuantile(0.99, func(name string, v float64) {
-			s.DB.Series(name+".p99").Record(tns, v)
 		})
 	}
 	for _, g := range s.Gauges {

@@ -30,6 +30,10 @@ type Series struct {
 	ts   []atomic.Int64  // Unix-nanosecond sample times
 	vs   []atomic.Uint64 // float64 bits
 	head atomic.Int64    // points ever recorded; slot = (head-1) % len
+	// started counts the points whose write has begun: it runs one ahead of
+	// head while Record is storing a slot, so readers can tell which slots
+	// were being overwritten during their read.
+	started atomic.Int64
 }
 
 func newSeries(name string, capacity int) *Series {
@@ -49,6 +53,7 @@ func (s *Series) Name() string { return s.name }
 //soral:hotpath
 func (s *Series) Record(tns int64, v float64) {
 	i := s.head.Load()
+	s.started.Store(i + 1)
 	slot := int(i % int64(len(s.ts)))
 	s.ts[slot].Store(tns)
 	s.vs[slot].Store(math.Float64bits(v))
@@ -97,12 +102,12 @@ func (s *Series) Since(sinceNS int64) []obs.TSPoint {
 			idx = append(idx, i)
 		}
 	}
-	// Indices the writer lapped during the read (i < h1-c) may be torn.
-	h1 := s.head.Load()
-	if h1-c > lo {
+	// Indices the writer lapped during the read (i < s1-c) may be torn.
+	s1 := s.started.Load()
+	if s1-c > lo {
 		keep := pts[:0]
 		for k, i := range idx {
-			if i >= h1-c {
+			if i >= s1-c {
 				keep = append(keep, pts[k])
 			}
 		}

@@ -120,7 +120,6 @@ func TestSamplerCopiesRegistry(t *testing.T) {
 	reg.Add("solver.iterations", 42)
 	reg.SetGauge("attr.regret", 3.5)
 	reg.RecordLatency("latency.core.slot.seconds", 1e-3)
-	reg.Observe("span.core.slot.seconds", 2e-3)
 
 	db := New(Options{})
 	var after []int64

@@ -1,5 +1,5 @@
 // Package resilience is the solver fault-handling substrate shared by the
-// numerical packages (lp, convex, admm) and the online pipeline (core,
+// numerical packages (lp, convex) and the online pipeline (core,
 // control). It provides four things:
 //
 //   - a structured error taxonomy (SolveError) that carries the failing

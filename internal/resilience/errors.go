@@ -75,7 +75,7 @@ func (r Residuals) String() string {
 // (stage, class, iteration count, residuals, condition estimate) for a
 // fallback ladder or an operator to decide what to do next.
 type SolveError struct {
-	Stage     string       // e.g. "lp.mehrotra", "convex.barrier", "admm"
+	Stage     string       // e.g. "lp.mehrotra", "convex.barrier"
 	Class     FailureClass // what kind of failure
 	Iters     int          // iterations completed before the failure
 	Residuals Residuals    // convergence state at the failure point
