@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-self race obs-serve kernels-race chaos latency warmstart watch check bench bench-compare
+.PHONY: build test vet lint lint-self race obs-serve kernels-race chaos latency warmstart watch fuzz check bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -85,12 +85,21 @@ warmstart:
 watch:
 	$(GO) run -race ./cmd/soralbench -exp watch -q
 
+# Time-boxed differential fuzzing of the structured Newton step: random
+# block maps with in-block rows, cross-block rows and cross-block entropic
+# groups, each solved with its block map and with the map cleared (one
+# dense block); both must converge to the same objective (DESIGN.md §15).
+# Plain `go test` replays the committed seed corpus under
+# internal/convex/testdata/fuzz; this target searches beyond it.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzNewtonBlockVsDense -fuzztime=10s ./internal/convex
+
 # The gate used before merging: static checks (vet plus the sorallint
 # invariants) and the full suite under the race detector (the parallel
 # kernels and the fault-injection trip counter are the concurrency-sensitive
 # paths), plus the focused telemetry and parallel-kernel race passes and the
-# crash/recovery chaos schedules.
-check: vet lint lint-self race obs-serve kernels-race chaos latency warmstart watch
+# crash/recovery chaos schedules, and the structured-vs-dense Newton fuzz.
+check: vet lint lint-self race obs-serve kernels-race chaos latency warmstart watch fuzz
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

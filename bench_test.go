@@ -11,11 +11,13 @@
 package soral_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"soral/internal/control"
+	"soral/internal/convex"
 	"soral/internal/core"
 	"soral/internal/eval"
 	"soral/internal/linalg"
@@ -201,6 +203,54 @@ func BenchmarkScalarOnlineClosedForm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.RunOnline(1e-2); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkP2NewtonStep sweeps P2's size (|J| tier-1 clouds over 4 tier-2
+// clouds, K=2) and solves slot 0's P2 with its per-cloud block map and with
+// the map cleared (one dense block), reporting the time per Newton step.
+// The structured step grows linearly in |J|, the dense one cubically
+// (DESIGN.md §15); EXPERIMENTS.md records the curve.
+func BenchmarkP2NewtonStep(b *testing.B) {
+	for _, j := range []int{6, 12, 24, 48} {
+		scen, err := eval.Build(eval.ScenarioSpec{
+			NumTier2: 4, NumTier1: j, K: 2, T: 1,
+			Trace: eval.TraceWikipedia, ReconfWeight: 10, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		p2, err := core.BuildP2(scen.Net, scen.In, 0, model.NewZeroDecision(scen.Net), opts.Params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x0, err := convex.FindStrictlyFeasible(p2.Prob.G, p2.Prob.H)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dense := *p2.Prob
+		dense.Blocks = nil
+		for _, v := range []struct {
+			name string
+			prob *convex.Problem
+		}{{"blocks", p2.Prob}, {"dense", &dense}} {
+			b.Run(fmt.Sprintf("J=%d/n=%d/%s", j, p2.NumVars, v.name), func(b *testing.B) {
+				so := opts.Solver
+				so.Work = convex.NewWorkspace()
+				steps := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := convex.Solve(v.prob, x0, so)
+					if err != nil {
+						b.Fatal(err)
+					}
+					steps += res.NewtonIters
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps)/1e3, "us/step")
+				b.ReportMetric(float64(steps)/float64(b.N), "steps/solve")
+			})
 		}
 	}
 }

@@ -30,8 +30,9 @@ type Objective interface {
 	Value(x []float64) float64
 	// Gradient writes ∇f(x) into grad.
 	Gradient(grad, x []float64)
-	// Hessian writes ∇²f(x) into hess, overwriting its contents.
-	Hessian(hess *linalg.Dense, x []float64)
+	// AddHessian adds ∇²f(x) into the Newton system, which the solver has
+	// cleared beforehand.
+	AddHessian(ns *NewtonSystem, x []float64)
 }
 
 // Problem is: minimize Obj(x) subject to G·x ≤ H.
@@ -39,6 +40,14 @@ type Problem struct {
 	Obj Objective
 	G   *lp.SparseMatrix
 	H   []float64
+
+	// Blocks, when non-nil, assigns every variable a block of the Newton
+	// matrix: Blocks[k] in [0, len(Blocks)) is variable k's block. Rows and
+	// entropic groups inside one block add into that block's dense matrix;
+	// the rest form a low-rank border folded into the block factors by
+	// rank-one updates (NewtonSystem, DESIGN.md §15). nil is one block
+	// holding every variable: the dense Newton step.
+	Blocks []int
 }
 
 // Options tunes the barrier method.
@@ -183,7 +192,10 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 	slack := ws.slack[:m]
 	dx := ws.dx[:n]
 	xTrial := ws.xTrial[:n]
-	hess := ws.hess
+	ns := &ws.ns
+	if err := ns.setup(p.Blocks, p.G); err != nil {
+		return nil, err
+	}
 
 	res = &Result{}
 	// The fault plan can cap the total Newton budget to force an
@@ -193,7 +205,12 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 	budgetInjected := budget < opts.MaxOuter*opts.MaxNewton
 	condEst := 0.0
 	t := opts.TInit
+	// phi0 is the merit t·f(x) − Σ ln s at the current x. An accepted
+	// line-search trial computes it, and the slack, for the next iteration
+	// (havePhi); a new barrier stage or an exhausted line search drops it.
+	var phi0 float64
 	for outer := 0; outer < opts.MaxOuter; outer++ {
+		havePhi := false
 		// Centering: Newton on t·f(x) − Σ ln(h − Gx).
 		for newton := 0; newton < opts.MaxNewton; newton++ {
 			iter := res.NewtonIters
@@ -219,15 +236,16 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 					Err: fmt.Errorf("Newton budget exhausted: %w", resilience.ErrInjected),
 				}
 			}
-			computeSlack(p.G, p.H, x, slack)
+			if !havePhi {
+				computeSlack(p.G, p.H, x, slack)
+			}
 			p.Obj.Gradient(grad, x)
-			p.Obj.Hessian(hess, x)
+			ns.reset()
+			p.Obj.AddHessian(ns, x)
 			for i := range fullGrad {
 				fullGrad[i] = t * grad[i]
 			}
-			for i := range hess.Data {
-				hess.Data[i] *= t
-			}
+			ns.scale(t)
 			// Barrier gradient and Hessian: Gᵀ(1/s) and Gᵀ diag(1/s²) G.
 			for r, row := range p.G.Rows {
 				//sorallint:ignore divguard barrier invariant: slack stays strictly positive (line search only accepts strictly feasible iterates)
@@ -235,21 +253,14 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 				for _, e := range row {
 					fullGrad[e.Index] += inv * e.Val
 				}
-				w := inv * inv
-				for _, ei := range row {
-					hrow := hess.Row(ei.Index)
-					for _, ej := range row {
-						hrow[ej.Index] += w * ei.Val * ej.Val
-					}
-				}
+				ns.addRow(r, row, inv*inv)
 			}
-			chol := ws.chol
 			var cherr error
 			fspan := opts.Obs.StartSpan("convex.factorize")
 			if opts.Fault.FactorizationShouldFail(iter) {
 				cherr = fmt.Errorf("forced factorization failure: %w", resilience.ErrInjected)
 			} else {
-				cherr = chol.RefactorizeWorkers(hess, 1e-6*maxAbsDiag(hess)+1e-12, opts.Workers)
+				cherr = ns.factor(opts.Workers)
 			}
 			fspan.End()
 			if cherr != nil {
@@ -259,9 +270,8 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 					Err: fmt.Errorf("Newton system: %w", cherr),
 				}
 			}
-			condEst = chol.ConditionEstimate()
-			chol.Solve(dx, fullGrad)
-			linalg.Scale(-1, dx)
+			condEst = ns.condEst
+			ns.solve(dx, fullGrad)
 			lambda2 := -linalg.Dot(fullGrad, dx) // Newton decrement squared
 			if lambda2/2 <= 1e-12 {
 				opts.Obs.Iteration("convex.newton", iter, obs.IterStats{
@@ -271,15 +281,19 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 			}
 			// Backtracking line search maintaining strict feasibility.
 			step := 1.0
-			phi0 := t*p.Obj.Value(x) + barrier(slack)
+			if !havePhi {
+				phi0 = t*p.Obj.Value(x) + barrier(slack)
+			}
+			havePhi = false
 			for ls := 0; ls < 60; ls++ {
 				for i := range xTrial {
 					xTrial[i] = x[i] + step*dx[i]
 				}
-				if strictlyFeasible(p.G, p.H, xTrial) {
-					computeSlack(p.G, p.H, xTrial, slack)
+				computeSlack(p.G, p.H, xTrial, slack)
+				if allPositive(slack) {
 					phi := t*p.Obj.Value(xTrial) + barrier(slack)
 					if phi <= phi0-1e-4*step*lambda2 {
+						phi0, havePhi = phi, true
 						break
 					}
 				}
@@ -320,13 +334,11 @@ func computeSlack(g *lp.SparseMatrix, h, x, slack []float64) {
 	}
 }
 
-func strictlyFeasible(g *lp.SparseMatrix, h, x []float64) bool {
-	for r, row := range g.Rows {
-		var s float64
-		for _, e := range row {
-			s += e.Val * x[e.Index]
-		}
-		if s >= h[r] {
+// allPositive reports whether every slack is strictly positive, i.e. the
+// point it was computed at is strictly feasible.
+func allPositive(slack []float64) bool {
+	for _, v := range slack {
+		if !(v > 0) {
 			return false
 		}
 	}

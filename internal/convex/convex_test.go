@@ -154,10 +154,9 @@ func (o *entropyObjective) Gradient(grad, x []float64) {
 	}
 }
 
-func (o *entropyObjective) Hessian(hess *linalg.Dense, x []float64) {
-	hess.Zero()
+func (o *entropyObjective) AddHessian(ns *NewtonSystem, x []float64) {
 	for i, xi := range x {
-		hess.Set(i, i, 1/(xi+o.eps))
+		ns.AddDiag(i, 1/(xi+o.eps))
 	}
 }
 
@@ -211,9 +210,8 @@ func (o *scaledEntropyPlusLinear) Gradient(grad, x []float64) {
 	grad[0] = o.a + o.bOverEta*math.Log((x[0]+o.eps)/(o.prev+o.eps))
 }
 
-func (o *scaledEntropyPlusLinear) Hessian(hess *linalg.Dense, x []float64) {
-	hess.Zero()
-	hess.Set(0, 0, o.bOverEta/(x[0]+o.eps))
+func (o *scaledEntropyPlusLinear) AddHessian(ns *NewtonSystem, x []float64) {
+	ns.AddDiag(0, o.bOverEta/(x[0]+o.eps))
 }
 
 func TestBarrierDualsSignAndComplementarity(t *testing.T) {

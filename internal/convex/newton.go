@@ -1,0 +1,444 @@
+package convex
+
+import (
+	"fmt"
+	"math"
+
+	"soral/internal/linalg"
+	"soral/internal/lp"
+)
+
+// NewtonSystem is the barrier method's Newton matrix
+//
+//	t·∇²f(x) + Gᵀ·diag(1/s²)·G
+//
+// held in the structure Problem.Blocks declares (DESIGN.md §15): one small
+// dense matrix per variable block, plus a border of rank-one columns for
+// every constraint row and entropic group whose support spans blocks. The
+// matrix is B + V·Vᵀ with B block-diagonal, so a Newton step costs one
+// Cholesky factorization per block plus r rank-one updates of the factor
+// (see factor). With a nil block map there is one block holding every
+// variable and no border: the dense Newton step.
+//
+// Objectives write their Hessian into it through AddDiag, Add and AddGroup.
+// The matrix is symmetric and only its lower triangle (in block-local
+// order) is stored, so the upper half of what Add receives is ignored.
+type NewtonSystem struct {
+	n       int
+	blockOf []int // variable → block
+	pos     []int // variable → position in block-contiguous order
+	perm    []int // position → variable
+	off     []int // block b holds positions off[b] .. off[b+1]-1
+
+	mats  []*linalg.Dense // per block: its matrix, lower triangle, local order
+	chols []*linalg.Cholesky
+
+	// rowBlock is each constraint row's block, or -1 when the row spans
+	// blocks and enters the border.
+	rowBlock []int
+
+	// Border column k is √bw[k]·a_k, with a_k's entries (variable index,
+	// coefficient) at bEnt[bOff[k]:bOff[k+1]].
+	bEnt []lp.Entry
+	bOff []int
+	bw   []float64
+
+	// pb holds the product-form factors of the border updates, interleaved
+	// by position: p_k[i] at pb[2(i·r+k)], β_k[i] right after it. d is the
+	// diagonal after all r updates; acc holds one running sum per update.
+	pb, d, acc []float64
+	y          []float64 // position-order solve scratch
+	seen       []int     // per-block stamp deduplicating block solves
+	stamp      int
+
+	condEst float64
+}
+
+// setup shapes the system for a problem: it validates the block map, lays
+// the blocks out contiguously (ascending variable order inside a block, so
+// a nil map is the identity layout) and classifies every constraint row as
+// in-block or border. Buffers are reused when the shape repeats.
+func (ns *NewtonSystem) setup(blocks []int, g *lp.SparseMatrix) error {
+	n := g.N
+	nb := 1
+	if blocks != nil {
+		if len(blocks) != n {
+			return fmt.Errorf("convex: block map covers %d of %d variables", len(blocks), n)
+		}
+		for k, b := range blocks {
+			if b < 0 || b >= n {
+				return fmt.Errorf("convex: variable %d has block %d outside [0, %d)", k, b, n)
+			}
+			if b+1 > nb {
+				nb = b + 1
+			}
+		}
+	}
+	ns.n = n
+	ns.blockOf = growInts(ns.blockOf, n)
+	ns.pos = growInts(ns.pos, n)
+	ns.perm = growInts(ns.perm, n)
+	ns.off = growInts(ns.off, nb+1)
+	ns.seen = growInts(ns.seen, nb)
+	ns.rowBlock = growInts(ns.rowBlock, g.M)
+	if blocks == nil {
+		clear(ns.blockOf)
+	} else {
+		copy(ns.blockOf, blocks)
+	}
+	// Counting sort of the variables by block; seen doubles as the cursor.
+	clear(ns.off)
+	for _, b := range ns.blockOf {
+		ns.off[b+1]++
+	}
+	for b := 0; b < nb; b++ {
+		ns.off[b+1] += ns.off[b]
+		ns.seen[b] = ns.off[b]
+	}
+	for k, b := range ns.blockOf {
+		p := ns.seen[b]
+		ns.seen[b]++
+		ns.pos[k], ns.perm[p] = p, k
+	}
+	clear(ns.seen)
+	ns.stamp = 0
+	for len(ns.mats) < nb {
+		ns.mats = append(ns.mats, nil)
+		ns.chols = append(ns.chols, &linalg.Cholesky{})
+	}
+	ns.mats, ns.chols = ns.mats[:nb], ns.chols[:nb]
+	for b := range ns.mats {
+		if sz := ns.off[b+1] - ns.off[b]; ns.mats[b] == nil || ns.mats[b].Rows != sz {
+			ns.mats[b] = linalg.NewDense(sz, sz)
+		}
+	}
+	for r, row := range g.Rows {
+		ns.rowBlock[r] = ns.commonBlock(row)
+	}
+	ns.y = growFloats(ns.y, n)
+	return nil
+}
+
+// commonBlock is the block every entry of row lies in, or -1 when the row
+// spans blocks. An empty row (no Hessian contribution) counts as block 0.
+func (ns *NewtonSystem) commonBlock(row []lp.Entry) int {
+	if len(row) == 0 {
+		return 0
+	}
+	b := ns.blockOf[row[0].Index]
+	for _, e := range row[1:] {
+		if ns.blockOf[e.Index] != b {
+			return -1
+		}
+	}
+	return b
+}
+
+// reset clears the blocks' lower triangles and empties the border.
+func (ns *NewtonSystem) reset() {
+	for _, m := range ns.mats {
+		for i := 0; i < m.Rows; i++ {
+			row := m.Row(i)[:i+1]
+			for j := range row {
+				row[j] = 0
+			}
+		}
+	}
+	ns.bEnt = ns.bEnt[:0]
+	ns.bOff = append(ns.bOff[:0], 0)
+	ns.bw = ns.bw[:0]
+}
+
+// scale multiplies everything accumulated so far by t: the objective part
+// of the barrier Hessian, before the constraint terms join it.
+func (ns *NewtonSystem) scale(t float64) {
+	for _, m := range ns.mats {
+		for i := 0; i < m.Rows; i++ {
+			row := m.Row(i)[:i+1]
+			for j := range row {
+				row[j] *= t
+			}
+		}
+	}
+	for k := range ns.bw {
+		ns.bw[k] *= t
+	}
+}
+
+// local returns variable k's block and its index inside it.
+func (ns *NewtonSystem) local(k int) (int, int) {
+	b := ns.blockOf[k]
+	return b, ns.pos[k] - ns.off[b]
+}
+
+// AddDiag adds v to the diagonal entry of variable k.
+func (ns *NewtonSystem) AddDiag(k int, v float64) {
+	b, l := ns.local(k)
+	ns.mats[b].Add(l, l, v)
+}
+
+// Add adds v to entry (i, j). Callers add the whole symmetric matrix; only
+// the lower triangle is kept. Both variables must lie in one block: an
+// objective whose Hessian couples blocks entry by entry (a full
+// QuadObjective.Q, say) needs a nil block map.
+func (ns *NewtonSystem) Add(i, j int, v float64) {
+	bi, li := ns.local(i)
+	bj, lj := ns.local(j)
+	if bi != bj {
+		panic(fmt.Sprintf("convex: Hessian entry (%d, %d) couples blocks %d and %d", i, j, bi, bj))
+	}
+	if li >= lj {
+		ns.mats[bi].Add(li, lj, v)
+	}
+}
+
+// AddGroup adds w·𝟙𝟙ᵀ over members: the Hessian of a function of the
+// members' sum with second derivative w. A group inside one block adds into
+// that block; one spanning blocks becomes the border column √w·𝟙.
+func (ns *NewtonSystem) AddGroup(members []int, w float64) {
+	if len(members) == 0 {
+		return
+	}
+	b := ns.blockOf[members[0]]
+	for _, k := range members[1:] {
+		if ns.blockOf[k] != b {
+			for _, k := range members {
+				ns.bEnt = append(ns.bEnt, lp.Entry{Index: k, Val: 1})
+			}
+			ns.closeColumn(w)
+			return
+		}
+	}
+	m := ns.mats[b]
+	for _, k1 := range members {
+		l1 := ns.pos[k1] - ns.off[b]
+		row := m.Row(l1)
+		for _, k2 := range members {
+			if l2 := ns.pos[k2] - ns.off[b]; l1 >= l2 {
+				row[l2] += w
+			}
+		}
+	}
+}
+
+// addRow adds w·aaᵀ for constraint row r with entries a.
+func (ns *NewtonSystem) addRow(r int, a []lp.Entry, w float64) {
+	b := ns.rowBlock[r]
+	if b < 0 {
+		ns.bEnt = append(ns.bEnt, a...)
+		ns.closeColumn(w)
+		return
+	}
+	m := ns.mats[b]
+	for _, ei := range a {
+		l1 := ns.pos[ei.Index] - ns.off[b]
+		row := m.Row(l1)
+		for _, ej := range a {
+			if l2 := ns.pos[ej.Index] - ns.off[b]; l1 >= l2 {
+				row[l2] += w * ei.Val * ej.Val
+			}
+		}
+	}
+}
+
+// closeColumn ends the border column appended at the tail of bEnt with
+// weight w. A column proportional to an earlier one (a tier-2 group and its
+// capacity row share one support, say) folds into it, w·α² added to its
+// weight: the border's rank, not its count of rows, sets the update cost.
+func (ns *NewtonSystem) closeColumn(w float64) {
+	start := ns.bOff[len(ns.bOff)-1]
+	a := ns.bEnt[start:]
+	for k := range ns.bw {
+		if alpha, ok := proportional(ns.column(k), a); ok {
+			ns.bw[k] += w * alpha * alpha
+			ns.bEnt = ns.bEnt[:start]
+			return
+		}
+	}
+	ns.bOff = append(ns.bOff, len(ns.bEnt))
+	ns.bw = append(ns.bw, w)
+}
+
+// proportional reports whether b = α·a entry by entry, and α.
+func proportional(a, b []lp.Entry) (float64, bool) {
+	if len(a) != len(b) || len(a) == 0 || a[0].Index != b[0].Index {
+		return 0, false
+	}
+	alpha := b[0].Val / a[0].Val
+	for i := range a {
+		//sorallint:ignore floatcmp only exact proportionality makes folding two columns exact
+		if a[i].Index != b[i].Index || b[i].Val != alpha*a[i].Val {
+			return 0, false
+		}
+	}
+	return alpha, true
+}
+
+// column returns border column k's entries.
+func (ns *NewtonSystem) column(k int) []lp.Entry { return ns.bEnt[ns.bOff[k]:ns.bOff[k+1]] }
+
+// factor factorizes every block (each with the diagonal shift rule
+// 1e-6·max|diag|+1e-12 of its own) and then folds the border in as r
+// rank-one updates in product form (Goldfarb and Scheinberg's product-form
+// Cholesky): with M_k unit lower triangular,
+//
+//	B + V·Vᵀ = L·M₀⋯M_{r−1}·D·M_{r−1}ᵀ⋯M₀ᵀ·Lᵀ,
+//
+// where L is the block Cholesky factor, M_k = I + strictlyLower(p_k·β_kᵀ)
+// and p_k = (L·M₀⋯M_{k−1})⁻¹·v_k. Positive rank-one updates need no pivot
+// or shift and, unlike the Woodbury capacitance I + Vᵀ·B⁻¹·V, stay
+// accurate when a border row's weight 1/s² dwarfs the blocks late in the
+// barrier path. condEst is (max/min)² over the diagonal of the whole
+// factor, L_ii·√d_i.
+func (ns *NewtonSystem) factor(workers int) error {
+	for b, m := range ns.mats {
+		if m.Rows == 0 {
+			continue
+		}
+		if err := ns.chols[b].RefactorizeWorkers(m, 1e-6*maxAbsDiag(m)+1e-12, workers); err != nil {
+			return err
+		}
+	}
+	n, r := ns.n, len(ns.bw)
+	ns.d = growFloats(ns.d, n)
+	linalg.Fill(ns.d, 1)
+	ns.pb = growFloats(ns.pb, 2*r*n)
+	ns.acc = growFloats(ns.acc, r)
+	c := ns.y[:n]
+	for k := 0; k < r; k++ {
+		w := ns.bw[k]
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("border column %d has weight %g", k, w)
+		}
+		// c = L⁻¹·v_k, nonzero only inside the blocks the column touches.
+		linalg.Fill(c, 0)
+		col := ns.column(k)
+		sw := math.Sqrt(w)
+		f := n
+		for _, e := range col {
+			c[ns.pos[e.Index]] += sw * e.Val
+			f = min(f, ns.off[ns.blockOf[e.Index]])
+		}
+		ns.stamp++
+		for _, e := range col {
+			if b := ns.blockOf[e.Index]; ns.seen[b] != ns.stamp {
+				ns.seen[b] = ns.stamp
+				blk := c[ns.off[b]:ns.off[b+1]]
+				ns.chols[b].SolveLower(blk, blk)
+			}
+		}
+		// One pass from the first touched position (everything before it
+		// stays zero) applies M_{k−1}⁻¹⋯M₀⁻¹ element by element and runs
+		// the update recurrence on the result p_k.
+		for i := 0; i < f; i++ {
+			ns.pb[2*(i*r+k)], ns.pb[2*(i*r+k)+1] = 0, 0
+		}
+		s := ns.acc[:k]
+		linalg.Fill(s, 0)
+		t := 1.0
+		for i := f; i < n; i++ {
+			ci := c[i]
+			row := ns.pb[2*i*r : 2*(i+1)*r]
+			for j := range s {
+				ci -= row[2*j] * s[j]
+				s[j] += row[2*j+1] * ci
+			}
+			//sorallint:ignore divguard d_i starts at 1 and every update multiplies it by t_new/t_old ≥ 1
+			tn := t + ci*ci/ns.d[i]
+			//sorallint:ignore divguard d_i ≥ 1 (above) and tn ≥ 1
+			row[2*k], row[2*k+1] = ci, ci/(ns.d[i]*tn)
+			ns.d[i] *= tn / t
+			t = tn
+		}
+	}
+	minD, maxD := math.Inf(1), 0.0
+	for b, m := range ns.mats {
+		for i := 0; i < m.Rows; i++ {
+			v := ns.chols[b].L.At(i, i)
+			if r > 0 {
+				v *= math.Sqrt(ns.d[ns.off[b]+i])
+			}
+			minD, maxD = math.Min(minD, v), math.Max(maxD, v)
+		}
+	}
+	switch {
+	case n == 0:
+		ns.condEst = 1
+	case !(minD > 0):
+		ns.condEst = math.Inf(1)
+	default:
+		ns.condEst = (maxD / minD) * (maxD / minD)
+	}
+	if !linalg.AllFinite(ns.d) {
+		return fmt.Errorf("border update: %w", linalg.ErrNotPositiveDefinite)
+	}
+	return nil
+}
+
+// solve writes the Newton direction dx = −(B + V·Vᵀ)⁻¹·g.
+func (ns *NewtonSystem) solve(dx, g []float64) {
+	n, r := ns.n, len(ns.bw)
+	y := ns.y[:n]
+	for p, k := range ns.perm[:n] {
+		y[p] = g[k]
+	}
+	if r == 0 {
+		for b, m := range ns.mats {
+			if m.Rows > 0 {
+				ns.chols[b].SolveInPlace(y[ns.off[b]:ns.off[b+1]])
+			}
+		}
+	} else {
+		for b, m := range ns.mats {
+			if blk := y[ns.off[b]:ns.off[b+1]]; m.Rows > 0 {
+				ns.chols[b].SolveLower(blk, blk)
+			}
+		}
+		// y ← D⁻¹·M_{r−1}⁻¹⋯M₀⁻¹·y, then y ← M₀⁻ᵀ⋯M_{r−1}⁻ᵀ·y, each a
+		// single pass with the r updates interleaved per element.
+		s := ns.acc[:r]
+		linalg.Fill(s, 0)
+		for i := 0; i < n; i++ {
+			yi := y[i]
+			row := ns.pb[2*i*r : 2*(i+1)*r]
+			for j := range s {
+				yi -= row[2*j] * s[j]
+				s[j] += row[2*j+1] * yi
+			}
+			//sorallint:ignore divguard d_i starts at 1 and every border update multiplies it by t_new/t_old ≥ 1
+			y[i] = yi / ns.d[i]
+		}
+		linalg.Fill(s, 0)
+		for i := n - 1; i >= 0; i-- {
+			yi := y[i]
+			row := ns.pb[2*i*r : 2*(i+1)*r]
+			for j := r - 1; j >= 0; j-- {
+				yi -= row[2*j+1] * s[j]
+				s[j] += row[2*j] * yi
+			}
+			y[i] = yi
+		}
+		for b, m := range ns.mats {
+			if blk := y[ns.off[b]:ns.off[b+1]]; m.Rows > 0 {
+				ns.chols[b].SolveUpper(blk, blk)
+			}
+		}
+	}
+	for p, k := range ns.perm[:n] {
+		dx[k] = -y[p]
+	}
+}
+
+func growInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
+func growFloats(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}

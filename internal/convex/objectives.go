@@ -18,8 +18,8 @@ func (o *LinearObjective) Value(x []float64) float64 { return linalg.Dot(o.C, x)
 // Gradient implements Objective.
 func (o *LinearObjective) Gradient(grad, x []float64) { copy(grad, o.C) }
 
-// Hessian implements Objective.
-func (o *LinearObjective) Hessian(hess *linalg.Dense, x []float64) { hess.Zero() }
+// AddHessian implements Objective: a linear objective has no curvature.
+func (o *LinearObjective) AddHessian(ns *NewtonSystem, x []float64) {}
 
 // QuadObjective is f(x) = ½·xᵀQx + cᵀx with Q symmetric positive
 // semidefinite; Q may be nil for a pure linear objective. A diagonal-only
@@ -57,15 +57,18 @@ func (o *QuadObjective) Gradient(grad, x []float64) {
 	linalg.Axpy(1, o.C, grad)
 }
 
-// Hessian implements Objective.
-func (o *QuadObjective) Hessian(hess *linalg.Dense, x []float64) {
+// AddHessian implements Objective. A full Q couples variables entry by
+// entry, so it needs a nil block map or a Q that stays inside blocks.
+func (o *QuadObjective) AddHessian(ns *NewtonSystem, x []float64) {
 	if o.Q != nil {
-		copy(hess.Data, o.Q.Data)
-	} else {
-		hess.Zero()
+		for i := 0; i < o.Q.Rows; i++ {
+			for j, q := range o.Q.Row(i) {
+				ns.Add(i, j, q)
+			}
+		}
 	}
 	for i, d := range o.DiagQ {
-		hess.Add(i, i, d)
+		ns.AddDiag(i, d)
 	}
 }
 
@@ -137,9 +140,9 @@ func (o *Entropic) Gradient(grad, x []float64) {
 	}
 }
 
-// Hessian implements Objective.
-func (o *Entropic) Hessian(hess *linalg.Dense, x []float64) {
-	hess.Zero()
+// AddHessian implements Objective: group g contributes
+// Coef/(S+Eps)·𝟙𝟙ᵀ over its members.
+func (o *Entropic) AddHessian(ns *NewtonSystem, x []float64) {
 	for i := range o.Groups {
 		g := &o.Groups[i]
 		//sorallint:ignore floatcmp Coef = 0 encodes a disabled penalty group; the skip is exact by contract
@@ -147,12 +150,6 @@ func (o *Entropic) Hessian(hess *linalg.Dense, x []float64) {
 			continue
 		}
 		s := g.sum(x)
-		w := g.Coef / math.Max(s+g.Eps, entDenFloor)
-		for _, k1 := range g.Members {
-			row := hess.Row(k1)
-			for _, k2 := range g.Members {
-				row[k2] += w
-			}
-		}
+		ns.AddGroup(g.Members, g.Coef/math.Max(s+g.Eps, entDenFloor))
 	}
 }

@@ -1,23 +1,18 @@
 package convex
 
-import (
-	"soral/internal/linalg"
-)
-
 // Workspace owns the barrier solver's per-iteration buffers: gradient and
-// search-direction vectors, the constraint slacks, the dense Newton Hessian,
-// and its Cholesky factor. A solve that carries a Workspace (Options.Work)
-// performs no per-Newton-iteration allocation, and repeated solves of
-// same-shaped problems — the online algorithm's slot-after-slot P2 solves —
-// reuse every buffer. A Workspace must not be shared by concurrent solves.
+// search-direction vectors, the constraint slacks, and the Newton system
+// with its block factors and border updates. A solve that carries a
+// Workspace (Options.Work) performs no per-Newton-iteration allocation, and
+// repeated solves of same-shaped problems — the online algorithm's
+// slot-after-slot P2 solves — reuse every buffer. A Workspace must not be shared by concurrent solves.
 type Workspace struct {
 	n, m int
 
 	grad, fullGrad, dx, xTrial []float64 // n-sized
 	slack                      []float64 // m-sized
 
-	hess *linalg.Dense
-	chol *linalg.Cholesky
+	ns NewtonSystem
 }
 
 // NewWorkspace returns an empty workspace; buffers are sized on first use.
@@ -34,12 +29,6 @@ func (w *Workspace) ensure(n, m int) {
 	}
 	if w.m < m {
 		w.slack = make([]float64, m)
-	}
-	if w.hess == nil || w.hess.Rows != n || w.hess.Cols != n {
-		w.hess = linalg.NewDense(n, n)
-	}
-	if w.chol == nil {
-		w.chol = &linalg.Cholesky{}
 	}
 	w.n, w.m = n, m
 }

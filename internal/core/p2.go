@@ -9,6 +9,12 @@ import (
 	"soral/internal/model"
 )
 
+// SolverID names the P2 solver the online pipeline's decisions come from:
+// the barrier method with the per-cloud block map and product-form border
+// (DESIGN.md §15). Journals record it (journal.Header.Solver), so a change
+// to P2's arithmetic must change it too.
+const SolverID = "convex-barrier/p2-blocks"
+
 // P2 is the regularized subproblem for one time slot, ready to be solved by
 // the convex barrier engine.
 type P2 struct {
@@ -247,8 +253,24 @@ func BuildP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, pa
 		}
 		h[r] = rw.rhs
 	}
-	p2.Prob = &convex.Problem{Obj: obj, G: g, H: h}
+	p2.Prob = &convex.Problem{Obj: obj, G: g, H: h, Blocks: p2.blocks()}
 	return p2, nil
+}
+
+// blocks maps every variable to its pair's tier-1 cloud, the Newton
+// system's block structure (DESIGN.md §15): the per-pair rows, (3c), (3e),
+// the network and tier-1 capacity rows and the network and tier-1 entropic
+// groups all stay inside one cloud's pairs, so only the x-coupling rows and
+// groups — (3d), tier-2 capacity and the tier-2 groups — form the border.
+func (p2 *P2) blocks() []int {
+	b := make([]int, p2.NumVars)
+	for p, pr := range p2.Net.Pairs {
+		b[p2.XOff+p], b[p2.YOff+p], b[p2.SOff+p] = pr.J, pr.J, pr.J
+		if p2.Net.Tier1 {
+			b[p2.ZOff+p] = pr.J
+		}
+	}
+	return b
 }
 
 // Extract maps the solver's variable vector to a model decision.

@@ -1,0 +1,133 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"soral/internal/convex"
+	"soral/internal/model"
+)
+
+// structuredCase is one seeded network of the structured-vs-dense gate.
+type structuredCase struct {
+	name            string
+	seed            int64
+	numT2, numT1, k int
+	reconf          float64
+	tier1           bool
+	slots           int
+}
+
+func (c structuredCase) build(t *testing.T) (*model.Network, *model.Inputs) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(c.seed))
+	n := model.RandomNetwork(rng, c.numT2, c.numT1, c.k, c.reconf)
+	if c.tier1 {
+		capT1 := make([]float64, n.NumTier1)
+		reconfT1 := make([]float64, n.NumTier1)
+		for j := range capT1 {
+			capT1[j] = 40
+			reconfT1[j] = 2
+		}
+		if err := n.EnableTier1(capT1, reconfT1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n, model.RandomInputs(rng, n, c.slots)
+}
+
+// TestStructuredNewtonMatchesDense is the gate for P2's block map
+// (DESIGN.md §15): every slot's P2 is solved with the per-cloud block map
+// and again with the map cleared (one dense block), and the two solves must
+// agree on the objective to 1e-9 relative with both decisions feasible.
+// The block-mapped decision carries forward as the next slot's prev.
+func TestStructuredNewtonMatchesDense(t *testing.T) {
+	cases := []structuredCase{
+		{name: "4x12-K2", seed: 1501, numT2: 4, numT1: 12, k: 2, reconf: 10, slots: 5},
+		{name: "3x6-K2", seed: 1502, numT2: 3, numT1: 6, k: 2, reconf: 10, slots: 6},
+		{name: "3x5-K2-tier1", seed: 1503, numT2: 3, numT1: 5, k: 2, reconf: 8, tier1: true, slots: 6},
+	}
+	opts := DefaultOptions()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n, in := c.build(t)
+			prev := model.NewZeroDecision(n)
+			for tt := 0; tt < in.T; tt++ {
+				p2, err := BuildP2(n, in, tt, prev, opts.Params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p2.Prob.Blocks == nil {
+					t.Fatal("BuildP2 supplied no block map")
+				}
+				x0 := p2.warmStart(in, tt)
+				blocked, err := convex.Solve(p2.Prob, x0, opts.Solver)
+				if err != nil {
+					t.Fatalf("slot %d block-mapped: %v", tt, err)
+				}
+				dense := *p2.Prob
+				dense.Blocks = nil
+				ref, err := convex.Solve(&dense, x0, opts.Solver)
+				if err != nil {
+					t.Fatalf("slot %d dense: %v", tt, err)
+				}
+				if !blocked.Converged || !ref.Converged {
+					t.Fatalf("slot %d: converged block=%v dense=%v", tt, blocked.Converged, ref.Converged)
+				}
+				if d := math.Abs(blocked.Obj - ref.Obj); d > 1e-9*math.Max(1, math.Abs(ref.Obj)) {
+					t.Errorf("slot %d: objective %.17g (blocks) vs %.17g (dense), |Δ| = %g", tt, blocked.Obj, ref.Obj, d)
+				}
+				db, dd := p2.Extract(blocked.X), p2.Extract(ref.X)
+				for _, d := range []*model.Decision{db, dd} {
+					if ok, v := d.FeasibleAt(n, in.Workload[tt], 1e-4); !ok {
+						t.Fatalf("slot %d: decision infeasible by %g", tt, v)
+					}
+				}
+				prev = db
+			}
+		})
+	}
+}
+
+// TestBlockMappedP2SolveZeroAllocPerNewtonStep pins the structured Newton
+// step's allocation budget: with a warmed workspace, a block-mapped P2
+// solve allocates the same fixed per-solve amount (the iterate copy, the
+// result and its duals) whether it takes few Newton iterations or many, so
+// each Newton iteration allocates nothing.
+func TestBlockMappedP2SolveZeroAllocPerNewtonStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(1504))
+	n := model.RandomNetwork(rng, 4, 12, 2, 10)
+	in := model.RandomInputs(rng, n, 2)
+	opts := DefaultOptions()
+	p2, err := BuildP2(n, in, 0, model.NewZeroDecision(n), opts.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := p2.warmStart(in, 0)
+	solveAllocs := func(tol float64) (float64, int) {
+		so := opts.Solver
+		so.Tol = tol
+		so.Work = convex.NewWorkspace()
+		res, err := convex.Solve(p2.Prob, x0, so)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := convex.Solve(p2.Prob, x0, so); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, res.NewtonIters
+	}
+	shortAllocs, shortIters := solveAllocs(1e-2)
+	longAllocs, longIters := solveAllocs(1e-9)
+	if longIters <= shortIters {
+		t.Fatalf("tolerances did not change the Newton iteration count (%d vs %d)", shortIters, longIters)
+	}
+	t.Logf("%.0f allocs over %d Newton iterations, %.0f over %d", shortAllocs, shortIters, longAllocs, longIters)
+	if shortAllocs != longAllocs {
+		t.Errorf("%.0f allocs over %d Newton iterations but %.0f over %d: Newton iterations allocate",
+			shortAllocs, shortIters, longAllocs, longIters)
+	}
+}

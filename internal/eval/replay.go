@@ -113,6 +113,7 @@ func Record(ctx context.Context, cfg RunConfig, w *journal.Writer) (*Run, *Scena
 		Seed:         cfg.Spec.Seed,
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
 		Workers:      linalg.ResolveWorkers(suite.Cfg.CoreOpts.Solver.Workers),
+		Solver:       solverFor(cfg.Algorithm),
 	})
 	start := time.Now()
 	run, err := suite.RunConfigured(cfg)
@@ -130,13 +131,25 @@ func Record(ctx context.Context, cfg RunConfig, w *journal.Writer) (*Run, *Scena
 	return run, scen, w.Err()
 }
 
+// solverFor is the solver identity a run of alg stamps into its journal
+// header: core.SolverID for the algorithms whose decisions come from P2
+// solves, "" for the LP-only ones it does not cover.
+func solverFor(alg string) string {
+	switch alg {
+	case "online", "rfhc", "rrhc":
+		return core.SolverID
+	}
+	return ""
+}
+
 // SlotMismatch is one replay divergence: a recorded digest or cost the
 // re-run did not reproduce. Field is "inputs" or "decision" for digest
 // mismatches, "attr" when the re-run's per-slot cost attribution is not
 // bit-identical to the recorded one, "attr-sum" when a record's attribution
-// components do not sum to its alloc+reconf cost, and "objective" (Slot -1)
+// components do not sum to its alloc+reconf cost, "objective" (Slot -1)
 // when the journal footer's total does not reconcile with the sum of the
-// per-slot records.
+// per-slot records, and "solver" (Slot -1, the only mismatch then) when a
+// different solver build recorded the journal.
 type SlotMismatch struct {
 	Slot  int    `json:"slot"`
 	Field string `json:"field"`
@@ -177,6 +190,19 @@ func Replay(ctx context.Context, j *journal.Journal) (*ReplayResult, error) {
 		return nil, fmt.Errorf("eval: decoding journal config: %w", err)
 	}
 	cfg = cfg.canonical()
+	// Another solver's arithmetic differs in the last ulps, so every slot
+	// digest would diverge: report the one cause instead.
+	if want := solverFor(cfg.Algorithm); j.Header.Solver != want {
+		recorded := j.Header.Solver
+		if recorded == "" {
+			recorded = "none (recorded before journals named their solver)"
+		}
+		return &ReplayResult{
+			Algorithm:  cfg.Algorithm,
+			Slots:      len(j.Slots),
+			Mismatches: []SlotMismatch{{Slot: -1, Field: "solver", Got: want, Want: recorded}},
+		}, nil
+	}
 	scen, err := Build(cfg.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("eval: rebuilding scenario: %w", err)

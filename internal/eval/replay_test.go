@@ -3,9 +3,11 @@ package eval
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"soral/internal/core"
 	"soral/internal/obs/journal"
 )
 
@@ -47,6 +49,44 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		if res.Slots != cfg.Spec.T {
 			t.Fatalf("%s: replay compared %d slots, want %d", alg, res.Slots, cfg.Spec.T)
 		}
+	}
+}
+
+// TestReplayReportsSolverMismatch rewrites a recorded online journal's
+// header to the identity journals had before they named their solver (no
+// solver field) and checks replay reports one solver mismatch instead of a
+// digest divergence on every slot.
+func TestReplayReportsSolverMismatch(t *testing.T) {
+	cfg := RunConfig{Spec: replaySpec(), Algorithm: "online"}
+	var buf bytes.Buffer
+	if _, _, err := Record(context.Background(), cfg, journal.NewWriter(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+	var h journal.Header
+	if err := json.Unmarshal(lines[0], &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Solver != core.SolverID {
+		t.Fatalf("recorded header names solver %q, want %q", h.Solver, core.SolverID)
+	}
+	h.Solver = ""
+	var old bytes.Buffer
+	journal.NewWriter(&old).Begin(h)
+	if bytes.Contains(old.Bytes(), []byte(`"solver"`)) {
+		t.Fatalf("rewritten header still names a solver: %s", old.Bytes())
+	}
+	old.Write(bytes.Join(lines[1:], nil))
+	j, err := journal.Read(&old)
+	if err != nil {
+		t.Fatalf("rewritten journal invalid: %v", err)
+	}
+	res, err := Replay(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Mismatches) != 1 || res.Mismatches[0].Field != "solver" || res.Mismatches[0].Got != core.SolverID {
+		t.Fatalf("want exactly one solver mismatch, got %+v", res.Mismatches)
 	}
 }
 

@@ -13,9 +13,11 @@ import (
 )
 
 // seedDigestSpec mirrors the instance behind testdata/seed_digests.json:
-// per-slot decision digests recorded from the pre-warm-start build. The
-// fixture was generated by running this exact scenario at the commit before
-// the warm-start layer landed.
+// per-slot decision digests of the WarmStart-off pipeline. The fixture was
+// first recorded at the commit before the warm-start layer landed, and
+// re-recorded from this exact scenario when P2's Newton step became the
+// structured block-plus-border solve (DESIGN.md §15), which changes the
+// arithmetic but not the decisions beyond rounding.
 func seedDigestSpec() ScenarioSpec {
 	return ScenarioSpec{
 		NumTier2: 3, NumTier1: 6, K: 2, T: 8,
@@ -23,10 +25,12 @@ func seedDigestSpec() ScenarioSpec {
 	}
 }
 
-// TestWarmStartOffBitIdenticalToSeed is the tentpole's standing contract:
-// with WarmStart off (the default), the pipeline commits decisions
-// bit-identical to the build that predates the warm-start layer. Any
-// divergence means the off path picked up a warm-start artifact.
+// TestWarmStartOffBitIdenticalToSeed is the warm-start layer's standing
+// contract: with WarmStart off (the default), the pipeline commits
+// decisions bit-identical to the recorded cold pipeline. Any divergence
+// means the off path picked up a warm-start artifact (or the solver's
+// arithmetic changed, which must re-record the fixture; core's
+// TestStructuredNewtonMatchesDense is the accuracy gate for that).
 func TestWarmStartOffBitIdenticalToSeed(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "seed_digests.json"))
 	if err != nil {

@@ -134,6 +134,7 @@ func watchRatioTrial(log Logger) (*journal.Journal, []journal.AlertRecord, float
 		Seed:         cfg.Spec.Seed,
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
 		Workers:      linalg.ResolveWorkers(suite.Cfg.CoreOpts.Solver.Workers),
+		Solver:       solverFor(cfg.Algorithm),
 	})
 	run, err := suite.RunConfigured(cfg)
 	if err != nil {

@@ -75,6 +75,11 @@ type Header struct {
 	// determinism contract of DESIGN.md §8) — replay verifies exactly that.
 	GoMaxProcs int `json:"gomaxprocs"`
 	Workers    int `json:"workers"`
+	// Solver names the solver build whose arithmetic the decisions depend
+	// on (core.SolverID for runs that solve P2). Replay of a journal from a
+	// different solver reports that, not a per-slot divergence. Empty on
+	// journals that predate it and on runs that never solve P2.
+	Solver string `json:"solver,omitempty"`
 	// TimeNS is the wall-clock start time in Unix nanoseconds.
 	TimeNS int64 `json:"t_ns"`
 	// CRC is the record checksum ("crc32c:" + 8 hex digits), computed over
