@@ -85,20 +85,23 @@ warmstart:
 watch:
 	$(GO) run -race ./cmd/soralbench -exp watch -q
 
-# Time-boxed differential fuzzing of the structured Newton step: random
-# block maps with in-block rows, cross-block rows and cross-block entropic
-# groups, each solved with its block map and with the map cleared (one
-# dense block); both must converge to the same objective (DESIGN.md §15).
-# Plain `go test` replays the committed seed corpus under
-# internal/convex/testdata/fuzz; this target searches beyond it.
+# Time-boxed fuzzing of the barrier solver, 5 s per target: the structured
+# Newton step against the dense one (random block maps with in-block rows,
+# cross-block rows and cross-block entropic groups, each solved with its
+# block map and with the map cleared; both must converge to the same
+# objective), and the line search's one-logarithm barrier term against the
+# sum of logarithms on slacks from subnormal to huge (DESIGN.md §15).
+# Plain `go test` replays the committed seed corpora under
+# internal/convex/testdata/fuzz; this target searches beyond them.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzNewtonBlockVsDense -fuzztime=10s ./internal/convex
+	$(GO) test -run='^$$' -fuzz='^FuzzNewtonBlockVsDense$$' -fuzztime=5s ./internal/convex
+	$(GO) test -run='^$$' -fuzz='^FuzzBarrierLog$$' -fuzztime=5s ./internal/convex
 
 # The gate used before merging: static checks (vet plus the sorallint
 # invariants) and the full suite under the race detector (the parallel
 # kernels and the fault-injection trip counter are the concurrency-sensitive
 # paths), plus the focused telemetry and parallel-kernel race passes and the
-# crash/recovery chaos schedules, and the structured-vs-dense Newton fuzz.
+# crash/recovery chaos schedules, and the barrier solver's two fuzz targets.
 check: vet lint lint-self race obs-serve kernels-race chaos latency warmstart watch fuzz
 
 bench:

@@ -190,6 +190,8 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 	grad := ws.grad[:n]
 	fullGrad := ws.fullGrad[:n]
 	slack := ws.slack[:m]
+	slackTrial := ws.slackTrial[:m]
+	gdx := ws.gdx[:m]
 	dx := ws.dx[:n]
 	xTrial := ws.xTrial[:n]
 	ns := &ws.ns
@@ -207,7 +209,8 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 	t := opts.TInit
 	// phi0 is the merit t·f(x) − Σ ln s at the current x. An accepted
 	// line-search trial computes it, and the slack, for the next iteration
-	// (havePhi); a new barrier stage or an exhausted line search drops it.
+	// (havePhi); a new barrier stage or an exhausted line search drops it,
+	// and the slack is then recomputed exactly as h − G·x.
 	var phi0 float64
 	for outer := 0; outer < opts.MaxOuter; outer++ {
 		havePhi := false
@@ -237,7 +240,7 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 				}
 			}
 			if !havePhi {
-				computeSlack(p.G, p.H, x, slack)
+				exactSlack(p.G, p.H, x, slack)
 			}
 			p.Obj.Gradient(grad, x)
 			ns.reset()
@@ -279,31 +282,45 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 				})
 				break
 			}
-			// Backtracking line search maintaining strict feasibility.
-			step := 1.0
+			// Backtracking line search maintaining strict feasibility. Along
+			// x + α·dx the slack is s − α·g with g = G·dx, so g is computed
+			// once per Newton step and a trial costs O(m) plus the one
+			// logarithm of sumLog (DESIGN.md §15).
+			lspan := opts.Obs.StartSpan("convex.linesearch")
+			p.G.MulVec(gdx, dx)
 			if !havePhi {
-				phi0 = t*p.Obj.Value(x) + barrier(slack)
+				phi0 = t*p.Obj.Value(x) - sumLog(slack)
 			}
 			havePhi = false
-			for ls := 0; ls < 60; ls++ {
-				for i := range xTrial {
-					xTrial[i] = x[i] + step*dx[i]
-				}
-				computeSlack(p.G, p.H, xTrial, slack)
-				if allPositive(slack) {
-					phi := t*p.Obj.Value(xTrial) + barrier(slack)
+			// Steps at or beyond α_max make some slack non-positive; halve
+			// past them without evaluating the trial.
+			step, halvings, trials := 1.0, 0, 0
+			for amax := maxStep(slack, gdx); halvings < 60 && step >= amax; halvings++ {
+				step *= 0.5
+			}
+			for ; halvings < 60; halvings++ {
+				trials++
+				if raySlack(slackTrial, slack, gdx, step) {
+					for i := range xTrial {
+						xTrial[i] = x[i] + step*dx[i]
+					}
+					phi := t*p.Obj.Value(xTrial) - sumLog(slackTrial)
 					if phi <= phi0-1e-4*step*lambda2 {
+						// The accepted trial's slack and merit carry into
+						// the next Newton step.
 						phi0, havePhi = phi, true
+						slack, slackTrial = slackTrial, slack
 						break
 					}
 				}
 				step *= 0.5
 			}
+			lspan.End()
 			for i := range x {
 				x[i] += step * dx[i]
 			}
 			opts.Obs.Iteration("convex.newton", iter, obs.IterStats{
-				Stage: outer, Decrement: lambda2, Step: step,
+				Stage: outer, Decrement: lambda2, Step: step, Trials: trials,
 			})
 			if step*math.Sqrt(lambda2) < 1e-12 {
 				break
@@ -315,7 +332,7 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 		}
 		t *= opts.Mu
 	}
-	computeSlack(p.G, p.H, x, slack)
+	exactSlack(p.G, p.H, x, slack)
 	duals := make([]float64, m)
 	for r := range duals {
 		//sorallint:ignore divguard barrier invariant: slack is strictly positive at the final iterate and t grows from a positive start
@@ -327,22 +344,40 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 	return res, nil
 }
 
-func computeSlack(g *lp.SparseMatrix, h, x, slack []float64) {
+// exactSlack writes h − G·x into slack.
+func exactSlack(g *lp.SparseMatrix, h, x, slack []float64) {
 	g.MulVec(slack, x)
 	for r := range slack {
 		slack[r] = h[r] - slack[r]
 	}
 }
 
-// allPositive reports whether every slack is strictly positive, i.e. the
-// point it was computed at is strictly feasible.
-func allPositive(slack []float64) bool {
-	for _, v := range slack {
-		if !(v > 0) {
-			return false
+// maxStep returns α_max, the least s_r/g_r over the rows with g_r > 0: the
+// step along the search ray at which the first slack reaches zero. It is
+// +Inf when no slack shrinks along the ray.
+func maxStep(slack, g []float64) float64 {
+	amax := math.Inf(1)
+	for r, gr := range g {
+		if gr > 0 {
+			if a := slack[r] / gr; a < amax {
+				amax = a
+			}
 		}
 	}
-	return true
+	return amax
+}
+
+// raySlack writes the slack at step along the search ray, s − step·g, into
+// trial and reports whether every entry is strictly positive, i.e. whether
+// the trial point is strictly feasible.
+func raySlack(trial, slack, g []float64, step float64) bool {
+	ok := true
+	for r, gr := range g {
+		v := slack[r] - step*gr
+		trial[r] = v
+		ok = ok && v > 0
+	}
+	return ok
 }
 
 // ComfortablyFeasible reports whether x is strictly feasible for G·x ≤ h
@@ -374,12 +409,33 @@ func comfortablyFeasible(g *lp.SparseMatrix, h, x []float64) bool {
 	return true
 }
 
-func barrier(slack []float64) float64 {
-	var b float64
-	for _, s := range slack {
-		b -= math.Log(s)
+// sumLog returns Σ ln s_r for positive s with one logarithm. Each s_r is
+// split into a mantissa in [½, 1) and a binary exponent, as math.Frexp
+// does; the mantissas are multiplied and the exponents summed, so the sum
+// is ln(∏ mantissas) + (Σ exponents)·ln 2. A normal slack's mantissa and
+// exponent are read off its bits, which costs a fraction of a Frexp call;
+// subnormals go through math.Frexp. The running product is renormalized
+// with math.Frexp every 8 factors, which keeps it within [2⁻⁹, 1): no
+// partial product overflows or underflows, however large, small or
+// subnormal the slacks.
+func sumLog(s []float64) float64 {
+	prod, exp := 1.0, 0
+	for i, v := range s {
+		if b := math.Float64bits(v); b>>52 != 0 {
+			prod *= math.Float64frombits(b&(1<<52-1) | 1022<<52)
+			exp += int(b>>52) - 1022
+		} else {
+			f, e := math.Frexp(v)
+			prod *= f
+			exp += e
+		}
+		if i&7 == 7 {
+			f, e := math.Frexp(prod)
+			prod = f
+			exp += e
+		}
 	}
-	return b
+	return math.Log(prod) + float64(exp)*math.Ln2
 }
 
 func maxAbsDiag(m *linalg.Dense) float64 {

@@ -14,11 +14,11 @@ import (
 
 var updatePins = flag.Bool("update", false, "rewrite the testdata pins from the current build")
 
-// TestQuadObjectiveNilBlockMapPinned pins one full-Q QuadObjective solve
-// (no block map, so the single-block dense Newton path) to the bit patterns
-// of its Result.X recorded before the structured Newton step landed
-// (testdata/quad_x.json).
-func TestQuadObjectiveNilBlockMapPinned(t *testing.T) {
+// quadPinSolve solves the pinned QuadObjective problem: a full-Q quadratic
+// over box rows plus one coupling row across all variables (Σx ≥ 0.3), with
+// no block map, so the single-block dense Newton path.
+func quadPinSolve(t *testing.T) (*Problem, *Result) {
+	t.Helper()
 	q := linalg.NewDenseFrom(4, 4, []float64{
 		4, 1, 0.5, 0.25,
 		1, 3, 0.75, 0.5,
@@ -27,7 +27,6 @@ func TestQuadObjectiveNilBlockMapPinned(t *testing.T) {
 	})
 	c := []float64{-3, 2, -1, -4}
 	lo, hi := []float64{-1, -1, -1, -1}, []float64{1, 0.5, 2, 0.4}
-	// Box rows plus one coupling row across all variables: Σx ≥ 0.3.
 	g := lp.NewSparseMatrix(2*len(lo)+1, len(lo))
 	h := make([]float64, g.M)
 	for i := range lo {
@@ -38,10 +37,22 @@ func TestQuadObjectiveNilBlockMapPinned(t *testing.T) {
 		g.Append(g.M-1, i, -1)
 	}
 	h[g.M-1] = -0.3
-	res, err := Solve(&Problem{Obj: &QuadObjective{Q: q, C: c}, G: g, H: h}, nil, Options{Tol: 1e-9})
+	p := &Problem{Obj: &QuadObjective{Q: q, C: c}, G: g, H: h}
+	res, err := Solve(p, nil, Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p, res
+}
+
+// TestQuadObjectiveNilBlockMapPinned pins one full-Q QuadObjective solve to
+// the bit patterns of its Result.X (testdata/quad_x.json). The pin was
+// recorded before the structured Newton step landed and re-recorded when
+// the line search began carrying the slack along the search ray (DESIGN.md
+// §15); TestQuadObjectiveMatchesRecorded is the accuracy gate for any such
+// re-recording.
+func TestQuadObjectiveNilBlockMapPinned(t *testing.T) {
+	_, res := quadPinSolve(t)
 	got := make([]string, len(res.X))
 	for i, v := range res.X {
 		got[i] = hexBits(v)
@@ -74,4 +85,30 @@ func TestQuadObjectiveNilBlockMapPinned(t *testing.T) {
 func hexBits(v float64) string {
 	b, _ := json.Marshal(math.Float64bits(v))
 	return string(b)
+}
+
+// TestQuadObjectiveMatchesRecorded is the accuracy gate behind the bit pin
+// above: the objective recorded by the solver before the carried-slack line
+// search (testdata/quad_obj.json, never re-recorded) must be matched to
+// 1e-9 relative, by a point that satisfies every row to 1e-4.
+func TestQuadObjectiveMatchesRecorded(t *testing.T) {
+	p, res := quadPinSolve(t)
+	raw, err := os.ReadFile(filepath.Join("testdata", "quad_obj.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(res.Obj - want); d > 1e-9*math.Max(1, math.Abs(want)) {
+		t.Errorf("objective %.17g, recorded %.17g, |Δ| = %g", res.Obj, want, d)
+	}
+	gx := make([]float64, p.G.M)
+	p.G.MulVec(gx, res.X)
+	for r := range gx {
+		if v := gx[r] - p.H[r]; v > 1e-4 {
+			t.Errorf("row %d violated by %g", r, v)
+		}
+	}
 }

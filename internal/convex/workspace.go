@@ -1,16 +1,17 @@
 package convex
 
 // Workspace owns the barrier solver's per-iteration buffers: gradient and
-// search-direction vectors, the constraint slacks, and the Newton system
-// with its block factors and border updates. A solve that carries a
-// Workspace (Options.Work) performs no per-Newton-iteration allocation, and
-// repeated solves of same-shaped problems — the online algorithm's
-// slot-after-slot P2 solves — reuse every buffer. A Workspace must not be shared by concurrent solves.
+// search-direction vectors, the constraint slacks at the iterate and at a
+// line-search trial, G·dx, and the Newton system with its block factors and
+// border updates. A solve that carries a Workspace (Options.Work) performs
+// no per-Newton-iteration allocation, and repeated solves of same-shaped
+// problems — the online algorithm's slot-after-slot P2 solves — reuse every
+// buffer. A Workspace must not be shared by concurrent solves.
 type Workspace struct {
 	n, m int
 
 	grad, fullGrad, dx, xTrial []float64 // n-sized
-	slack                      []float64 // m-sized
+	slack, slackTrial, gdx     []float64 // m-sized
 
 	ns NewtonSystem
 }
@@ -29,6 +30,8 @@ func (w *Workspace) ensure(n, m int) {
 	}
 	if w.m < m {
 		w.slack = make([]float64, m)
+		w.slackTrial = make([]float64, m)
+		w.gdx = make([]float64, m)
 	}
 	w.n, w.m = n, m
 }

@@ -37,19 +37,25 @@ func (c structuredCase) build(t *testing.T) (*model.Network, *model.Inputs) {
 	return n, model.RandomInputs(rng, n, c.slots)
 }
 
+// structuredCases are the seeded networks of the structured-Newton gates:
+// the cold-dense benchmark's 4×12 shape, the paper-sized 3×6, and a 3×5
+// network with tier-1 capacities.
+func structuredCases() []structuredCase {
+	return []structuredCase{
+		{name: "4x12-K2", seed: 1501, numT2: 4, numT1: 12, k: 2, reconf: 10, slots: 5},
+		{name: "3x6-K2", seed: 1502, numT2: 3, numT1: 6, k: 2, reconf: 10, slots: 6},
+		{name: "3x5-K2-tier1", seed: 1503, numT2: 3, numT1: 5, k: 2, reconf: 8, tier1: true, slots: 6},
+	}
+}
+
 // TestStructuredNewtonMatchesDense is the gate for P2's block map
 // (DESIGN.md §15): every slot's P2 is solved with the per-cloud block map
 // and again with the map cleared (one dense block), and the two solves must
 // agree on the objective to 1e-9 relative with both decisions feasible.
 // The block-mapped decision carries forward as the next slot's prev.
 func TestStructuredNewtonMatchesDense(t *testing.T) {
-	cases := []structuredCase{
-		{name: "4x12-K2", seed: 1501, numT2: 4, numT1: 12, k: 2, reconf: 10, slots: 5},
-		{name: "3x6-K2", seed: 1502, numT2: 3, numT1: 6, k: 2, reconf: 10, slots: 6},
-		{name: "3x5-K2-tier1", seed: 1503, numT2: 3, numT1: 5, k: 2, reconf: 8, tier1: true, slots: 6},
-	}
 	opts := DefaultOptions()
-	for _, c := range cases {
+	for _, c := range structuredCases() {
 		t.Run(c.name, func(t *testing.T) {
 			n, in := c.build(t)
 			prev := model.NewZeroDecision(n)
@@ -85,6 +91,70 @@ func TestStructuredNewtonMatchesDense(t *testing.T) {
 					}
 				}
 				prev = db
+			}
+		})
+	}
+}
+
+// TestCarriedSlackExitStrictlyFeasible guards the line search's carried
+// slack (DESIGN.md §15): within a barrier stage the slack is updated along
+// the search ray, s − α·G·dx, rather than recomputed as h − G·x. On every
+// slot of the structured gate's networks, solved from the structured cold
+// start and again from the warm-carried start, the exit point must be
+// strictly feasible by the exact slack h − G·x on every row, and every dual
+// estimate must be finite and positive.
+func TestCarriedSlackExitStrictlyFeasible(t *testing.T) {
+	opts := DefaultOptions()
+	for _, c := range structuredCases() {
+		t.Run(c.name, func(t *testing.T) {
+			n, in := c.build(t)
+			st := NewSolveState()
+			prev := model.NewZeroDecision(n)
+			warm := 0
+			for tt := 0; tt < in.T; tt++ {
+				p2, err := BuildP2(n, in, tt, prev, opts.Params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var warmX0 []float64
+				if tt > 0 {
+					if x0 := st.warmPoint(p2, in, tt, prev); x0 != nil {
+						warmX0 = append(warmX0, x0...)
+						warm++
+					}
+				}
+				for _, start := range []struct {
+					kind string
+					x0   []float64
+				}{{"cold", p2.warmStart(in, tt)}, {"warm", warmX0}} {
+					kind := start.kind
+					if start.x0 == nil {
+						continue
+					}
+					res, err := convex.Solve(p2.Prob, start.x0, opts.Solver)
+					if err != nil {
+						t.Fatalf("slot %d %s: %v", tt, kind, err)
+					}
+					g := p2.Prob.G
+					gx := make([]float64, g.M)
+					g.MulVec(gx, res.X)
+					for r := range gx {
+						if s := p2.Prob.H[r] - gx[r]; !(s > 0) {
+							t.Errorf("slot %d %s: exit slack of row %d is %g", tt, kind, r, s)
+						}
+					}
+					for r, d := range res.Duals {
+						if !(d > 0) || math.IsInf(d, 0) {
+							t.Errorf("slot %d %s: dual of row %d is %g", tt, kind, r, d)
+						}
+					}
+					if kind == "cold" {
+						prev = p2.Extract(res.X)
+					}
+				}
+			}
+			if warm == 0 {
+				t.Fatal("no slot had a warm-carried start")
 			}
 		})
 	}

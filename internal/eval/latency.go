@@ -8,13 +8,15 @@ import (
 
 // LatencyPhases are the instrumented pipeline phases of one online slot, in
 // execution order: subproblem assembly (BuildP2 + warm start), the Newton
-// loop's Cholesky refactorizations, the whole resilient solve (ladder +
-// supervisor), the commit bookkeeping (attribution, journal, telemetry), and
-// the end-to-end slot. Each is recorded as a "latency.<phase>.seconds"
-// log-bucketed histogram by the spans in core and convex.
+// loop's Cholesky refactorizations and its backtracking line searches, the
+// whole resilient solve (ladder + supervisor), the commit bookkeeping
+// (attribution, journal, telemetry), and the end-to-end slot. Each is
+// recorded as a "latency.<phase>.seconds" log-bucketed histogram by the
+// spans in core and convex.
 var LatencyPhases = []string{
 	"core.assemble",
 	"convex.factorize",
+	"convex.linesearch",
 	"core.solve",
 	"core.commit",
 	"core.slot",
@@ -33,8 +35,8 @@ func latencySpec() RunConfig {
 
 // latencyRepeats is how many times the scenario is re-run into the same
 // histograms. 5 × 24 slots ≈ 120 samples per slot-level phase (factorize
-// records once per Newton iteration, so it collects an order of magnitude
-// more).
+// and linesearch record once per Newton iteration, so they collect an order
+// of magnitude more).
 const latencyRepeats = 5
 
 // Latency runs the online pipeline repeatedly with a dedicated registry and

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"soral/internal/core"
+	"soral/internal/model"
 	"soral/internal/obs/journal"
 )
+
+var updatePins = flag.Bool("update", false, "rewrite testdata/seed_digests.json from the current build")
 
 // seedDigestSpec mirrors the instance behind testdata/seed_digests.json:
 // per-slot decision digests of the WarmStart-off pipeline. The fixture was
@@ -30,16 +35,61 @@ func seedDigestSpec() ScenarioSpec {
 // decisions bit-identical to the recorded cold pipeline. Any divergence
 // means the off path picked up a warm-start artifact (or the solver's
 // arithmetic changed, which must re-record the fixture; core's
-// TestStructuredNewtonMatchesDense is the accuracy gate for that).
+// TestStructuredNewtonMatchesDense and TestSeedCostsMatchRecorded below are
+// the accuracy gates for that).
 func TestWarmStartOffBitIdenticalToSeed(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "seed_digests.json"))
-	if err != nil {
-		t.Fatal(err)
+	_, seq := seedRun(t)
+	if *updatePins {
+		got := make([]string, len(seq))
+		for tt, d := range seq {
+			got[tt] = journal.Digest(d.X, d.Y, d.Z)
+		}
+		raw, _ := json.MarshalIndent(got, "", "  ")
+		if err := os.WriteFile(filepath.Join("testdata", "seed_digests.json"), append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var want []string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
+	readFixture(t, "seed_digests.json", &want)
+	if len(seq) != len(want) {
+		t.Fatalf("%d decisions, fixture has %d", len(seq), len(want))
 	}
+	for tt, d := range seq {
+		if got := journal.Digest(d.X, d.Y, d.Z); got != want[tt] {
+			t.Errorf("slot %d: digest %s != seed %s", tt, got, want[tt])
+		}
+	}
+}
+
+// TestSeedCostsMatchRecorded is the accuracy gate behind seed_digests.json:
+// every slot's cost on the same instance must match the cost recorded by
+// the solver before the carried-slack line search (DESIGN.md §15;
+// testdata/seed_costs.json, never re-recorded) to 1e-9 relative, with every
+// decision feasible to 1e-4.
+func TestSeedCostsMatchRecorded(t *testing.T) {
+	var want []float64
+	readFixture(t, "seed_costs.json", &want)
+	scen, seq := seedRun(t)
+	if len(seq) != len(want) {
+		t.Fatalf("%d decisions, fixture has %d", len(seq), len(want))
+	}
+	acc := model.Accountant{Net: scen.Net, In: scen.In}
+	prev := model.NewZeroDecision(scen.Net)
+	for tt, d := range seq {
+		got := acc.SlotCost(tt, prev, d).Total()
+		if diff := math.Abs(got - want[tt]); diff > 1e-9*math.Max(1, math.Abs(want[tt])) {
+			t.Errorf("slot %d: cost %.17g, recorded %.17g, |Δ| = %g", tt, got, want[tt], diff)
+		}
+		if ok, v := d.FeasibleAt(scen.Net, scen.In.Workload[tt], 1e-4); !ok {
+			t.Errorf("slot %d: decision infeasible by %g", tt, v)
+		}
+		prev = d
+	}
+}
+
+// seedRun runs the WarmStart-off pipeline on seedDigestSpec.
+func seedRun(t *testing.T) (*Scenario, []*model.Decision) {
+	t.Helper()
 	scen, err := Build(seedDigestSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -48,13 +98,17 @@ func TestWarmStartOffBitIdenticalToSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) != len(want) {
-		t.Fatalf("%d decisions, fixture has %d", len(seq), len(want))
+	return scen, seq
+}
+
+func readFixture(t *testing.T, name string, v any) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for tt, d := range seq {
-		if got := journal.Digest(d.X, d.Y, d.Z); got != want[tt] {
-			t.Errorf("slot %d: digest %s != seed %s", tt, got, want[tt])
-		}
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -200,7 +200,11 @@ func (h *Hist) Quantile(q float64) float64 {
 	}
 	var cum int64
 	v := math.Inf(1)
-	for i := 0; i < NumBuckets; i++ {
+	// Every bucket below the minimum's is empty, so the walk starts there.
+	// A latency histogram's minimum sits a hundred or more buckets up, and
+	// the watchdog's sampler takes two quantiles of every histogram per
+	// tick.
+	for i := bucketIndex(h.Min()); i < NumBuckets; i++ {
 		cum += int64(h.counts[i].Load())
 		if cum >= rank {
 			v = bucketUpper(i)

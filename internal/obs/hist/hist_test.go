@@ -88,6 +88,41 @@ func TestQuantiles(t *testing.T) {
 	}
 }
 
+// TestQuantileMatchesFullWalk checks that Quantile, which starts its
+// bucket walk at the minimum's bucket, returns what a walk from bucket 0
+// returns, including for zero, underflow and overflow observations.
+func TestQuantileMatchesFullWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 50; trial++ {
+		h := New()
+		for i := 0; i < 1+rng.Intn(200); i++ {
+			v := math.Ldexp(1+rng.Float64(), -35+rng.Intn(42))
+			if rng.Intn(20) == 0 {
+				v = 0
+			}
+			h.Record(v)
+		}
+		for _, q := range []float64{0.001, 0.5, 0.9, 0.99, 0.999, 1} {
+			rank := int64(math.Ceil(q * float64(h.Count())))
+			if rank < 1 {
+				rank = 1
+			}
+			var cum int64
+			want := math.Inf(1)
+			for i := 0; i < NumBuckets; i++ {
+				if cum += int64(h.counts[i].Load()); cum >= rank {
+					want = bucketUpper(i)
+					break
+				}
+			}
+			want = math.Max(math.Min(want, h.Max()), h.Min())
+			if got := h.Quantile(q); got != want {
+				t.Fatalf("trial %d: q=%g: Quantile %g, full walk %g", trial, q, got, want)
+			}
+		}
+	}
+}
+
 func TestEmpty(t *testing.T) {
 	h := New()
 	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {

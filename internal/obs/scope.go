@@ -184,6 +184,7 @@ type IterStats struct {
 	Primal, Dual, Gap float64 // normalized residuals
 	Decrement         float64 // squared Newton decrement
 	Step              float64 // accepted line-search step size
+	Trials            int     // line-search trials evaluated
 }
 
 // Iteration records one solver iteration: it bumps the shared
@@ -199,7 +200,7 @@ func (s *Scope) Iteration(name string, iter int, st IterStats) {
 	s.emit(Event{
 		Kind: KindIter, Name: name, Iter: iter, Stage: st.Stage,
 		Primal: st.Primal, Dual: st.Dual, Gap: st.Gap,
-		Decrement: st.Decrement, Step: st.Step,
+		Decrement: st.Decrement, Step: st.Step, Trials: st.Trials,
 	})
 }
 

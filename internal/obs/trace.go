@@ -63,6 +63,9 @@ type Event struct {
 	Decrement float64 `json:"decrement,omitempty"`
 	// Step is the accepted line-search step size of an iteration.
 	Step float64 `json:"step,omitempty"`
+	// Trials is the number of line-search trials a barrier iteration
+	// evaluated, not counting the steps skipped as infeasible.
+	Trials int `json:"trials,omitempty"`
 }
 
 // Sink receives trace events. Implementations must be safe for concurrent

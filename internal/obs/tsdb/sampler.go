@@ -36,6 +36,25 @@ type Sampler struct {
 	// AfterSample, when set, runs after each tick's column is fully written
 	// (the watch engine's evaluation hook).
 	AfterSample func(tns int64)
+
+	// series caches the store's series by registry name, and hists each
+	// latency histogram's three derived series, so a steady-state tick
+	// builds no names and takes no store lock.
+	series map[string]*Series
+	hists  map[string]*[3]*Series
+}
+
+// seriesFor returns the cached store series for a registry name.
+func (s *Sampler) seriesFor(name string) *Series {
+	sr := s.series[name]
+	if sr == nil {
+		if s.series == nil {
+			s.series = make(map[string]*Series)
+		}
+		sr = s.DB.Series(name)
+		s.series[name] = sr
+	}
+	return sr
 }
 
 // Tick takes one sample at the given time. Deterministic given the registry
@@ -53,15 +72,23 @@ func (s *Sampler) Tick(now time.Time) {
 		// so a tick stays microseconds even against a registry a full run
 		// has populated.
 		s.Reg.EachCounter(func(name string, v int64) {
-			s.DB.Series(name).Record(tns, float64(v))
+			s.seriesFor(name).Record(tns, float64(v))
 		})
 		s.Reg.EachGauge(func(name string, v float64) {
-			s.DB.Series(name).Record(tns, v)
+			s.seriesFor(name).Record(tns, v)
 		})
 		s.Reg.EachLatency(func(name string, h *hist.Hist) {
-			s.DB.Series(name+".p50").Record(tns, h.Quantile(0.50))
-			s.DB.Series(name+".p99").Record(tns, h.Quantile(0.99))
-			s.DB.Series(name+".count").Record(tns, float64(h.Count()))
+			hs := s.hists[name]
+			if hs == nil {
+				if s.hists == nil {
+					s.hists = make(map[string]*[3]*Series)
+				}
+				hs = &[3]*Series{s.DB.Series(name + ".p50"), s.DB.Series(name + ".p99"), s.DB.Series(name + ".count")}
+				s.hists[name] = hs
+			}
+			hs[0].Record(tns, h.Quantile(0.50))
+			hs[1].Record(tns, h.Quantile(0.99))
+			hs[2].Record(tns, float64(h.Count()))
 		})
 	}
 	for _, g := range s.Gauges {

@@ -159,9 +159,9 @@ func (db *DB) Resolution() time.Duration { return db.opts.Resolution }
 // Capacity returns the per-series ring size.
 func (db *DB) Capacity() int { return db.cap }
 
-// Series returns (creating if needed) the named series. The sampler caches
-// nothing — creation takes the write lock only on first sight of a name, so
-// steady-state ticks stay on the read lock.
+// Series returns (creating if needed) the named series. Creation takes the
+// write lock only on first sight of a name; other lookups take the read
+// lock. The Sampler looks each name up once and keeps the handle.
 func (db *DB) Series(name string) *Series {
 	db.mu.RLock()
 	s := db.series[name]

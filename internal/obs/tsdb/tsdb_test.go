@@ -160,6 +160,16 @@ func TestSamplerCopiesRegistry(t *testing.T) {
 	if reg.Gauge(obs.MetricHeapBytes) <= 0 {
 		t.Fatal("CollectRuntime left heap gauge unset in registry")
 	}
+
+	// Metrics that first appear after the sampler has cached its series are
+	// picked up on the next tick, next to the ones it already holds.
+	reg.Add("convex.newton.iterations", 7)
+	reg.RecordLatency("latency.convex.linesearch.seconds", 2e-6)
+	smp.Tick(times[2].Add(time.Second))
+	check("solver.iterations", 4, 42)
+	check("convex.newton.iterations", 1, 7)
+	check("latency.core.slot.seconds.count", 4, 1)
+	check("latency.convex.linesearch.seconds.count", 1, 1)
 }
 
 // TestDumpIngestRoundTrip pins the -metrics-interval flow: periodic
