@@ -198,6 +198,9 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 	if err := ns.setup(p.Blocks, p.G); err != nil {
 		return nil, err
 	}
+	// Resolved once: ≤ 0 would otherwise read GOMAXPROCS in every block
+	// factorization of every Newton step.
+	workers := linalg.ResolveWorkers(opts.Workers)
 
 	res = &Result{}
 	// The fault plan can cap the total Newton budget to force an
@@ -242,28 +245,13 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 			if !havePhi {
 				exactSlack(p.G, p.H, x, slack)
 			}
-			p.Obj.Gradient(grad, x)
-			ns.reset()
-			p.Obj.AddHessian(ns, x)
-			for i := range fullGrad {
-				fullGrad[i] = t * grad[i]
-			}
-			ns.scale(t)
-			// Barrier gradient and Hessian: Gᵀ(1/s) and Gᵀ diag(1/s²) G.
-			for r, row := range p.G.Rows {
-				//sorallint:ignore divguard barrier invariant: slack stays strictly positive (line search only accepts strictly feasible iterates)
-				inv := 1 / slack[r]
-				for _, e := range row {
-					fullGrad[e.Index] += inv * e.Val
-				}
-				ns.addRow(r, row, inv*inv)
-			}
+			assemble(p, ns, x, slack, t, grad, fullGrad)
 			var cherr error
 			fspan := opts.Obs.StartSpan("convex.factorize")
 			if opts.Fault.FactorizationShouldFail(iter) {
 				cherr = fmt.Errorf("forced factorization failure: %w", resilience.ErrInjected)
 			} else {
-				cherr = ns.factor(opts.Workers)
+				cherr = ns.factor(workers)
 			}
 			fspan.End()
 			if cherr != nil {
@@ -342,6 +330,27 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 	res.Obj = p.Obj.Value(x)
 	res.Duals = duals
 	return res, nil
+}
+
+// assemble builds the barrier Newton system at x, with slack s = h − G·x
+// and barrier weight t: the matrix t·∇²f(x) + Gᵀ·diag(1/s²)·G into ns and
+// the gradient t·∇f(x) + Gᵀ(1/s) into fullGrad, ∇f(x) into grad.
+func assemble(p *Problem, ns *NewtonSystem, x, slack []float64, t float64, grad, fullGrad []float64) {
+	p.Obj.Gradient(grad, x)
+	ns.reset()
+	p.Obj.AddHessian(ns, x)
+	for i := range fullGrad {
+		fullGrad[i] = t * grad[i]
+	}
+	ns.scale(t)
+	for r, row := range p.G.Rows {
+		//sorallint:ignore divguard barrier invariant: slack stays strictly positive (line search only accepts strictly feasible iterates)
+		inv := 1 / slack[r]
+		for _, e := range row {
+			fullGrad[e.Index] += inv * e.Val
+		}
+		ns.addRow(r, row, inv*inv)
+	}
 }
 
 // exactSlack writes h − G·x into slack.

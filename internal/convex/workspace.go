@@ -1,5 +1,10 @@
 package convex
 
+import (
+	"errors"
+	"fmt"
+)
+
 // Workspace owns the barrier solver's per-iteration buffers: gradient and
 // search-direction vectors, the constraint slacks at the iterate and at a
 // line-search trial, G·dx, and the Newton system with its block factors and
@@ -34,4 +39,35 @@ func (w *Workspace) ensure(n, m int) {
 		w.gdx = make([]float64, m)
 	}
 	w.n, w.m = n, m
+}
+
+// NewtonStep writes into dx the Newton direction Solve takes for p at the
+// strictly feasible x with barrier weight t, and returns the number of
+// border columns the step's rows and groups formed and the rank of the
+// border the block factors were updated with (DESIGN.md §15). It lets
+// tests compare the structured step with the dense one at a chosen point.
+func (w *Workspace) NewtonStep(p *Problem, x []float64, t float64, dx []float64) (cols, rank int, err error) {
+	n, m := p.G.N, p.G.M
+	if len(x) != n || len(dx) != n || len(p.H) != m {
+		return 0, 0, fmt.Errorf("convex: NewtonStep on %d variables and %d rows with len(x) = %d, len(dx) = %d, len(h) = %d",
+			n, m, len(x), len(dx), len(p.H))
+	}
+	w.ensure(n, m)
+	ns := &w.ns
+	if err := ns.setup(p.Blocks, p.G); err != nil {
+		return 0, 0, err
+	}
+	slack := w.slack[:m]
+	exactSlack(p.G, p.H, x, slack)
+	for _, s := range slack {
+		if !(s > 0) {
+			return 0, 0, errors.New("convex: NewtonStep at a point that is not strictly feasible")
+		}
+	}
+	assemble(p, ns, x, slack, t, w.grad[:n], w.fullGrad[:n])
+	if err := ns.factor(1); err != nil {
+		return 0, 0, err
+	}
+	ns.solve(dx, w.fullGrad[:n])
+	return len(ns.bw), ns.rank, nil
 }

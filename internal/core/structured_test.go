@@ -201,3 +201,96 @@ func TestBlockMappedP2SolveZeroAllocPerNewtonStep(t *testing.T) {
 			shortAllocs, shortIters, longAllocs, longIters)
 	}
 }
+
+// TestBorderFoldRank checks the cell fold of P2's Newton border (DESIGN.md
+// §15). P2's cross-cloud rows and groups, the tier-2 groups and capacity
+// rows and the (3d) rows, are each constant on the pairs of one tier-2
+// cloud, so the border folds to rank |I| however many columns it has. At
+// slot 0 of the 4×12 and 3×6 gate networks the folded step must match the
+// nil-map dense step to 1e-9 relative in the local norm at the structured
+// cold start, with t = 1 and with t = m/Tol. At the converged point, where
+// the near-active rows' weights 1/s² are largest, the bound is 1e-8: there
+// the dense step itself is only that accurate, and on 3×6 it differs by
+// 2e-9 from the structured step with the border's columns unfolded too.
+func TestBorderFoldRank(t *testing.T) {
+	opts := DefaultOptions()
+	for _, c := range structuredCases()[:2] {
+		t.Run(c.name, func(t *testing.T) {
+			n, in := c.build(t)
+			p2, err := BuildP2(n, in, 0, model.NewZeroDecision(n), opts.Params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x0 := p2.warmStart(in, 0)
+			res, err := convex.Solve(p2.Prob, x0, opts.Solver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tol := opts.Solver.Tol
+			if tol <= 0 {
+				tol = 1e-7
+			}
+			dense := *p2.Prob
+			dense.Blocks = nil
+			tMax := float64(p2.Prob.G.M) / tol
+			for _, at := range []struct {
+				name  string
+				x     []float64
+				t     float64
+				bound float64
+			}{
+				{"cold start, t=1", x0, 1, 1e-9},
+				{"cold start, t=m/Tol", x0, tMax, 1e-9},
+				{"converged, t=m/Tol", res.X, tMax, 1e-8},
+			} {
+				dxB := make([]float64, p2.NumVars)
+				dxD := make([]float64, p2.NumVars)
+				cols, rank, err := convex.NewWorkspace().NewtonStep(p2.Prob, at.x, at.t, dxB)
+				if err != nil {
+					t.Fatalf("%s: block-mapped: %v", at.name, err)
+				}
+				if _, _, err := convex.NewWorkspace().NewtonStep(&dense, at.x, at.t, dxD); err != nil {
+					t.Fatalf("%s: dense: %v", at.name, err)
+				}
+				if rank != n.NumTier2 || cols <= rank {
+					t.Errorf("%s: border of %d columns factored at rank %d, want rank |I| = %d", at.name, cols, rank, n.NumTier2)
+				}
+				diff := make([]float64, len(dxB))
+				for i := range diff {
+					diff[i] = dxB[i] - dxD[i]
+				}
+				ref := localNorm(p2.Prob, at.x, at.t, dxD)
+				if e := localNorm(p2.Prob, at.x, at.t, diff); !(e <= at.bound*ref) {
+					t.Errorf("%s: ‖dx_blocks − dx_dense‖ = %g against ‖dx_dense‖ = %g in the local norm", at.name, e, ref)
+				}
+			}
+		})
+	}
+}
+
+// localNorm is √(vᵀ·H·v) for P2's barrier Newton matrix H at x with
+// barrier weight t: t times the entropic groups' curvature plus the rows'
+// Σ (g_r·v)²/s_r².
+func localNorm(p *convex.Problem, x []float64, t float64, v []float64) float64 {
+	var q float64
+	for _, g := range p.Obj.(*convex.Entropic).Groups {
+		if g.Coef <= 0 {
+			continue
+		}
+		var s, sv float64
+		for _, k := range g.Members {
+			s, sv = s+x[k], sv+v[k]
+		}
+		q += t * g.Coef / (s + g.Eps) * sv * sv
+	}
+	for r, row := range p.G.Rows {
+		var gx, gv float64
+		for _, e := range row {
+			gx += e.Val * x[e.Index]
+			gv += e.Val * v[e.Index]
+		}
+		s := p.H[r] - gx
+		q += gv * gv / (s * s)
+	}
+	return math.Sqrt(q)
+}

@@ -152,9 +152,12 @@ func Sum(x []float64) float64 {
 }
 
 // AllFinite reports whether every element of x is finite (no NaN or ±Inf).
+// One subtraction decides each element: v−v is +0 for every finite v and
+// NaN for NaN and ±Inf, and NaN compares unequal to everything.
 func AllFinite(x []float64) bool {
 	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		//sorallint:ignore floatcmp v−v is exactly +0 for every finite v under IEEE 754, so the test is exact, not a tolerance question
+		if v-v != 0 {
 			return false
 		}
 	}

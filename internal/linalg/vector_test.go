@@ -126,14 +126,24 @@ func TestMinMaxSum(t *testing.T) {
 }
 
 func TestAllFinite(t *testing.T) {
-	if !AllFinite([]float64{1, 2}) {
-		t.Fatal("finite slice reported non-finite")
-	}
-	if AllFinite([]float64{1, math.NaN()}) {
-		t.Fatal("NaN not detected")
-	}
-	if AllFinite([]float64{math.Inf(1)}) {
-		t.Fatal("Inf not detected")
+	for _, c := range []struct {
+		name string
+		x    []float64
+		want bool
+	}{
+		{"empty", nil, true},
+		{"finite", []float64{1, 2}, true},
+		{"+Inf", []float64{1, math.Inf(1)}, false},
+		{"-Inf", []float64{math.Inf(-1), 1}, false},
+		{"NaN", []float64{1, math.NaN()}, false},
+		{"-0", []float64{math.Copysign(0, -1)}, true},
+		{"subnormal", []float64{math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}, true},
+		{"MaxFloat64", []float64{math.MaxFloat64, -math.MaxFloat64}, true},
+		{"NaN after finite run", []float64{1, 2, 3, 4, 5, 6, 7, 8, math.NaN()}, false},
+	} {
+		if got := AllFinite(c.x); got != c.want {
+			t.Errorf("%s: AllFinite(%v) = %v, want %v", c.name, c.x, got, c.want)
+		}
 	}
 }
 
