@@ -11,19 +11,20 @@ test:
 vet:
 	$(GO) vet -all ./...
 
-# Project-specific invariants: the intraprocedural checks (float
+# Project-specific invariants: the eight per-package checks (float
 # comparisons, division guards, map-order determinism, context plumbing,
-# telemetry nil-safety, dropped kernel errors; DESIGN.md §7) plus the
-# interprocedural call-graph analyzers (hot-path allocation, lock
-# discipline, goroutine leaks, determinism taint; DESIGN.md §12).
+# telemetry nil-safety, dropped kernel errors, bare-sleep retries, metric
+# names; DESIGN.md §7). Whole-program contracts (allocation-free hot
+# loops, goroutine exit, lock copies, determinism) are pinned by tests and
+# vet instead (DESIGN.md §12).
 # -strict-suppress turns stale //sorallint:ignore directives into errors so
 # suppressions cannot outlive the findings they justified.
 lint:
 	$(GO) run ./cmd/sorallint -strict-suppress ./...
 
-# The linter linting itself: the analysis package is ordinary module code,
-# so the same invariants apply to it (and the run doubles as a smoke test
-# that the call-graph engine handles its own AST-heavy, closure-dense code).
+# The linter linting itself: internal/analysis and cmd/sorallint are
+# ordinary module code, so the same invariants apply to them, reported for
+# those packages alone; a stale suppression there fails too.
 lint-self:
 	$(GO) run ./cmd/sorallint -strict-suppress ./internal/analysis/... ./cmd/sorallint
 

@@ -173,7 +173,7 @@ func BenchmarkOnlineSlot(b *testing.B) {
 	opts := core.DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := core.SolveP2(n, in, i%in.T, prev, opts)
+		d, _, err := core.SolveP2Resilient(n, in, i%in.T, prev, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -400,13 +400,6 @@ func lintTable(res *analysis.Result) *eval.Table {
 		fmt.Sprintf("%.2f", float64(res.LoadDuration.Nanoseconds())/1e6),
 		fmt.Sprintf("%d total", len(res.Diagnostics)),
 	})
-	if res.CallGraphDuration > 0 {
-		tbl.Rows = append(tbl.Rows, []string{
-			"(callgraph+summaries)", "",
-			fmt.Sprintf("%.2f", float64(res.CallGraphDuration.Nanoseconds())/1e6),
-			"",
-		})
-	}
 	for _, check := range sortedKeys(res.Analyzers) {
 		tbl.Rows = append(tbl.Rows, []string{
 			"(analyzer) " + check, "",
@@ -432,10 +425,9 @@ func sortedKeys(m map[string]time.Duration) []string {
 // it: its wall time as ns_per_op and the solver-iteration counters' deltas
 // over the run, attributing the work to the stages that performed it. A
 // lint run adds the per-package and per-analyzer sorallint wall times
-// (lint_packages.<pkg>, lint_analyzers.<check>, with a "callgraph" analyzer
-// entry for the shared call-graph and summary construction) and the one-off
-// load cost. The run count (iters, always 1) and the surviving lint finding
-// count are info, not regression axes.
+// (lint_packages.<pkg>, lint_analyzers.<check>) and the one-off load cost.
+// The run count (iters, always 1) and the surviving lint finding count are
+// info, not regression axes.
 func experimentBench(name string, elapsed time.Duration, before, after obs.Snapshot, lint *analysis.Result) *eval.Bench {
 	info := map[string]float64{"iters": 1}
 	m := map[string]float64{
@@ -457,9 +449,6 @@ func experimentBench(name string, elapsed time.Duration, before, after obs.Snaps
 		}
 		for check, d := range lint.Analyzers {
 			m["lint_analyzers."+check] = float64(d.Nanoseconds())
-		}
-		if lint.CallGraphDuration > 0 {
-			m["lint_analyzers.callgraph"] = float64(lint.CallGraphDuration.Nanoseconds())
 		}
 		m["lint_load_ns"] = float64(lint.LoadDuration.Nanoseconds())
 		info["lint_findings"] = float64(len(lint.Diagnostics))

@@ -1,21 +1,19 @@
-// Command sorallint runs the soral static-analysis suite: twelve project
-// analyzers enforcing the numerical, determinism, and concurrency
-// invariants of the solver stack (see internal/analysis and DESIGN.md §7
-// and §12). Eight are per-package syntax/type checks; four — hotalloc,
-// lockorder, goroleak, nondet — are interprocedural, running over a
-// module-wide call graph with bottom-up function summaries.
+// Command sorallint runs the soral static-analysis suite: eight
+// per-package analyzers enforcing the numerical, determinism, and
+// concurrency invariants of the solver stack (see internal/analysis and
+// DESIGN.md §7). Contracts that need a whole-program view (allocation-free
+// hot paths, lock discipline, goroutine exit, determinism) are pinned by
+// tests and go vet instead (DESIGN.md §12).
 //
 // Usage:
 //
 //	sorallint ./...                 # analyze the whole module
 //	sorallint internal/lp           # report findings for one package dir
-//	sorallint -checks floatcmp,hotalloc ./...
+//	sorallint -checks floatcmp,divguard ./...
 //	sorallint -list                 # print the analyzer registry
 //	sorallint -timing ./...         # per-package and per-analyzer wall time
 //	sorallint -json ./...           # machine-readable findings + timings
-//	sorallint -baseline lint.json ./...        # hide accepted findings
-//	sorallint -write-baseline lint.json ./...  # accept current findings
-//	sorallint -strict-suppress ./...           # stale suppressions fail
+//	sorallint -strict-suppress ./... # stale suppressions fail
 //
 // Findings can be suppressed with a justified directive on the offending
 // line or the line above:
@@ -53,24 +51,20 @@ type jsonFinding struct {
 
 // jsonReport is the full -json payload.
 type jsonReport struct {
-	Findings    []jsonFinding    `json:"findings"`
-	Errors      int              `json:"errors"`
-	Warnings    int              `json:"warnings"`
-	Baselined   int              `json:"baselined,omitempty"`
-	LoadNs      int64            `json:"load_ns"`
-	CallGraphNs int64            `json:"callgraph_ns"`
-	AnalyzerNs  map[string]int64 `json:"analyzer_ns"`
+	Findings   []jsonFinding    `json:"findings"`
+	Errors     int              `json:"errors"`
+	Warnings   int              `json:"warnings"`
+	LoadNs     int64            `json:"load_ns"`
+	AnalyzerNs map[string]int64 `json:"analyzer_ns"`
 }
 
 func main() {
 	var (
-		checksFlag   = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-		listFlag     = flag.Bool("list", false, "list registered analyzers and exit")
-		timingFlag   = flag.Bool("timing", false, "print per-package and per-analyzer wall time to stderr")
-		jsonFlag     = flag.Bool("json", false, "emit findings and timings as JSON on stdout")
-		baselineFlag = flag.String("baseline", "", "baseline file of accepted findings to hide")
-		writeFlag    = flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
-		strictFlag   = flag.Bool("strict-suppress", false, "treat stale-suppression warnings as failures")
+		checksFlag = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
+		listFlag   = flag.Bool("list", false, "list registered analyzers and exit")
+		timingFlag = flag.Bool("timing", false, "print per-package and per-analyzer wall time to stderr")
+		jsonFlag   = flag.Bool("json", false, "emit findings and timings as JSON on stdout")
+		strictFlag = flag.Bool("strict-suppress", false, "treat stale-suppression warnings as failures")
 	)
 	flag.Parse()
 
@@ -94,10 +88,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	root, _, err := analysis.FindModuleRoot(cwd)
-	if err != nil {
-		fatal(err)
-	}
 	res, err := analysis.Run(analysis.RunConfig{Dir: cwd, Checks: checks})
 	if err != nil {
 		fatal(err)
@@ -114,30 +104,6 @@ func main() {
 		}
 	}
 
-	if *writeFlag != "" {
-		b := analysis.NewBaseline(root, diags)
-		if err := b.WriteBaseline(*writeFlag); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "sorallint: wrote %d accepted finding(s) to %s\n", len(b.Findings), *writeFlag)
-		return
-	}
-
-	baselined := 0
-	if *baselineFlag != "" {
-		b, err := analysis.LoadBaseline(*baselineFlag)
-		if err != nil {
-			fatal(err)
-		}
-		if stale := b.Stale(root, diags); len(stale) > 0 {
-			fmt.Fprintf(os.Stderr, "sorallint: %d baseline entr(ies) no longer match; prune %s:\n", len(stale), *baselineFlag)
-			for _, k := range stale {
-				fmt.Fprintf(os.Stderr, "#   %s\n", k)
-			}
-		}
-		diags, baselined = b.Apply(root, diags)
-	}
-
 	errors, warnings := 0, 0
 	for _, d := range diags {
 		if d.Severity == analysis.SeverityWarning {
@@ -149,13 +115,11 @@ func main() {
 
 	if *jsonFlag {
 		rep := jsonReport{
-			Findings:    make([]jsonFinding, 0, len(diags)),
-			Errors:      errors,
-			Warnings:    warnings,
-			Baselined:   baselined,
-			LoadNs:      res.LoadDuration.Nanoseconds(),
-			CallGraphNs: res.CallGraphDuration.Nanoseconds(),
-			AnalyzerNs:  make(map[string]int64, len(res.Analyzers)),
+			Findings:   make([]jsonFinding, 0, len(diags)),
+			Errors:     errors,
+			Warnings:   warnings,
+			LoadNs:     res.LoadDuration.Nanoseconds(),
+			AnalyzerNs: make(map[string]int64, len(res.Analyzers)),
 		}
 		for name, d := range res.Analyzers {
 			rep.AnalyzerNs[name] = d.Nanoseconds()
@@ -195,8 +159,7 @@ func main() {
 	if *timingFlag {
 		pkgs := append([]analysis.PackageResult(nil), res.Packages...)
 		sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Duration > pkgs[j].Duration })
-		fmt.Fprintf(os.Stderr, "# load+typecheck %.3fs, callgraph+summaries %.3fms\n",
-			res.LoadDuration.Seconds(), float64(res.CallGraphDuration.Microseconds())/1000)
+		fmt.Fprintf(os.Stderr, "# load+typecheck %.3fs\n", res.LoadDuration.Seconds())
 		names := make([]string, 0, len(res.Analyzers))
 		for name := range res.Analyzers {
 			names = append(names, name)
@@ -211,9 +174,6 @@ func main() {
 		}
 	}
 
-	if baselined > 0 {
-		fmt.Fprintf(os.Stderr, "sorallint: %d finding(s) hidden by baseline\n", baselined)
-	}
 	fail := errors > 0 || (*strictFlag && warnings > 0)
 	if fail {
 		fmt.Fprintf(os.Stderr, "sorallint: %d finding(s), %d warning(s)\n", errors, warnings)

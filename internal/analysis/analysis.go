@@ -45,10 +45,6 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	// Prog is the whole loaded program; the interprocedural analyzers
-	// (hotalloc, lockorder, goroleak, nondet) reach the module call graph
-	// and summary store through Prog.Interp().
-	Prog *Program
 
 	report func(Diagnostic)
 }
@@ -117,12 +113,8 @@ func Analyzers() []*Analyzer {
 		DivGuard,
 		ErrDrop,
 		FloatCmp,
-		GoroLeak,
-		HotAlloc,
-		LockOrder,
 		MapOrder,
 		MetricName,
-		NonDet,
 		ScopeNil,
 		SleepRetry,
 	}

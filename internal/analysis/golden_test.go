@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"fmt"
+	"go/token"
+	"math/rand"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -128,16 +130,11 @@ func TestSleepRetryGolden(t *testing.T) { runGolden(t, "sleepretry") }
 
 func TestMetricNameGolden(t *testing.T) { runGolden(t, "metricname") }
 
-func TestHotAllocGolden(t *testing.T)  { runGolden(t, "hotalloc") }
-func TestLockOrderGolden(t *testing.T) { runGolden(t, "lockorder") }
-func TestGoroLeakGolden(t *testing.T)  { runGolden(t, "goroleak") }
-func TestNonDetGolden(t *testing.T)    { runGolden(t, "nondet") }
-
 // TestRegistry pins the registry: sorted, unique, documented.
 func TestRegistry(t *testing.T) {
 	all := Analyzers()
-	if len(all) != 12 {
-		t.Fatalf("registry has %d analyzers, want 12", len(all))
+	if len(all) != 8 {
+		t.Fatalf("registry has %d analyzers, want 8", len(all))
 	}
 	seen := map[string]bool{}
 	for i, a := range all {
@@ -157,5 +154,43 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := ByName("nosuch"); ok {
 		t.Error("ByName resolved a check that does not exist")
+	}
+}
+
+// TestSortDiagnosticsShuffle pins the deterministic merged ordering: any
+// input permutation sorts to the same sequence, and exact duplicates
+// collapse.
+func TestSortDiagnosticsShuffle(t *testing.T) {
+	diag := func(file string, line, col int, check, msg string) Diagnostic {
+		return Diagnostic{Check: check, Pos: token.Position{Filename: file, Line: line, Column: col}, Message: msg}
+	}
+	base := []Diagnostic{
+		diag("a.go", 1, 1, "floatcmp", "m1"),
+		diag("a.go", 1, 2, "floatcmp", "m2"),
+		diag("a.go", 2, 1, "divguard", "m3"),
+		diag("a.go", 2, 1, "floatcmp", "m4"),
+		diag("a.go", 2, 1, "floatcmp", "m5"),
+		diag("b.go", 1, 1, "maporder", "m6"),
+		diag("b.go", 1, 1, "maporder", "m6"), // duplicate
+	}
+	want := sortDiagnostics(append([]Diagnostic(nil), base...))
+	if len(want) != len(base)-1 {
+		t.Fatalf("duplicate not collapsed: %d results", len(want))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		shuffled := append([]Diagnostic(nil), base...)
+		rng.Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		got := sortDiagnostics(shuffled)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: position %d differs: %v vs %v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // LoadConfig describes a tree of packages to load.
@@ -44,11 +43,6 @@ type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package // sorted by import path
 	byPath   map[string]*Package
-
-	// Interprocedural state (call graph, summaries, module-wide finding
-	// caches), built lazily by Interp().
-	interpOnce sync.Once
-	interp     *Interp
 }
 
 // Package returns the loaded package with the given import path, or nil.

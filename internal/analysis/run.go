@@ -25,13 +25,9 @@ type PackageResult struct {
 
 // Result is the outcome of one Run.
 type Result struct {
-	Packages          []PackageResult
-	LoadDuration      time.Duration // parse + type-check time for the whole module
-	CallGraphDuration time.Duration // call graph + summary construction (interprocedural runs only)
+	Packages     []PackageResult
+	LoadDuration time.Duration // parse + type-check time for the whole module
 	// Analyzers records per-analyzer wall time summed over all packages.
-	// For the interprocedural analyzers the first package pays the
-	// module-wide computation; CallGraphDuration separates the shared
-	// graph/summary build from the per-analyzer scans.
 	Analyzers   map[string]time.Duration
 	Diagnostics []Diagnostic // all surviving diagnostics, merged and sorted
 }
@@ -60,12 +56,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		LoadDuration: time.Since(loadStart),
 		Analyzers:    make(map[string]time.Duration, len(checks)),
 	}
-	if needsInterp(checks) {
-		// Build the call graph and summaries eagerly so the cost lands in
-		// CallGraphDuration rather than inside whichever interprocedural
-		// analyzer happens to run first.
-		res.CallGraphDuration = pr.Interp().BuildTime
-	}
 	known := map[string]bool{}
 	for _, a := range Analyzers() {
 		known[a.Name] = true
@@ -93,18 +83,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	// independent of package visit order.
 	res.Diagnostics = sortDiagnostics(res.Diagnostics)
 	return res, nil
-}
-
-// needsInterp reports whether any selected analyzer requires the module
-// call graph.
-func needsInterp(checks []*Analyzer) bool {
-	for _, a := range checks {
-		switch a {
-		case HotAlloc, LockOrder, GoroLeak, NonDet:
-			return true
-		}
-	}
-	return false
 }
 
 // selectChecks resolves names against the registry (all when empty).
@@ -136,7 +114,6 @@ func analyzePackageTimed(pr *Program, pkg *Package, checks []*Analyzer, timings 
 			Analyzer: a,
 			Fset:     pr.Fset,
 			Pkg:      pkg,
-			Prog:     pr,
 			report:   func(d Diagnostic) { diags = append(diags, d) },
 		}
 		start := time.Now()

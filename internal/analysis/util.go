@@ -64,20 +64,6 @@ func isErrorType(t types.Type) bool {
 	return ok && n.Obj() != nil && n.Obj().Pkg() == nil && n.Obj().Name() == "error"
 }
 
-// implementsError reports whether t is the error interface or a concrete
-// type satisfying it — a `return &SolveError{...}` exits through a typed
-// error even though the expression's static type is the pointer, not the
-// interface.
-func implementsError(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if isErrorType(t) {
-		return true
-	}
-	return types.Implements(t, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
-}
-
 // walkStack traverses n keeping the ancestor stack; fn receives each node
 // with its ancestors (outermost first, excluding the node itself).
 func walkStack(n ast.Node, fn func(n ast.Node, stack []ast.Node)) {
@@ -104,24 +90,6 @@ func enclosingFunc(stack []ast.Node) ast.Node {
 		}
 	}
 	return nil
-}
-
-// rootVars collects the distinct variable objects referenced inside e.
-func rootVars(info *types.Info, e ast.Expr) []*types.Var {
-	seen := map[*types.Var]bool{}
-	var out []*types.Var
-	ast.Inspect(e, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if v, ok := info.Uses[id].(*types.Var); ok && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-		return true
-	})
-	return out
 }
 
 // usesVar reports whether any identifier inside n resolves to v.

@@ -85,7 +85,7 @@ func (rc *regChain) extend(t int, win *model.Inputs, upto int) error {
 		if row < 0 || row >= win.T {
 			return fmt.Errorf("control: regularized chain slot %d outside window at %d", tau, t)
 		}
-		dec, err := core.SolveP2(rc.c.Net, win, row, prev, rc.c.coreOpts())
+		dec, _, err := core.SolveP2Resilient(rc.c.Net, win, row, prev, rc.c.coreOpts())
 		if err != nil {
 			return fmt.Errorf("control: P2 chain slot %d: %w", tau, err)
 		}

@@ -383,24 +383,6 @@ func (o *Online) Run() ([]*model.Decision, error) {
 	return out, nil
 }
 
-// SolveP2 solves the regularized subproblem for one slot.
-func SolveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options) (*model.Decision, error) {
-	p2, err := BuildP2(n, in, t, prev, opts.Params)
-	if err != nil {
-		return nil, err
-	}
-	x0 := p2.warmStart(in, t)
-	solverOpts := opts.Solver
-	if solverOpts.Obs == nil {
-		solverOpts.Obs = opts.Obs
-	}
-	res, err := convex.Solve(p2.Prob, x0, solverOpts)
-	if err != nil {
-		return nil, err
-	}
-	return p2.Extract(res.X), nil
-}
-
 // RunOnline is the one-call convenience wrapper used by the evaluation
 // harness: it runs the online algorithm over the whole horizon.
 func RunOnline(n *model.Network, in *model.Inputs, opts Options) ([]*model.Decision, error) {

@@ -192,7 +192,7 @@ func TestSolveP2SLAIsRespected(t *testing.T) {
 		PriceT2:  [][]float64{{1, 100}}, // cloud 1 is expensive but j=1 must use it
 		Workload: [][]float64{{2, 3}},
 	}
-	dec, err := SolveP2(n, in, 0, model.NewZeroDecision(n), DefaultOptions())
+	dec, _, err := SolveP2Resilient(n, in, 0, model.NewZeroDecision(n), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,17 +21,10 @@ type ResilienceOptions struct {
 	// (the pre-resilience behavior) instead of carrying the previous
 	// decision forward.
 	DisableDegrade bool
-	// LooseTolFactor scales the solver tolerance on the last ladder rung
-	// (default 100).
-	LooseTolFactor float64
 }
 
-func (r ResilienceOptions) looseFactor() float64 {
-	if r.LooseTolFactor <= 1 {
-		return 100
-	}
-	return r.LooseTolFactor
-}
+// looseTolFactor scales the solver tolerance on the last ladder rung.
+const looseTolFactor = 100
 
 // P2 ladder rung names.
 const (
@@ -69,8 +62,8 @@ const feasTol = 1e-4
 //     the phase-I strictly feasible point (the fresh centering path pulls
 //     through the analytic center, stepping around whatever corner of the
 //     feasible region broke the warm-started Newton iteration);
-//  3. loose-tol — restart at LooseTolFactor× the tolerance and twice the
-//     Newton budget.
+//  3. loose-tol — restart at 100× the tolerance (looseTolFactor) and twice
+//     the Newton budget.
 //
 // A rung only succeeds if the barrier converged AND the extracted decision
 // is feasible for the realized slot inputs within 1e-4. Build/validation
@@ -201,9 +194,9 @@ func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Dec
 				}})
 		}
 		loose := opts.Solver
-		loose.Tol = loose.Tol * opts.Resilience.looseFactor()
+		loose.Tol = loose.Tol * looseTolFactor
 		if loose.Tol <= 0 {
-			loose.Tol = 1e-7 * opts.Resilience.looseFactor()
+			loose.Tol = 1e-7 * looseTolFactor
 		}
 		if loose.MaxNewton <= 0 {
 			loose.MaxNewton = 160 // 2× the barrier default

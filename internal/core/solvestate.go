@@ -124,9 +124,9 @@ const warmCapMargin = 1e-6
 // comfortable interior, or when P2 carries no entropic groups (then the
 // subproblem is independent of prev and there is nothing worth carrying).
 // A pure function of (p2, in, t, prev): no solve history leaks into it, so
-// warm decisions survive the resume contract of DESIGN.md §10.
-//
-//soral:hotpath
+// warm decisions survive the resume contract of DESIGN.md §10. Once the
+// buffers have grown to the instance size it allocates nothing (pinned by
+// TestWarmPointZeroAlloc).
 func (st *SolveState) warmPoint(p2 *P2, in *model.Inputs, t int, prev *model.Decision) []float64 {
 	if len(p2.groups) == 0 {
 		return nil

@@ -141,9 +141,8 @@ func NewBlockTriChol(m *BlockTriDiag, maxShift float64) (*BlockTriChol, error) {
 
 // Refactorize factorizes M into the receiver, reusing its buffers when the
 // block structure matches the previous call. On error the factor contents
-// are undefined and must not be used for solves.
-//
-//soral:hotpath
+// are undefined and must not be used for solves. A same-structure call
+// allocates nothing (pinned by TestRefactorizeSolveZeroAlloc).
 func (f *BlockTriChol) Refactorize(m *BlockTriDiag, maxShift float64) error {
 	return f.RefactorizeWorkers(m, maxShift, 1)
 }
@@ -168,7 +167,12 @@ func (f *BlockTriChol) RefactorizeWorkers(m *BlockTriDiag, maxShift float64, wor
 		f.offdiag = make([]*Dense, T-1)
 		f.schur = make([]*Dense, T)
 	}
-	f.offsets = m.Offsets()
+	if len(f.offsets) != T+1 {
+		f.offsets = make([]int, T+1)
+	}
+	for t, d := range m.Diag {
+		f.offsets[t+1] = f.offsets[t] + d.Rows
+	}
 	maxBlock := 0
 	for _, d := range m.Diag {
 		if d.Rows > maxBlock {
@@ -246,9 +250,8 @@ func blockSchurUpdate(s, ft *Dense, lo, hi int) {
 	}
 }
 
-// Solve solves M·x = b, writing into x (which may alias b).
-//
-//soral:hotpath
+// Solve solves M·x = b, writing into x (which may alias b). It allocates
+// nothing (pinned by TestRefactorizeSolveZeroAlloc).
 func (f *BlockTriChol) Solve(x, b []float64) {
 	off := f.offsets
 	n := off[len(off)-1]

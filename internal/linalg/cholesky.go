@@ -53,9 +53,9 @@ func NewCholeskyWorkers(a *Dense, maxShift float64, workers int) (*Cholesky, err
 
 // Refactorize factorizes A into the receiver, reusing its L buffer when the
 // dimension matches the previous factorization. On error the receiver's
-// factor contents are undefined and must not be used for solves.
-//
-//soral:hotpath
+// factor contents are undefined and must not be used for solves. A
+// same-dimension call allocates nothing (pinned by
+// TestRefactorizeSolveZeroAlloc).
 func (c *Cholesky) Refactorize(a *Dense, maxShift float64) error {
 	return c.RefactorizeWorkers(a, maxShift, 1)
 }
@@ -183,7 +183,8 @@ func factorLowerBlocked(l *Dense, inv []float64, workers int) bool {
 		}
 		// Panel solve: rows below the panel against the factored block.
 		// Uniform cost per row, so contiguous ranges balance perfectly.
-		//sorallint:ignore hotalloc parallel-branch closure, amortized over the O(n²) panel; the serial path above never builds it
+		// The closure is allocated on this parallel branch only, amortized
+		// over the O(n²) panel; the serial path above never builds it.
 		ParallelRanges(workers, n-k1, func(lo, hi int) {
 			cholPanelSolve(l, inv, k0, k1, lo, hi)
 		})
@@ -191,7 +192,6 @@ func factorLowerBlocked(l *Dense, inv []float64, workers int) bool {
 		// trailing rows grow linearly in cost, so striding balances the
 		// triangle where contiguous ranges would load the last worker with
 		// half the work.
-		//sorallint:ignore hotalloc parallel-branch closure, amortized over the O(n²) trailing triangle; the serial path above never builds it
 		ParallelStrided(workers, n-k1, func(start, stride int) {
 			cholTrailingUpdate(l, k0, k1, n, start, stride)
 		})
@@ -288,9 +288,8 @@ func (c *Cholesky) ConditionEstimate() float64 {
 }
 
 // Solve solves A·x = b using the factorization, writing the result into x
-// (which may alias b).
-//
-//soral:hotpath
+// (which may alias b). It allocates nothing (pinned by
+// TestRefactorizeSolveZeroAlloc).
 func (c *Cholesky) Solve(x, b []float64) {
 	if len(b) != c.N || len(x) != c.N {
 		panic("linalg: Cholesky.Solve dimension mismatch")

@@ -36,13 +36,10 @@ const parallelGrain = 8
 // idle all collapse to a single inline call fn(0, n) on the caller's
 // goroutine — the serial path is literally the parallel path with one range.
 //
-// Marked //soral:coldpath: the goroutine spawns are the deliberate, bounded
-// price of the parallel branch, amortized over ≥parallelGrain work units per
-// worker; the serial collapse spawns nothing. Kernels with a strict
-// zero-allocation contract branch on EffectiveWorkers before building the
-// closure they would pass here.
-//
-//soral:coldpath
+// The goroutine spawns are the bounded price of the parallel branch,
+// amortized over ≥parallelGrain work units per worker; the serial collapse
+// spawns nothing. Kernels with a strict zero-allocation contract branch on
+// EffectiveWorkers before building the closure they would pass here.
 func ParallelRanges(workers, n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -78,12 +75,6 @@ func ParallelRanges(workers, n int, fn func(lo, hi int)) {
 // every index is processed by exactly one worker, so kernels whose per-index
 // work is self-contained stay bit-identical to serial. workers ≤ 1 or tiny n
 // collapse to an inline fn(0, 1) call.
-//
-// Marked //soral:coldpath for the same reason as ParallelRanges: the spawns
-// are the deliberate price of the parallel branch, absent on the serial
-// collapse.
-//
-//soral:coldpath
 func ParallelStrided(workers, n int, fn func(start, stride int)) {
 	if n <= 0 {
 		return

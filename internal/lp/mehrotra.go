@@ -213,7 +213,10 @@ var ErrEmptyProblem = errors.New("lp: empty problem")
 // attempt that fails for any reason other than cancellation falls back to
 // the cold start, so the flag can never make a solvable problem fail.
 //
-//soral:hotpath
+// With a warmed Options.Work a same-shape solve allocates only the Solution
+// header, however many iterations it takes (pinned by
+// TestSolveStandardWorkspaceZeroAlloc and, with the staircase backend,
+// TestSolveStandardStaircaseZeroAlloc).
 func SolveStandard(std *Standard, normal NormalSolver, opts Options) (sol *Solution, err error) {
 	// mehrotraIterate converts its own panics; this thin recover covers the
 	// surrounding plumbing (workspace sizing, warm-stash bookkeeping, the
@@ -385,7 +388,7 @@ func mehrotraIterate(std *Standard, normal NormalSolver, opts Options, ws *Works
 		}
 	}
 
-	//sorallint:ignore hotalloc the documented per-call constant: one Solution header per solve, pinned by TestSolveStandardWorkspaceZeroAlloc
+	// The solve's one allocation: X, Y and S alias the workspace.
 	sol = &Solution{X: x, Y: y, S: s}
 	maxIter := opts.Fault.Budget(opts.MaxIter)
 	for iter := 0; iter < maxIter; iter++ {
@@ -436,7 +439,6 @@ func mehrotraIterate(std *Standard, normal NormalSolver, opts Options, ws *Works
 		}
 		ferr := error(nil)
 		if opts.Fault.FactorizationShouldFail(iter) {
-			//sorallint:ignore hotalloc fault-injection branch, taken only when a chaos schedule forces a failure
 			ferr = fmt.Errorf("forced factorization failure: %w", resilience.ErrInjected)
 		} else {
 			sp := opts.Obs.StartSpan("lp.factorize")
@@ -535,12 +537,6 @@ func mehrotraIterate(std *Standard, normal NormalSolver, opts Options, ws *Works
 // solveUnconstrained handles the degenerate m = 0 problem: min cᵀx over
 // x ≥ 0 is 0 at x = 0 unless some cost is negative, in which case the
 // problem is unbounded.
-//
-// Marked //soral:coldpath: a constraint-free problem never reaches the
-// iteration machinery, so its one-off Solution allocation is off the hot
-// lane by construction.
-//
-//soral:coldpath
 func solveUnconstrained(n int, c []float64) *Solution {
 	sol := &Solution{X: make([]float64, n), Y: nil, S: linalg.Clone(c)}
 	for _, ci := range c {

@@ -154,7 +154,6 @@ func (a *SparseMatrix) AssembleNormalWorkers(dst *linalg.Dense, d []float64, wor
 		a.assembleNormalRows(dst, d, cols, 0, a.M)
 		return
 	}
-	//sorallint:ignore hotalloc parallel-branch closure, amortized over the normal-matrix assembly; the EffectiveWorkers branch above keeps the serial path closure-free
 	linalg.ParallelRanges(workers, a.M, func(lo, hi int) {
 		a.assembleNormalRows(dst, d, cols, lo, hi)
 	})

@@ -43,12 +43,6 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // ensure sizes every Mehrotra buffer for an m-row, n-column standard form,
 // reusing the existing allocations whenever they are already big enough.
-//
-// Marked //soral:coldpath: this IS the workspace pattern hotalloc points at —
-// the makes below run only while the buffers grow toward the high-water
-// mark (w.n < n / w.m < m), never on a warm same-shape solve.
-//
-//soral:coldpath
 func (w *Workspace) ensure(m, n int) {
 	if w.n < n {
 		w.x = make([]float64, n)
@@ -83,12 +77,6 @@ func (w *Workspace) warmReady(m, n int) bool {
 
 // stashWarm copies the current (optimal) iterate into the prev buffers so
 // the next same-shape solve can warm-start from it.
-//
-// Marked //soral:coldpath: the makes below are growth guards — they run only
-// while the prev buffers grow toward the high-water mark, never on a warm
-// same-shape solve.
-//
-//soral:coldpath
 func (w *Workspace) stashWarm(m, n int) {
 	if len(w.prevX) < n {
 		w.prevX = make([]float64, n)

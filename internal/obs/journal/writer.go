@@ -141,7 +141,8 @@ func (w *Writer) Attach(f *Feed) *Writer {
 }
 
 // WithSync arms the durability policy: s (usually the journal's *os.File) is
-// synced according to p. Call before Begin.
+// synced according to p. Call before Begin. The writer calls s.Sync with its
+// lock held, so s must not be a *Writer: a writer is never its own syncer.
 func (w *Writer) WithSync(s Syncer, p SyncPolicy) *Writer {
 	if w == nil {
 		return nil
@@ -257,7 +258,6 @@ func (w *Writer) Begin(h Header) {
 	h.Version = Version
 	h.TimeNS = w.now().UnixNano()
 	h.CRC = ""
-	//sorallint:ignore lockorder Syncer fan-out includes (*Writer).Sync, but a writer is never its own syncer (file-backed syncers only)
 	w.write(h, false)
 }
 
@@ -282,7 +282,6 @@ func (w *Writer) Slot(r SlotRecord) {
 	r.Kind = KindSlot
 	r.TimeNS = w.now().UnixNano()
 	r.CRC = ""
-	//sorallint:ignore lockorder Syncer fan-out includes (*Writer).Sync, but a writer is never its own syncer (file-backed syncers only)
 	w.write(r, true)
 }
 
@@ -302,7 +301,6 @@ func (w *Writer) State(r StateRecord) {
 	r.Kind = KindState
 	r.TimeNS = w.now().UnixNano()
 	r.CRC = ""
-	//sorallint:ignore lockorder Syncer fan-out includes (*Writer).Sync, but a writer is never its own syncer (file-backed syncers only)
 	w.write(r, true)
 }
 
@@ -328,7 +326,6 @@ func (w *Writer) Alert(r AlertRecord) {
 	r.Kind = KindAlert
 	r.TimeNS = w.now().UnixNano()
 	r.CRC = ""
-	//sorallint:ignore lockorder Syncer fan-out includes (*Writer).Sync, but a writer is never its own syncer (file-backed syncers only)
 	w.write(r, false)
 }
 
@@ -364,7 +361,6 @@ func (w *Writer) End(f Footer) {
 		// Even the never-sync policy makes the completed run durable.
 		w.policy = SyncOnCommit()
 	}
-	//sorallint:ignore lockorder Syncer fan-out includes (*Writer).Sync, but a writer is never its own syncer (file-backed syncers only)
 	w.write(f, true)
 	if w.syncer != nil && w.err == nil && w.sinceSync != 0 {
 		// An every-N policy can leave the footer off-stride; sync it anyway.

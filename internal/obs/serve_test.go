@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +214,54 @@ func TestServeRejectsTakenPort(t *testing.T) {
 	if _, err := Serve(ctx, a.Addr(), ServeOptions{}); err == nil {
 		t.Fatal("second bind on the same address succeeded")
 	}
+}
+
+// TestServeShutdownLeavesNoGoroutines pins Serve's goroutine contract: the
+// serve loop and the context watcher have both exited once Shutdown
+// returns, even though the Serve context is never canceled. Connections
+// left by earlier tests are closed and the count settled first, so none of
+// them exiting mid-test can hide a leak; the final count is polled briefly
+// because closed connections wind down asynchronously.
+func TestServeShutdownLeavesNoGoroutines(t *testing.T) {
+	http.DefaultClient.CloseIdleConnections()
+	before := settledGoroutines()
+	srv, err := Serve(context.Background(), "127.0.0.1:0", ServeOptions{Registry: promRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	resp, err := client.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	client.CloseIdleConnections()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, %d before Serve", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// 50ms, or after 2s.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for start, still := time.Now(), time.Now(); time.Since(start) < 2*time.Second; {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, time.Now()
+		} else if time.Since(still) >= 50*time.Millisecond {
+			break
+		}
+	}
+	return n
 }
 
 // TestServeRunsHeartbeat pins the idle-stream keepalive: a subscriber on a

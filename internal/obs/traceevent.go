@@ -18,14 +18,9 @@ type BufferSink struct {
 // NewBufferSink returns an empty buffering sink.
 func NewBufferSink() *BufferSink { return &BufferSink{} }
 
-// Emit implements Sink.
-//
-// Marked //soral:coldpath: attaching a trace sink is the deliberate,
-// measured flight-recorder overhead — a solve without one never dispatches
-// here (the nil-scope fast path allocates nothing, pinned by
-// TestNilScopeZeroAllocs), and an unbounded event buffer grows by design.
-//
-//soral:coldpath
+// Emit implements Sink. The buffer grows without bound by design; a solve
+// without a sink never dispatches here (the nil-scope fast path allocates
+// nothing, pinned by TestNilScopeZeroAllocs).
 func (s *BufferSink) Emit(e Event) {
 	s.mu.Lock()
 	s.buf = append(s.buf, e)

@@ -2,9 +2,9 @@
 // store: one ring buffer per metric, sized by resolution × retention at
 // creation and never growing afterwards. The record path is lock-free and
 // allocation-free (a single writer — the sampler — stores into atomic
-// slots; hotalloc-pinned), and readers never block the writer: range
-// queries read the ring optimistically and discard any slot the writer
-// lapped mid-read, seqlock style.
+// slots; pinned by TestRecordAllocs), and readers never block the writer:
+// range queries read the ring optimistically and discard any slot the
+// writer lapped mid-read, seqlock style.
 //
 // The store is deliberately not a database: no files, no compaction, no
 // labels. It exists so a long-lived soral process can answer "what did
@@ -48,9 +48,8 @@ func newSeries(name string, capacity int) *Series {
 func (s *Series) Name() string { return s.name }
 
 // Record appends one point, overwriting the oldest once the ring is full.
-// Lock-free and allocation-free; callers must serialize (single writer).
-//
-//soral:hotpath
+// Lock-free and allocation-free (pinned by TestRecordAllocs); callers must
+// serialize (single writer).
 func (s *Series) Record(tns int64, v float64) {
 	i := s.head.Load()
 	s.started.Store(i + 1)

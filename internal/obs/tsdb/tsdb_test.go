@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -19,12 +20,46 @@ func tickTimes(n int) []time.Time {
 	return out
 }
 
-// TestRecordAllocs pins the zero-allocation record path — the contract the
-// hotalloc analyzer enforces statically via the //soral:hotpath annotation.
+// TestRecordAllocs pins the zero-allocation record path: the sampler and
+// the watch engine record into every series on each tick.
 func TestRecordAllocs(t *testing.T) {
 	s := newSeries("m", 64)
 	if n := testing.AllocsPerRun(1000, func() { s.Record(1, 2.5) }); n != 0 {
 		t.Fatalf("Record allocated %v allocs/op, want 0", n)
+	}
+}
+
+// TestSamplerRunStopsOnCancel pins the sampler goroutine's exit contract:
+// Run keeps ticking until its context is canceled, then returns within a
+// second.
+func TestSamplerRunStopsOnCancel(t *testing.T) {
+	ticks := make(chan struct{}, 1)
+	smp := &Sampler{DB: New(Options{}), AfterSample: func(int64) {
+		select {
+		case ticks <- struct{}{}:
+		default:
+		}
+	}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		smp.Run(ctx, time.Millisecond)
+	}()
+	// The immediate sample plus two ticker samples: the loop is running.
+	for i := 0; i < 3; i++ {
+		select {
+		case <-ticks:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Sampler.Run took %d samples in 5s, want 3", i)
+		}
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Sampler.Run did not return within 1s of its context being canceled")
 	}
 }
 
