@@ -80,8 +80,8 @@ warmstart:
 # burn-rate detector, an adversarial thrashing trace for the
 # competitive-ratio detector) must fire and journal reproducibly while the
 # tsdb record path stays allocation-free and the sampler tick inside 1% of
-# the slot p50. The race detector matters because the store's seqlock-style
-# Series ring is written by the sampler goroutine while queries read it, and
+# the slot p50. The race detector matters because the store's mutex-guarded
+# Series rings are written by the sampler goroutine while queries read them, and
 # the engine's Status is served concurrently with Eval. See DESIGN.md §14.
 watch:
 	$(GO) run -race ./cmd/soralbench -exp watch -q
@@ -90,8 +90,8 @@ watch:
 # Newton step against the dense one (random block maps with in-block rows,
 # cross-block rows and cross-block entropic groups, each solved with its
 # block map and with the map cleared; both must converge to the same
-# objective), and the line search's one-logarithm barrier term against the
-# sum of logarithms on slacks from subnormal to huge (DESIGN.md §15).
+# objective), and the line search's one-logarithm barrier change against a
+# sum of log1p terms on slack pairs from subnormal to huge (DESIGN.md §15).
 # Plain `go test` replays the committed seed corpora under
 # internal/convex/testdata/fuzz; this target searches beyond them.
 fuzz:

@@ -28,6 +28,10 @@ import (
 type Objective interface {
 	// Value returns f(x).
 	Value(x []float64) float64
+	// Change returns f(x+α·dx) − f(x), computed without forming either
+	// value: the line search tests this change against a decrease many
+	// orders of magnitude below |f| (DESIGN.md §15).
+	Change(x, dx []float64, alpha float64) float64
 	// Gradient writes ∇f(x) into grad.
 	Gradient(grad, x []float64)
 	// AddHessian adds ∇²f(x) into the Newton system, which the solver has
@@ -193,7 +197,6 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 	slackTrial := ws.slackTrial[:m]
 	gdx := ws.gdx[:m]
 	dx := ws.dx[:n]
-	xTrial := ws.xTrial[:n]
 	ns := &ws.ns
 	if err := ns.setup(p.Blocks, p.G); err != nil {
 		return nil, err
@@ -210,13 +213,11 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 	budgetInjected := budget < opts.MaxOuter*opts.MaxNewton
 	condEst := 0.0
 	t := opts.TInit
-	// phi0 is the merit t·f(x) − Σ ln s at the current x. An accepted
-	// line-search trial computes it, and the slack, for the next iteration
-	// (havePhi); a new barrier stage or an exhausted line search drops it,
-	// and the slack is then recomputed exactly as h − G·x.
-	var phi0 float64
+	// An accepted line-search trial's slack carries into the next Newton
+	// step (haveSlack); a new barrier stage or an exhausted line search
+	// drops it, and the slack is then recomputed exactly as h − G·x.
 	for outer := 0; outer < opts.MaxOuter; outer++ {
-		havePhi := false
+		haveSlack := false
 		// Centering: Newton on t·f(x) − Σ ln(h − Gx).
 		for newton := 0; newton < opts.MaxNewton; newton++ {
 			iter := res.NewtonIters
@@ -242,7 +243,7 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 					Err: fmt.Errorf("Newton budget exhausted: %w", resilience.ErrInjected),
 				}
 			}
-			if !havePhi {
+			if !haveSlack {
 				exactSlack(p.G, p.H, x, slack)
 			}
 			assemble(p, ns, x, slack, t, grad, fullGrad)
@@ -270,16 +271,16 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 				})
 				break
 			}
-			// Backtracking line search maintaining strict feasibility. Along
-			// x + α·dx the slack is s − α·g with g = G·dx, so g is computed
-			// once per Newton step and a trial costs O(m) plus the one
-			// logarithm of sumLog (DESIGN.md §15).
+			// Backtracking line search maintaining strict feasibility. The
+			// Armijo test reads the merit's change along x + α·dx,
+			// t·[f(x+α·dx) − f(x)] − Σ ln(s_r(α)/s_r), never the merit
+			// itself: late in the path |t·f| ≈ 1e10 while λ² ≈ 1e-11, so
+			// one merit's rounding exceeds the decrease tested. The slack
+			// along the ray is s − α·g with g = G·dx, computed once per
+			// Newton step (DESIGN.md §15).
 			lspan := opts.Obs.StartSpan("convex.linesearch")
 			p.G.MulVec(gdx, dx)
-			if !havePhi {
-				phi0 = t*p.Obj.Value(x) - sumLog(slack)
-			}
-			havePhi = false
+			haveSlack = false
 			// Steps at or beyond α_max make some slack non-positive; halve
 			// past them without evaluating the trial.
 			step, halvings, trials := 1.0, 0, 0
@@ -289,14 +290,11 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 			for ; halvings < 60; halvings++ {
 				trials++
 				if raySlack(slackTrial, slack, gdx, step) {
-					for i := range xTrial {
-						xTrial[i] = x[i] + step*dx[i]
-					}
-					phi := t*p.Obj.Value(xTrial) - sumLog(slackTrial)
-					if phi <= phi0-1e-4*step*lambda2 {
-						// The accepted trial's slack and merit carry into
-						// the next Newton step.
-						phi0, havePhi = phi, true
+					dphi := t*p.Obj.Change(x, dx, step) - logRatio(slackTrial, slack)
+					if dphi <= -1e-4*step*lambda2 {
+						// The accepted trial's slack carries into the next
+						// Newton step.
+						haveSlack = true
 						slack, slackTrial = slackTrial, slack
 						break
 					}
@@ -418,26 +416,24 @@ func comfortablyFeasible(g *lp.SparseMatrix, h, x []float64) bool {
 	return true
 }
 
-// sumLog returns Σ ln s_r for positive s with one logarithm. Each s_r is
-// split into a mantissa in [½, 1) and a binary exponent, as math.Frexp
-// does; the mantissas are multiplied and the exponents summed, so the sum
-// is ln(∏ mantissas) + (Σ exponents)·ln 2. A normal slack's mantissa and
-// exponent are read off its bits, which costs a fraction of a Frexp call;
-// subnormals go through math.Frexp. The running product is renormalized
-// with math.Frexp every 8 factors, which keeps it within [2⁻⁹, 1): no
-// partial product overflows or underflows, however large, small or
-// subnormal the slacks.
-func sumLog(s []float64) float64 {
+// logRatio returns Σ ln(num_r/den_r) for positive num and den with one
+// logarithm. Each value is split into a mantissa in [½, 1) and a binary
+// exponent, as math.Frexp does; the mantissa ratios are multiplied and the
+// exponent differences summed, so the sum is ln(∏ mantissa ratios) +
+// (Σ exponent differences)·ln 2. A normal value's mantissa and exponent
+// are read off its bits (split), which costs a fraction of a Frexp call.
+// No ratio is formed from the values themselves, so none overflows or
+// underflows however far apart num_r and den_r are. The running product is
+// renormalized with math.Frexp every 8 factors, each in (½, 2), which
+// keeps it within (2⁻⁹, 2⁸).
+func logRatio(num, den []float64) float64 {
 	prod, exp := 1.0, 0
-	for i, v := range s {
-		if b := math.Float64bits(v); b>>52 != 0 {
-			prod *= math.Float64frombits(b&(1<<52-1) | 1022<<52)
-			exp += int(b>>52) - 1022
-		} else {
-			f, e := math.Frexp(v)
-			prod *= f
-			exp += e
-		}
+	for i := range num {
+		fn, en := split(num[i])
+		fd, ed := split(den[i])
+		//sorallint:ignore divguard fd is a mantissa in [½, 1)
+		prod *= fn / fd
+		exp += en - ed
 		if i&7 == 7 {
 			f, e := math.Frexp(prod)
 			prod = f
@@ -445,6 +441,18 @@ func sumLog(s []float64) float64 {
 		}
 	}
 	return math.Log(prod) + float64(exp)*math.Ln2
+}
+
+// split returns the mantissa f in [½, 1) and exponent e of a positive v,
+// v = f·2ᵉ, as math.Frexp does, read off v's bits. A subnormal v is first
+// scaled by 2⁶⁴, which is exact and makes it normal; with no call left in
+// it, split inlines into logRatio's loop.
+func split(v float64) (float64, int) {
+	b, e := math.Float64bits(v), -1022
+	if b>>52 == 0 {
+		b, e = math.Float64bits(v*0x1p64), -1022-64
+	}
+	return math.Float64frombits(b&(1<<52-1) | 1022<<52), int(b>>52) + e
 }
 
 func maxAbsDiag(m *linalg.Dense) float64 {

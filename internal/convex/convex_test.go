@@ -148,6 +148,15 @@ func (o *entropyObjective) Value(x []float64) float64 {
 	return v
 }
 
+func (o *entropyObjective) Change(x, dx []float64, alpha float64) float64 {
+	var v float64
+	for i, xi := range x {
+		u, d := xi+o.eps, alpha*dx[i]
+		v += d*math.Log(u/(o.p[i]+o.eps)) + (u+d)*math.Log1p(d/u) - d
+	}
+	return v
+}
+
 func (o *entropyObjective) Gradient(grad, x []float64) {
 	for i, xi := range x {
 		grad[i] = math.Log((xi + o.eps) / (o.p[i] + o.eps))
@@ -204,6 +213,11 @@ type scaledEntropyPlusLinear struct {
 func (o *scaledEntropyPlusLinear) Value(x []float64) float64 {
 	xi := x[0]
 	return o.a*xi + o.bOverEta*((xi+o.eps)*math.Log((xi+o.eps)/(o.prev+o.eps))-xi)
+}
+
+func (o *scaledEntropyPlusLinear) Change(x, dx []float64, alpha float64) float64 {
+	u, d := x[0]+o.eps, alpha*dx[0]
+	return o.a*d + o.bOverEta*(d*math.Log(u/(o.prev+o.eps))+(u+d)*math.Log1p(d/u)-d)
 }
 
 func (o *scaledEntropyPlusLinear) Gradient(grad, x []float64) {

@@ -2,6 +2,7 @@ package convex
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -9,31 +10,39 @@ import (
 	"soral/internal/obs"
 )
 
-// checkSumLog compares sumLog with the plain sum of m logarithms; the two
-// may differ by the rounding of either, 8·m·eps·(1 + Σ|ln s_r|).
-func checkSumLog(t *testing.T, name string, s []float64) {
-	t.Helper()
-	var want, mag float64
-	for _, v := range s {
-		l := logRef(v)
-		want += l
+// logRatioRef is Σ ln(num_r/den_r) summed from m log1p terms: each value
+// is split exactly by math.Frexp into a mantissa in [½, 1) and an
+// exponent, the mantissas' difference is exact (they are within a factor
+// 2), so ln(fn/fd) = log1p((fn−fd)/fd) is accurate to about eps, even for
+// ratios within a few ulps of 1 and for subnormal values. The terms are
+// summed in 256-bit precision. It also returns Σ|ln(num_r/den_r)|.
+func logRatioRef(num, den []float64) (sum, mag float64) {
+	acc := new(big.Float).SetPrec(256)
+	for r := range num {
+		fn, en := math.Frexp(num[r])
+		fd, ed := math.Frexp(den[r])
+		l := math.Log1p((fn-fd)/fd) + float64(en-ed)*math.Ln2
+		acc.Add(acc, big.NewFloat(l))
 		mag += math.Abs(l)
 	}
-	got := sumLog(s)
-	tol := 8 * float64(len(s)) * 0x1p-52 * (1 + mag)
-	if d := math.Abs(got - want); !(d <= tol) {
-		t.Errorf("%s (m=%d): sumLog %.17g, Σ ln %.17g, |Δ| = %g > %g", name, len(s), got, want, d, tol)
-	}
+	sum, _ = acc.Float64()
+	return sum, mag
 }
 
-// logRef is ln v. A subnormal v is scaled by 2⁶⁴ first, which is exact:
-// math.Log's amd64 assembly returns about ln 2⁻¹⁰²³ for every subnormal
-// (−709.09 for 5e-324, whose logarithm is −744.44).
-func logRef(v float64) float64 {
-	if v < 0x1p-1022 {
-		return math.Log(v*0x1p64) - 64*math.Ln2
+// checkLogRatio compares logRatio with logRatioRef. logRatio rounds each
+// of its m mantissa ratios and m products once, so its logarithm is off by
+// about m·eps, plus eps per unit of the exponent sum; the bound allows
+// 8·eps·(m + 1 + Σ|ln(num_r/den_r)|). Subtracting two sums of logarithms
+// would be off by eps·Σ(|ln num_r| + |ln den_r|), which on slacks far
+// from 1 is well outside it.
+func checkLogRatio(t *testing.T, name string, num, den []float64) {
+	t.Helper()
+	want, mag := logRatioRef(num, den)
+	got := logRatio(num, den)
+	tol := 8 * 0x1p-52 * (float64(len(num)) + 1 + mag)
+	if d := math.Abs(got - want); !(d <= tol) {
+		t.Errorf("%s (m=%d): logRatio %.17g, Σ log1p %.17g, |Δ| = %g > %g", name, len(num), got, want, d, tol)
 	}
-	return math.Log(v)
 }
 
 // logUniform draws n positive values whose binary exponents are uniform in
@@ -52,6 +61,28 @@ func logUniform(rng *rand.Rand, n int, lo, hi int) []float64 {
 	return s
 }
 
+// rayPair draws n slack pairs from rng with den log-uniform in [lo, hi].
+// About half the numerators are a line-search trial's slack, den·(1 − ρ)
+// with |ρ| < 2⁻ᵏ for k from 1 to 60, so their ratios lie between a few ulps
+// and a factor 2 from 1; the others are drawn independently from the same
+// range, so their ratios span it.
+func rayPair(rng *rand.Rand, n, lo, hi int) (num, den []float64) {
+	den = logUniform(rng, n, lo, hi)
+	far := logUniform(rng, n, lo, hi)
+	num = make([]float64, n)
+	for r, d := range den {
+		v := far[r]
+		if rng.Intn(2) == 0 {
+			v = d * (1 - math.Ldexp(2*rng.Float64()-1, -1-rng.Intn(60)))
+		}
+		if !(v > 0) || math.IsInf(v, 0) {
+			v = d
+		}
+		num[r] = v
+	}
+	return num, den
+}
+
 func fill(n int, v float64) []float64 {
 	s := make([]float64, n)
 	for i := range s {
@@ -60,70 +91,81 @@ func fill(n int, v float64) []float64 {
 	return s
 }
 
-// TestSumLogMatchesLogSum checks the line search's one-logarithm barrier
-// term against Σ ln s_r on slacks whose naive product would underflow or
-// overflow: the smallest subnormal, 1e±300, mixed magnitudes, lengths that
-// are not a multiple of the 8-factor renormalization, and m up to 10⁴.
-func TestSumLogMatchesLogSum(t *testing.T) {
+// TestLogRatioMatchesLog1pSum checks the line search's one-logarithm
+// barrier change against a sum of log1p terms: ratios of 1e±300 and
+// beyond the float64 range (1e300 over 1e-300), subnormal slacks over huge
+// ones, ratios within an ulp of 1, lengths that are not a multiple of the
+// 8-factor renormalization, and m up to 10⁴.
+func TestLogRatioMatchesLog1pSum(t *testing.T) {
 	mixed := []float64{5e-324, 1e300, 1e-300, 1.5, 3e-10, 7e12, 1 - 0x1p-53, math.MaxFloat64, 0x1p-1022, 2.5e-320, 0.5}
+	rev := make([]float64, len(mixed))
+	for i, v := range mixed {
+		rev[len(mixed)-1-i] = v
+	}
 	type tc struct {
-		name string
-		s    []float64
+		name     string
+		num, den []float64
 	}
 	cases := []tc{
-		{"one", []float64{1}},
-		{"smallest subnormal", []float64{5e-324}},
-		{"1e-300", []float64{1e-300}},
-		{"1e300", []float64{1e300}},
-		{"mixed", mixed},
-		{"mixed x3", append(append(append([]float64{}, mixed...), mixed...), mixed...)},
-		{"subnormals x7", fill(7, 5e-324)},
-		{"subnormals x9", fill(9, 5e-324)},
-		{"subnormals 1e4", fill(10000, 5e-324)},
-		{"1e300 x13", fill(13, 1e300)},
-		{"1e300 1e4", fill(10000, 1e300)},
-		{"1e-300 1e4", fill(10000, 1e-300)},
-		{"near one 1e4", fill(10000, 1+0x1p-40)},
+		{"empty", nil, nil},
+		{"equal", []float64{3e-9}, []float64{3e-9}},
+		{"1e300 over 1", []float64{1e300}, []float64{1}},
+		{"1e-300 over 1", []float64{1e-300}, []float64{1}},
+		{"1e300 over 1e-300", []float64{1e300}, []float64{1e-300}},
+		{"1e-300 over 1e300", []float64{1e-300}, []float64{1e300}},
+		{"subnormal over 1e300", []float64{5e-324}, []float64{1e300}},
+		{"max over subnormal", []float64{math.MaxFloat64}, []float64{5e-324}},
+		{"subnormal over subnormal", []float64{5e-324}, []float64{2.5e-320}},
+		{"ulp below 1", []float64{1 - 0x1p-53}, []float64{1}},
+		{"ulp above 1", []float64{1 + 0x1p-52}, []float64{1}},
+		{"mixed reversed", mixed, rev},
+		{"subnormals x9 over 1e300", fill(9, 5e-324), fill(9, 1e300)},
+		{"1e300 x13 over 1e-300", fill(13, 1e300), fill(13, 1e-300)},
+		{"1e300 over 1e-300 1e4", fill(10000, 1e300), fill(10000, 1e-300)},
+		{"subnormal over 1e300 1e4", fill(10000, 5e-324), fill(10000, 1e300)},
+		{"near one 1e4", fill(10000, 1e-9*(1+0x1p-40)), fill(10000, 1e-9)},
 	}
 	rng := rand.New(rand.NewSource(16))
 	for _, m := range []int{1, 7, 8, 9, 17, 255, 1000, 9999, 10000} {
-		cases = append(cases,
-			tc{"log-uniform m=" + strconv.Itoa(m), logUniform(rng, m, -1074, 1023)},
-			tc{"barrier-like m=" + strconv.Itoa(m), logUniform(rng, m, -40, 10)})
+		num, den := rayPair(rng, m, -1074, 1023)
+		cases = append(cases, tc{"log-uniform m=" + strconv.Itoa(m), num, den})
+		num, den = rayPair(rng, m, -40, 10)
+		cases = append(cases, tc{"barrier-like m=" + strconv.Itoa(m), num, den})
 	}
 	for _, c := range cases {
-		checkSumLog(t, c.name, c.s)
+		checkLogRatio(t, c.name, c.num, c.den)
 	}
 }
 
-// FuzzBarrierLog checks sumLog against Σ ln s_r on n log-uniform slacks
-// with binary exponents in [lo, hi]. The seed corpus lives under
+// FuzzBarrierLog checks logRatio against the log1p sum on n slack pairs
+// drawn by rayPair with exponents in [lo, hi]. The seed corpus lives under
 // testdata/fuzz/FuzzBarrierLog; `make fuzz` searches beyond it.
 func FuzzBarrierLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, lo, hi int16) {
 		m := 1 + int(n)%10000
-		checkSumLog(t, "fuzz", logUniform(rand.New(rand.NewSource(seed)), m, int(lo), int(hi)))
+		num, den := rayPair(rand.New(rand.NewSource(seed)), m, int(lo), int(hi))
+		checkLogRatio(t, "fuzz", num, den)
 	})
 }
 
-var sumLogSink float64
+var logRatioSink float64
 
-// BenchmarkSumLog compares the line search's barrier term on 200
-// barrier-like slacks with the m logarithms it replaces.
-func BenchmarkSumLog(b *testing.B) {
-	s := logUniform(rand.New(rand.NewSource(1)), 200, -40, 10)
-	b.Run("sumLog", func(b *testing.B) {
+// BenchmarkLogRatio compares the line search's barrier change on 200
+// barrier-like slack pairs with the m log1p terms it replaces.
+func BenchmarkLogRatio(b *testing.B) {
+	num, den := rayPair(rand.New(rand.NewSource(1)), 200, -40, 10)
+	b.Run("logRatio", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sumLogSink = sumLog(s)
+			logRatioSink = logRatio(num, den)
 		}
 	})
-	b.Run("logs", func(b *testing.B) {
+	b.Run("log1p", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var l float64
-			for _, v := range s {
-				l += math.Log(v)
+			for r := range num {
+				l += math.Log1p((num[r] - den[r]) / den[r])
 			}
-			sumLogSink = l
+			logRatioSink = l
 		}
 	})
 }

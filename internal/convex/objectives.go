@@ -15,6 +15,11 @@ type LinearObjective struct {
 // Value implements Objective.
 func (o *LinearObjective) Value(x []float64) float64 { return linalg.Dot(o.C, x) }
 
+// Change implements Objective: α·cᵀdx.
+func (o *LinearObjective) Change(x, dx []float64, alpha float64) float64 {
+	return alpha * linalg.Dot(o.C, dx)
+}
+
 // Gradient implements Objective.
 func (o *LinearObjective) Gradient(grad, x []float64) { copy(grad, o.C) }
 
@@ -42,6 +47,25 @@ func (o *QuadObjective) Value(x []float64) float64 {
 		v += 0.5 * d * x[i] * x[i]
 	}
 	return v
+}
+
+// Change implements Objective: α·(Qx+c)ᵀdx + ½α²·dxᵀQdx, read row by row
+// off Q without a Q·x buffer.
+func (o *QuadObjective) Change(x, dx []float64, alpha float64) float64 {
+	lin := linalg.Dot(o.C, dx)
+	var quad float64
+	if o.Q != nil {
+		for i := 0; i < o.Q.Rows; i++ {
+			row := o.Q.Row(i)
+			lin += dx[i] * linalg.Dot(row, x)
+			quad += dx[i] * linalg.Dot(row, dx)
+		}
+	}
+	for i, d := range o.DiagQ {
+		lin += d * x[i] * dx[i]
+		quad += d * dx[i] * dx[i]
+	}
+	return alpha*lin + 0.5*alpha*alpha*quad
 }
 
 // Gradient implements Objective.
@@ -119,6 +143,30 @@ func (o *Entropic) Value(x []float64) float64 {
 		}
 		s := g.sum(x)
 		v += g.Coef * ((s+g.Eps)*math.Log((s+g.Eps)/math.Max(g.Prev+g.Eps, entDenFloor)) - s)
+	}
+	return v
+}
+
+// Change implements Objective. With u = S+Eps, δ = α·Σ_{k∈Members} dx_k
+// and D = max(Prev+Eps, floor), a group changes by
+//
+//	Coef · ( δ·ln(u/D) + (u+δ)·log1p(δ/u) − δ ),
+//
+// which is the difference of its two values with the common u·ln(u/D)
+// cancelled exactly, so the result is accurate relative to δ rather than
+// to the group's value.
+func (o *Entropic) Change(x, dx []float64, alpha float64) float64 {
+	v := alpha * linalg.Dot(o.Linear, dx)
+	for i := range o.Groups {
+		g := &o.Groups[i]
+		//sorallint:ignore floatcmp Coef = 0 encodes a disabled penalty group; the skip is exact by contract
+		if g.Coef == 0 {
+			continue
+		}
+		u := g.sum(x) + g.Eps
+		d := alpha * g.sum(dx)
+		//sorallint:ignore divguard u = S+Eps > 0 on the entropic domain the barrier keeps x in
+		v += g.Coef * (d*math.Log(u/math.Max(g.Prev+g.Eps, entDenFloor)) + (u+d)*math.Log1p(d/u) - d)
 	}
 	return v
 }

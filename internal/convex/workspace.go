@@ -15,8 +15,8 @@ import (
 type Workspace struct {
 	n, m int
 
-	grad, fullGrad, dx, xTrial []float64 // n-sized
-	slack, slackTrial, gdx     []float64 // m-sized
+	grad, fullGrad, dx     []float64 // n-sized
+	slack, slackTrial, gdx []float64 // m-sized
 
 	ns NewtonSystem
 }
@@ -31,7 +31,6 @@ func (w *Workspace) ensure(n, m int) {
 		w.grad = make([]float64, n)
 		w.fullGrad = make([]float64, n)
 		w.dx = make([]float64, n)
-		w.xTrial = make([]float64, n)
 	}
 	if w.m < m {
 		w.slack = make([]float64, m)

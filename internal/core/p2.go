@@ -12,9 +12,10 @@ import (
 // SolverID names the P2 solver the online pipeline's decisions come from:
 // the barrier method with the per-cloud block map and a product-form border
 // folded into its cells, whose line search carries the slack along the
-// search ray (DESIGN.md §15). Journals record it (journal.Header.Solver), so
-// a change to P2's arithmetic must change it too.
-const SolverID = "convex-barrier/p2-cells-rayslack"
+// search ray and tests the merit's change along it (DESIGN.md §15).
+// Journals record it (journal.Header.Solver), so a change to P2's
+// arithmetic must change it too.
+const SolverID = "convex-barrier/p2-cells-raychange"
 
 // P2 is the regularized subproblem for one time slot, ready to be solved by
 // the convex barrier engine.

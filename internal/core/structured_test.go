@@ -7,6 +7,7 @@ import (
 
 	"soral/internal/convex"
 	"soral/internal/model"
+	"soral/internal/obs"
 )
 
 // structuredCase is one seeded network of the structured-vs-dense gate.
@@ -93,6 +94,53 @@ func TestStructuredNewtonMatchesDense(t *testing.T) {
 				prev = db
 			}
 		})
+	}
+}
+
+// TestColdSolveLineSearchNoStall guards the line search's difference-form
+// merit (DESIGN.md §15). Every slot of the structured gate's 4×12 network
+// is solved from the structured cold start; no barrier stage may run to
+// MaxNewton, and the line search may evaluate at most 1.5 trials per
+// Newton step on average. A test on the difference of two merits of
+// |t·f| ≈ 1e10 backtracks on their rounding late in the path, at several
+// trials per step, and stalls stages at the cap.
+func TestColdSolveLineSearchNoStall(t *testing.T) {
+	opts := DefaultOptions()
+	n, in := structuredCases()[0].build(t)
+	so := opts.Solver
+	so.MaxNewton = 80
+	prev := model.NewZeroDecision(n)
+	steps, trials := 0, 0
+	for tt := 0; tt < in.T; tt++ {
+		p2, err := BuildP2(n, in, tt, prev, opts.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := obs.NewBufferSink()
+		so.Obs = obs.NewScope(nil, sink)
+		res, err := convex.Solve(p2.Prob, p2.warmStart(in, tt), so)
+		if err != nil {
+			t.Fatalf("slot %d: %v", tt, err)
+		}
+		perStage := map[int]int{}
+		for _, e := range sink.Events() {
+			if e.Kind == obs.KindIter && e.Name == "convex.newton" {
+				perStage[e.Stage]++
+				steps++
+				trials += e.Trials
+			}
+		}
+		for stage, k := range perStage {
+			if k >= so.MaxNewton {
+				t.Errorf("slot %d: barrier stage %d took %d Newton steps, the MaxNewton cap", tt, stage, k)
+			}
+		}
+		prev = p2.Extract(res.X)
+	}
+	mean := float64(trials) / float64(steps)
+	t.Logf("%d slots: %d Newton steps, %d trials, %.2f trials per step", in.T, steps, trials, mean)
+	if mean > 1.5 {
+		t.Errorf("%.2f line-search trials per Newton step, want ≤ 1.5", mean)
 	}
 }
 

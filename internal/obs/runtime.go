@@ -33,18 +33,23 @@ var runtimeSamples = []metrics.Sample{
 
 // CollectRuntime samples the Go runtime into reg: goroutine count, live heap
 // bytes, GC pause p99, and the GC cycle counter. Call it per sample tick
-// (the tsdb sampler does).
-func CollectRuntime(reg *Registry) {
+// (the tsdb sampler does). buf is the sample buffer CollectRuntime returned
+// on the previous call, or nil; it is reused together with the runtime's
+// pause histogram inside it, so a call after the first allocates nothing.
+func CollectRuntime(reg *Registry, buf []metrics.Sample) []metrics.Sample {
 	if reg == nil {
-		return
+		return buf
 	}
-	s := make([]metrics.Sample, len(runtimeSamples))
-	copy(s, runtimeSamples)
-	metrics.Read(s)
-	reg.SetGauge(MetricGoroutines, float64(s[0].Value.Uint64()))
-	reg.SetGauge(MetricHeapBytes, float64(s[1].Value.Uint64()))
-	reg.SetGauge(MetricGCPauseP99, histQuantile(s[2].Value.Float64Histogram(), 0.99))
-	reg.SetCounter(MetricGCCycles, int64(s[3].Value.Uint64()))
+	if len(buf) != len(runtimeSamples) {
+		buf = make([]metrics.Sample, len(runtimeSamples))
+		copy(buf, runtimeSamples)
+	}
+	metrics.Read(buf)
+	reg.SetGauge(MetricGoroutines, float64(buf[0].Value.Uint64()))
+	reg.SetGauge(MetricHeapBytes, float64(buf[1].Value.Uint64()))
+	reg.SetGauge(MetricGCPauseP99, histQuantile(buf[2].Value.Float64Histogram(), 0.99))
+	reg.SetCounter(MetricGCCycles, int64(buf[3].Value.Uint64()))
+	return buf
 }
 
 // histQuantile returns the q-quantile upper bucket edge of a runtime/metrics

@@ -9,10 +9,10 @@ import (
 // the registry under their vetted names and flow into the text dump (the
 // /metrics exposition derives from the same snapshot).
 func TestCollectRuntime(t *testing.T) {
-	CollectRuntime(nil) // nil registry is a no-op
+	CollectRuntime(nil, nil) // nil registry is a no-op
 
 	reg := NewRegistry()
-	CollectRuntime(reg)
+	CollectRuntime(reg, nil)
 	if g := reg.Gauge(MetricGoroutines); g < 1 {
 		t.Fatalf("goroutines gauge = %g, want >= 1", g)
 	}

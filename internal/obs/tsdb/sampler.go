@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"context"
+	"runtime/metrics"
 	"time"
 
 	"soral/internal/obs"
@@ -22,8 +23,9 @@ type SourceGauge struct {
 // store; the watch engine hangs off AfterSample so rules always evaluate
 // against a freshly written column.
 //
-// All sampling happens on the goroutine calling Tick (or Run) — the Series
-// write side is single-writer by construction.
+// All sampling happens on the goroutine calling Tick (or Run): the
+// sampler's series caches are not shared. DB and Reg must not change once
+// the sampler has ticked.
 type Sampler struct {
 	DB  *DB
 	Reg *obs.Registry
@@ -37,28 +39,20 @@ type Sampler struct {
 	// (the watch engine's evaluation hook).
 	AfterSample func(tns int64)
 
-	// series caches the store's series by registry name, and hists each
-	// latency histogram's three derived series, so a steady-state tick
-	// builds no names and takes no store lock.
-	series map[string]*Series
-	hists  map[string]*[3]*Series
-}
-
-// seriesFor returns the cached store series for a registry name.
-func (s *Sampler) seriesFor(name string) *Series {
-	sr := s.series[name]
-	if sr == nil {
-		if s.series == nil {
-			s.series = make(map[string]*Series)
-		}
-		sr = s.DB.Series(name)
-		s.series[name] = sr
-	}
-	return sr
+	// counters, gauges and hists hold the store's series of the registry's
+	// metrics by their position in the Each* walks (hists the three derived
+	// series of each latency histogram), so a steady-state tick builds no
+	// names and looks nothing up.
+	counters, gauges []*Series
+	hists            [][3]*Series
+	// rtSamples is obs.CollectRuntime's sample buffer, reused every tick.
+	rtSamples []metrics.Sample
 }
 
 // Tick takes one sample at the given time. Deterministic given the registry
 // state and now — tests and the bench harness drive it with a manual clock.
+// Once every series it writes exists, a tick allocates nothing
+// (TestSamplerTickZeroAlloc).
 func (s *Sampler) Tick(now time.Time) {
 	if s.DB == nil {
 		return
@@ -66,30 +60,9 @@ func (s *Sampler) Tick(now time.Time) {
 	tns := now.UnixNano()
 	if s.Reg != nil {
 		if s.Runtime {
-			obs.CollectRuntime(s.Reg)
+			s.rtSamples = obs.CollectRuntime(s.Reg, s.rtSamples)
 		}
-		// The Each* walks are the registry's sampling path: no Snapshot maps,
-		// so a tick stays microseconds even against a registry a full run
-		// has populated.
-		s.Reg.EachCounter(func(name string, v int64) {
-			s.seriesFor(name).Record(tns, float64(v))
-		})
-		s.Reg.EachGauge(func(name string, v float64) {
-			s.seriesFor(name).Record(tns, v)
-		})
-		s.Reg.EachLatency(func(name string, h *hist.Hist) {
-			hs := s.hists[name]
-			if hs == nil {
-				if s.hists == nil {
-					s.hists = make(map[string]*[3]*Series)
-				}
-				hs = &[3]*Series{s.DB.Series(name + ".p50"), s.DB.Series(name + ".p99"), s.DB.Series(name + ".count")}
-				s.hists[name] = hs
-			}
-			hs[0].Record(tns, h.Quantile(0.50))
-			hs[1].Record(tns, h.Quantile(0.99))
-			hs[2].Record(tns, float64(h.Count()))
-		})
+		s.sampleRegistry(tns)
 	}
 	for _, g := range s.Gauges {
 		if g.Read != nil {
@@ -99,6 +72,44 @@ func (s *Sampler) Tick(now time.Time) {
 	if s.AfterSample != nil {
 		s.AfterSample(tns)
 	}
+}
+
+// sampleRegistry writes every registry metric's point for tns. The Each*
+// walks are the registry's sampling path: no Snapshot maps, and they visit
+// each kind in creation order, so the i-th call of one walk is the same
+// metric every tick. The sampler binds its series by that position and
+// looks a name up only when it first sees it, and it takes the store's
+// points lock once for all the writes.
+func (s *Sampler) sampleRegistry(tns int64) {
+	s.DB.points.Lock()
+	defer s.DB.points.Unlock()
+	i := 0
+	s.Reg.EachCounter(func(name string, v int64) {
+		if i == len(s.counters) {
+			s.counters = append(s.counters, s.DB.Series(name))
+		}
+		s.counters[i].record(tns, float64(v))
+		i++
+	})
+	i = 0
+	s.Reg.EachGauge(func(name string, v float64) {
+		if i == len(s.gauges) {
+			s.gauges = append(s.gauges, s.DB.Series(name))
+		}
+		s.gauges[i].record(tns, v)
+		i++
+	})
+	i = 0
+	s.Reg.EachLatency(func(name string, h *hist.Hist) {
+		if i == len(s.hists) {
+			s.hists = append(s.hists, [3]*Series{s.DB.Series(name + ".p50"), s.DB.Series(name + ".p99"), s.DB.Series(name + ".count")})
+		}
+		hs := &s.hists[i]
+		hs[0].record(tns, h.Quantile(0.50))
+		hs[1].record(tns, h.Quantile(0.99))
+		hs[2].record(tns, float64(h.Count()))
+		i++
+	})
 }
 
 // Run ticks every interval (the DB's resolution when every <= 0) until ctx

@@ -1,10 +1,9 @@
 // Package tsdb is a zero-dependency, fixed-memory, in-process time-series
 // store: one ring buffer per metric, sized by resolution × retention at
-// creation and never growing afterwards. The record path is lock-free and
-// allocation-free (a single writer — the sampler — stores into atomic
-// slots; pinned by TestRecordAllocs), and readers never block the writer:
-// range queries read the ring optimistically and discard any slot the
-// writer lapped mid-read, seqlock style.
+// creation and never growing afterwards. One mutex per store guards every
+// ring's points: the record path is allocation-free (pinned by
+// TestRecordAllocs), the sampler takes the mutex once per tick for all its
+// writes, and a range query holds it only while it copies one ring.
 //
 // The store is deliberately not a database: no files, no compaction, no
 // labels. It exists so a long-lived soral process can answer "what did
@@ -16,31 +15,29 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"soral/internal/obs"
 )
 
-// Series is one metric's ring of sampled points. The write side assumes a
-// single writer (the owning DB's sampler goroutine); reads are safe from any
-// goroutine. Memory is fixed at creation: len(ts) slots, never reallocated.
+// Series is one metric's ring of sampled points, safe for concurrent use:
+// a series of a DB is guarded by the DB's points mutex. Memory is fixed at
+// creation: len(ts) slots, never reallocated.
 type Series struct {
 	name string
-	ts   []atomic.Int64  // Unix-nanosecond sample times
-	vs   []atomic.Uint64 // float64 bits
-	head atomic.Int64    // points ever recorded; slot = (head-1) % len
-	// started counts the points whose write has begun: it runs one ahead of
-	// head while Record is storing a slot, so readers can tell which slots
-	// were being overwritten during their read.
-	started atomic.Int64
+	mu   *sync.Mutex // the owning DB's points mutex
+	ts   []int64     // Unix-nanosecond sample times
+	vs   []float64   // sampled values
+	head int64       // points ever recorded
+	next int         // slot of the next point: head % len(ts)
 }
 
 func newSeries(name string, capacity int) *Series {
 	return &Series{
 		name: name,
-		ts:   make([]atomic.Int64, capacity),
-		vs:   make([]atomic.Uint64, capacity),
+		mu:   new(sync.Mutex),
+		ts:   make([]int64, capacity),
+		vs:   make([]float64, capacity),
 	}
 }
 
@@ -48,24 +45,28 @@ func newSeries(name string, capacity int) *Series {
 func (s *Series) Name() string { return s.name }
 
 // Record appends one point, overwriting the oldest once the ring is full.
-// Lock-free and allocation-free (pinned by TestRecordAllocs); callers must
-// serialize (single writer).
+// Allocation-free (pinned by TestRecordAllocs).
 func (s *Series) Record(tns int64, v float64) {
-	i := s.head.Load()
-	s.started.Store(i + 1)
-	slot := int(i % int64(len(s.ts)))
-	s.ts[slot].Store(tns)
-	s.vs[slot].Store(math.Float64bits(v))
-	s.head.Store(i + 1)
+	s.mu.Lock()
+	s.record(tns, v)
+	s.mu.Unlock()
+}
+
+// record is Record for a caller that holds s.mu.
+func (s *Series) record(tns int64, v float64) {
+	s.ts[s.next] = tns
+	s.vs[s.next] = v
+	s.head++
+	if s.next++; s.next == len(s.ts) {
+		s.next = 0
+	}
 }
 
 // Len returns the number of retained points (≤ capacity).
 func (s *Series) Len() int {
-	n := s.head.Load()
-	if c := int64(len(s.ts)); n > c {
-		return int(c)
-	}
-	return int(n)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return int(min(s.head, int64(len(s.ts))))
 }
 
 // Latest returns the most recent point (false when empty).
@@ -77,40 +78,20 @@ func (s *Series) Latest() (obs.TSPoint, bool) {
 	return pts[len(pts)-1], true
 }
 
-// Since returns the retained points with TNS >= sinceNS, oldest first. The
-// read is optimistic: any slot the writer overwrote mid-read is discarded by
-// re-checking the head afterwards, so a torn point is never returned.
+// Since returns the retained points with TNS >= sinceNS, oldest first.
 func (s *Series) Since(sinceNS int64) []obs.TSPoint {
-	h0 := s.head.Load()
-	if h0 == 0 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.head == 0 {
 		return nil
 	}
 	c := int64(len(s.ts))
-	lo := int64(0)
-	if h0 > c {
-		lo = h0 - c
-	}
-	pts := make([]obs.TSPoint, 0, h0-lo)
-	idx := make([]int64, 0, h0-lo)
-	for i := lo; i < h0; i++ {
-		slot := int(i % c)
-		t := s.ts[slot].Load()
-		v := math.Float64frombits(s.vs[slot].Load())
-		if t >= sinceNS {
-			pts = append(pts, obs.TSPoint{TNS: t, V: v})
-			idx = append(idx, i)
+	lo := max(0, s.head-c)
+	pts := make([]obs.TSPoint, 0, s.head-lo)
+	for i := lo; i < s.head; i++ {
+		if t := s.ts[i%c]; t >= sinceNS {
+			pts = append(pts, obs.TSPoint{TNS: t, V: s.vs[i%c]})
 		}
-	}
-	// Indices the writer lapped during the read (i < s1-c) may be torn.
-	s1 := s.started.Load()
-	if s1-c > lo {
-		keep := pts[:0]
-		for k, i := range idx {
-			if i >= s1-c {
-				keep = append(keep, pts[k])
-			}
-		}
-		pts = keep
 	}
 	return pts
 }
@@ -130,8 +111,9 @@ type Options struct {
 // on first Record through the DB and live for the process lifetime; memory
 // is bounded by (number of distinct metric names) × capacity.
 type DB struct {
-	mu     sync.RWMutex
+	mu     sync.RWMutex // guards the series map
 	series map[string]*Series
+	points sync.Mutex // guards every series' ring
 	cap    int
 	opts   Options
 }
@@ -172,6 +154,7 @@ func (db *DB) Series(name string) *Series {
 	defer db.mu.Unlock()
 	if s = db.series[name]; s == nil {
 		s = newSeries(name, db.cap)
+		s.mu = &db.points
 		db.series[name] = s
 	}
 	return s
