@@ -67,9 +67,10 @@ latency:
 	$(GO) run -race ./cmd/soralbench -exp latency -q
 
 # The warm-start experiment enforces the incremental re-solve contracts end
-# to end: WarmStart-off runs bit-identical to the baseline, warm steady-state
-# slots ≥5× faster at p50 with strictly fewer IPM iterations, and the
-# digest-keyed decision cache engaging on repeated inputs. It runs under the
+# to end: runs bit-identical from repeat to repeat, warm steady-state slots
+# taking at most half the cold path's mean Newton steps (a deterministic
+# count) and strictly fewer on every warm slot, warm p50 below cold p50, and
+# the digest-keyed decision cache engaging on repeated inputs. It runs under the
 # race detector because the warm path threads SolveState through the same
 # solver goroutines the latency experiment exercises. See DESIGN.md §13.
 warmstart:
@@ -86,23 +87,26 @@ warmstart:
 watch:
 	$(GO) run -race ./cmd/soralbench -exp watch -q
 
-# Time-boxed fuzzing of the barrier solver, 5 s per target: the structured
-# Newton step against the dense one (random block maps with in-block rows,
+# Time-boxed fuzzing, 10 s over three targets: the structured Newton step
+# against the dense one (4 s; random block maps with in-block rows,
 # cross-block rows and cross-block entropic groups, each solved with its
 # block map and with the map cleared; both must converge to the same
-# objective), and the line search's one-logarithm barrier change against a
-# sum of log1p terms on slack pairs from subnormal to huge (DESIGN.md §15).
-# Plain `go test` replays the committed seed corpora under
-# internal/convex/testdata/fuzz; this target searches beyond them.
+# objective), the line search's one-logarithm barrier change against a sum
+# of log1p terms on slack pairs from subnormal to huge (3 s; DESIGN.md §15),
+# and the journal's hand-written slot and state encoders against
+# json.Marshal, byte for byte (3 s; DESIGN.md §10). Plain `go test` replays
+# the committed seed corpora under internal/convex/testdata/fuzz and
+# internal/obs/journal/testdata/fuzz; this target searches beyond them.
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzNewtonBlockVsDense$$' -fuzztime=5s ./internal/convex
-	$(GO) test -run='^$$' -fuzz='^FuzzBarrierLog$$' -fuzztime=5s ./internal/convex
+	$(GO) test -run='^$$' -fuzz='^FuzzNewtonBlockVsDense$$' -fuzztime=4s ./internal/convex
+	$(GO) test -run='^$$' -fuzz='^FuzzBarrierLog$$' -fuzztime=3s ./internal/convex
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalRecordEncoding$$' -fuzztime=3s ./internal/obs/journal
 
 # The gate used before merging: static checks (vet plus the sorallint
 # invariants) and the full suite under the race detector (the parallel
 # kernels and the fault-injection trip counter are the concurrency-sensitive
 # paths), plus the focused telemetry and parallel-kernel race passes and the
-# crash/recovery chaos schedules, and the barrier solver's two fuzz targets.
+# crash/recovery chaos schedules, and the three fuzz targets.
 check: vet lint lint-self race obs-serve kernels-race chaos latency warmstart watch fuzz
 
 bench:

@@ -16,14 +16,12 @@
 // parse error.
 //
 // Experiments: fig4 fig5 fig6 fig7 fig8 fig9 fig10 table1 table2 vshape all,
-// plus five that are not part of all: lint (per-package sorallint wall time,
-// for tracking the cost of the static-analysis gate alongside the solver
-// benchmarks; must run from inside the module source tree), kernels
-// (serial-vs-parallel timings of the structured linear-algebra kernels with a
-// bit-identity check, written as BENCH_kernels.json under -json), chaos
+// plus five that are not part of all: kernels (serial-vs-parallel timings
+// of the structured linear-algebra kernels with a bit-identity check,
+// written as BENCH_kernels.json under -json), chaos
 // (seeded deterministic crash/recovery fault schedules — process kills, torn
 // writes, transient solver faults — each asserting the recovered run is
-// bit-identical to the uninterrupted one; written as BENCH_chaos.json), and
+// bit-identical to the uninterrupted one; written as BENCH_chaos.json),
 // latency (per-phase p50/p99/p999 of the online pipeline from the
 // log-bucketed latency histograms, written as BENCH_latency.json),
 // warmstart (cold-vs-warm steady-state slot latency and solver-iteration
@@ -47,11 +45,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
-	"soral/internal/analysis"
 	"soral/internal/eval"
 	"soral/internal/obs"
 	"soral/internal/obs/journal"
@@ -63,7 +59,7 @@ import (
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|fig8|fig9|fig10|table1|table2|vshape|lint|kernels|chaos|latency|warmstart|watch|all")
+		expFlag   = flag.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|fig8|fig9|fig10|table1|table2|vshape|kernels|chaos|latency|warmstart|watch|all")
 		scaleFlag = flag.String("scale", "small", "scenario scale: small|medium|paper")
 		csvDir    = flag.String("csv", "", "also write each table as CSV into this directory")
 		seriesOut = flag.String("series", "", "write the raw demand traces as CSV to this file (with -exp fig4)")
@@ -204,15 +200,6 @@ func main() {
 		"table2": func() (*eval.Table, error) { return eval.Table2(), nil },
 		"vshape": eval.AdversarialVShape,
 	}
-	var lintRes *analysis.Result
-	exps["lint"] = func() (*eval.Table, error) {
-		res, err := analysis.Run(analysis.RunConfig{Dir: "."})
-		if err != nil {
-			return nil, err
-		}
-		lintRes = res
-		return lintTable(res), nil
-	}
 	// Experiments with their own per-configuration entries leave them here;
 	// every other experiment is recorded as one entry of its own name.
 	reports := map[string]*eval.Bench{}
@@ -282,11 +269,7 @@ func main() {
 		if *jsonDir != "" {
 			rep := reports[name]
 			if rep == nil {
-				var lint *analysis.Result
-				if name == "lint" {
-					lint = lintRes
-				}
-				rep = experimentBench(name, elapsed, before, reg.Snapshot(), lint)
+				rep = experimentBench(name, elapsed, before, reg.Snapshot())
 			}
 			if err := writeBench(*jsonDir, name, rep); err != nil {
 				fatal(err)
@@ -380,55 +363,11 @@ func compareMain(args []string, threshold float64) {
 	}
 }
 
-// lintTable renders a lint run as the common table shape so -csv and the
-// terminal output work like any other experiment.
-func lintTable(res *analysis.Result) *eval.Table {
-	tbl := &eval.Table{
-		Title:  "sorallint — per-package static-analysis cost",
-		Header: []string{"package", "files", "analyze(ms)", "findings"},
-	}
-	for _, p := range res.Packages {
-		tbl.Rows = append(tbl.Rows, []string{
-			p.Path,
-			fmt.Sprintf("%d", p.Files),
-			fmt.Sprintf("%.2f", float64(p.Duration.Nanoseconds())/1e6),
-			fmt.Sprintf("%d", len(p.Diagnostics)),
-		})
-	}
-	tbl.Rows = append(tbl.Rows, []string{
-		"(load+typecheck)", "",
-		fmt.Sprintf("%.2f", float64(res.LoadDuration.Nanoseconds())/1e6),
-		fmt.Sprintf("%d total", len(res.Diagnostics)),
-	})
-	for _, check := range sortedKeys(res.Analyzers) {
-		tbl.Rows = append(tbl.Rows, []string{
-			"(analyzer) " + check, "",
-			fmt.Sprintf("%.2f", float64(res.Analyzers[check].Nanoseconds())/1e6),
-			"",
-		})
-	}
-	return tbl
-}
-
-// sortedKeys returns the map's keys in alphabetical order so the table and
-// JSON output stay deterministic across runs.
-func sortedKeys(m map[string]time.Duration) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // experimentBench records one experiment run as a single entry named after
 // it: its wall time as ns_per_op and the solver-iteration counters' deltas
-// over the run, attributing the work to the stages that performed it. A
-// lint run adds the per-package and per-analyzer sorallint wall times
-// (lint_packages.<pkg>, lint_analyzers.<check>) and the one-off load cost.
-// The run count (iters, always 1) and the surviving lint finding count are
-// info, not regression axes.
-func experimentBench(name string, elapsed time.Duration, before, after obs.Snapshot, lint *analysis.Result) *eval.Bench {
+// over the run, attributing the work to the stages that performed it. The
+// run count (iters, always 1) is info, not a regression axis.
+func experimentBench(name string, elapsed time.Duration, before, after obs.Snapshot) *eval.Bench {
 	info := map[string]float64{"iters": 1}
 	m := map[string]float64{
 		"ns_per_op": float64(elapsed.Nanoseconds()),
@@ -442,16 +381,6 @@ func experimentBench(name string, elapsed time.Duration, before, after obs.Snaps
 		if d := v - before.Counters[k]; d != 0 {
 			m["solver_iterations."+k] = float64(d)
 		}
-	}
-	if lint != nil {
-		for _, p := range lint.Packages {
-			m["lint_packages."+p.Path] = float64(p.Duration.Nanoseconds())
-		}
-		for check, d := range lint.Analyzers {
-			m["lint_analyzers."+check] = float64(d.Nanoseconds())
-		}
-		m["lint_load_ns"] = float64(lint.LoadDuration.Nanoseconds())
-		info["lint_findings"] = float64(len(lint.Diagnostics))
 	}
 	return &eval.Bench{BenchEnv: eval.HostEnv(), Results: []eval.BenchEntry{{Name: name, Metrics: m, Info: info}}}
 }

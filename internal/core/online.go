@@ -174,10 +174,10 @@ func (o *Online) Step() (*model.Decision, error) {
 	}
 	slotScope := o.Opts.Obs.Slot(o.t)
 	span := slotScope.StartSpan("core.slot")
-	var cacheKey string
+	var key cacheKey
 	if o.state != nil {
-		cacheKey = o.state.cacheKey(o.In, o.t, o.prev)
-		if dec, digest, ok := o.state.lookup(cacheKey); ok {
+		key = o.state.cacheKey(o.In, o.t, o.prev)
+		if dec, digest, ok := o.state.lookup(key); ok {
 			// Digest-keyed cache hit: an earlier slot already solved this
 			// exact (inputs, previous decision) pair, so the committed
 			// decision is bit-identical to what a fresh solve would return.
@@ -186,7 +186,7 @@ func (o *Online) Step() (*model.Decision, error) {
 			sr := SlotReport{Slot: o.t, Rung: RungCache, Warm: true}
 			sr.Duration = span.End()
 			o.report.Slots = append(o.report.Slots, sr)
-			o.recordCommit(dec, sr)
+			o.recordCommit(dec, sr, key.inputs, digest)
 			o.state.prevDigest = digest
 			o.prev = dec
 			o.t++
@@ -258,11 +258,13 @@ func (o *Online) Step() (*model.Decision, error) {
 	sr.Duration = span.End()
 	sr.Iterations = int(slotScope.CounterValue(obs.MetricSolverIters) - itersBefore)
 	o.report.Slots = append(o.report.Slots, sr)
-	o.recordCommit(dec, sr)
+	digest := o.recordCommit(dec, sr, key.inputs, "")
 	if o.state != nil {
-		digest := journal.Digest(dec.X, dec.Y, dec.Z)
+		if digest == "" {
+			digest = journal.Digest(dec.X, dec.Y, dec.Z)
+		}
 		if sr.Status == SlotOK {
-			o.state.store(cacheKey, dec, digest)
+			o.state.store(key, dec, digest)
 		}
 		o.state.prevDigest = digest
 		slotScope.SetGauge(obs.MetricWarmCacheSize, float64(o.state.size()))
@@ -275,11 +277,14 @@ func (o *Online) Step() (*model.Decision, error) {
 // recordCommit feeds the flight recorder, the health tracker, and the cost
 // attribution at the moment slot sr.Slot commits decision dec (o.prev still
 // holds the previous slot's decision). All sinks are nil-safe, so the fully
-// disabled path costs a few branches.
-func (o *Online) recordCommit(dec *model.Decision, sr SlotReport) {
+// disabled path costs a few branches. inputsDigest and decisionDigest are
+// the slot's digests when the caller already holds them ("" otherwise), so
+// each is computed at most once per slot; recordCommit returns the decision
+// digest it journaled ("" when it journaled nothing).
+func (o *Online) recordCommit(dec *model.Decision, sr SlotReport, inputsDigest, decisionDigest string) string {
 	o.Opts.Health.RecordSlot(sr.Slot, sr.Status.String())
 	if o.Opts.Journal == nil && o.Opts.Obs == nil {
-		return
+		return ""
 	}
 	commitSpan := o.Opts.Obs.Slot(sr.Slot).StartSpan("core.commit")
 	defer commitSpan.End()
@@ -295,9 +300,14 @@ func (o *Online) recordCommit(dec *model.Decision, sr SlotReport) {
 	sc.SetGauge("attr.competitive_ratio", sum.CompetitiveRatio)
 	sc.SetGauge("attr.slot_slack", sa.Slack)
 	if o.Opts.Journal == nil {
-		return
+		return ""
 	}
-	decisionDigest := journal.Digest(dec.X, dec.Y, dec.Z)
+	if inputsDigest == "" {
+		inputsDigest = InputsDigest(o.In, sr.Slot)
+	}
+	if decisionDigest == "" {
+		decisionDigest = journal.Digest(dec.X, dec.Y, dec.Z)
+	}
 	ja := JournalAttr(sa)
 	if sr.Warm && sr.SolveIters > 0 {
 		// The per-slot cold-vs-warm iteration delta replay reconciles: the
@@ -308,9 +318,13 @@ func (o *Online) recordCommit(dec *model.Decision, sr SlotReport) {
 			ja.ColdRefIters = o.state.lastColdIters
 		}
 	}
-	o.Opts.Journal.Slot(journal.SlotRecord{
+	// The slot record and the checkpoint of the restartable state behind it
+	// are one commit (one write, one fsync), so a crashed run resumes from
+	// here instead of re-solving its prefix (Online.Restore reverses the
+	// checkpoint).
+	o.Opts.Journal.Commit(journal.SlotRecord{
 		Slot:           sr.Slot,
-		InputsDigest:   InputsDigest(o.In, sr.Slot),
+		InputsDigest:   inputsDigest,
 		DecisionDigest: decisionDigest,
 		AllocCost:      sa.Breakdown.Allocation(),
 		ReconfCost:     sa.Breakdown.Reconfiguration(),
@@ -320,14 +334,11 @@ func (o *Online) recordCommit(dec *model.Decision, sr SlotReport) {
 		Iters:          sr.Iterations,
 		Warm:           sr.Warm,
 		Attr:           ja,
-	})
-	// Checkpoint the restartable state right behind the slot it commits, so
-	// a crashed run resumes from here instead of re-solving its prefix
-	// (Online.Restore reverses this record).
-	o.Opts.Journal.State(journal.StateRecord{
+	}, journal.StateRecord{
 		Slot: sr.Slot, X: dec.X, Y: dec.Y, Z: dec.Z,
 		DecisionDigest: decisionDigest,
 	})
+	return decisionDigest
 }
 
 // PrimeAttribution seeds the run's attribution tracker from a journaled

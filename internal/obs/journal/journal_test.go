@@ -68,7 +68,7 @@ func TestJournalGolden(t *testing.T) {
 		},
 	})
 	stateX, stateY, stateZ := []float64{4, 5}, []float64{0.25}, []float64{1.5, 0}
-	w.Slot(SlotRecord{
+	w.Commit(SlotRecord{
 		Slot:           1,
 		InputsDigest:   sampleDigest(3),
 		DecisionDigest: Digest(stateX, stateY, stateZ),
@@ -78,8 +78,7 @@ func TestJournalGolden(t *testing.T) {
 		Rung:           "carry-forward",
 		DurNS:          2500000,
 		Iters:          17,
-	})
-	w.State(StateRecord{
+	}, StateRecord{
 		Slot: 1, X: stateX, Y: stateY, Z: stateZ,
 		DecisionDigest: Digest(stateX, stateY, stateZ),
 	})
@@ -193,9 +192,7 @@ func restamp(b []byte) []byte {
 		content := bytes.TrimSuffix(line, []byte("\n"))
 		if i := bytes.LastIndex(content, crcMarker); i >= 0 {
 			payload := append(append([]byte{}, content[:i]...), '}')
-			content = append(append([]byte{}, content[:i]...), crcMarker...)
-			content = append(content, Checksum(payload)...)
-			content = append(content, '"', '}')
+			content = bytes.TrimSuffix(sealLine(payload, 0), []byte("\n"))
 		}
 		out = append(out, content...)
 		if bytes.HasSuffix(line, []byte("\n")) {

@@ -19,8 +19,8 @@ func footerless(n int) []byte {
 	for i := 0; i < n; i++ {
 		x, y, z := []float64{float64(i)}, []float64{1}, []float64{2}
 		d := Digest(x, y, z)
-		w.Slot(SlotRecord{Slot: i, InputsDigest: sampleDigest(float64(i)), DecisionDigest: d, Status: StatusOK})
-		w.State(StateRecord{Slot: i, X: x, Y: y, Z: z, DecisionDigest: d})
+		w.Commit(SlotRecord{Slot: i, InputsDigest: sampleDigest(float64(i)), DecisionDigest: d, Status: StatusOK},
+			StateRecord{Slot: i, X: x, Y: y, Z: z, DecisionDigest: d})
 	}
 	if err := w.Err(); err != nil {
 		panic(err)
@@ -220,13 +220,21 @@ func (s *countSyncer) Sync() error {
 }
 
 func TestSyncPolicyApplied(t *testing.T) {
-	record := func(p SyncPolicy, slots int) int {
+	// record journals a header, slots slot commits and a footer, each commit
+	// either a lone Slot record or a Commit (slot record plus its state
+	// checkpoint in one write), and returns the number of fsyncs.
+	record := func(p SyncPolicy, slots int, commit bool) int {
 		var buf bytes.Buffer
 		s := &countSyncer{}
 		w := NewWriter(&buf).WithSync(s, p)
 		w.Begin(Header{Algorithm: "online", GoMaxProcs: 1, Workers: 1})
 		for i := 0; i < slots; i++ {
-			w.Slot(SlotRecord{Slot: i, InputsDigest: sampleDigest(1), DecisionDigest: sampleDigest(2), Status: StatusOK})
+			sr := SlotRecord{Slot: i, InputsDigest: sampleDigest(1), DecisionDigest: sampleDigest(2), Status: StatusOK}
+			if commit {
+				w.Commit(sr, StateRecord{Slot: i, X: []float64{1}, DecisionDigest: sampleDigest(2)})
+			} else {
+				w.Slot(sr)
+			}
 		}
 		w.End(Footer{})
 		if err := w.Err(); err != nil {
@@ -234,21 +242,38 @@ func TestSyncPolicyApplied(t *testing.T) {
 		}
 		return s.n
 	}
-	// every-record: header + 3 slots + footer.
-	if n := record(SyncEveryRecord(), 3); n != 5 {
-		t.Fatalf("every-record synced %d times, want 5", n)
+	cases := []struct {
+		name   string
+		p      SyncPolicy
+		commit bool
+		want   int
+	}{
+		// every-record: header + 3 slots + footer.
+		{"every-record/slot", SyncEveryRecord(), false, 5},
+		// on-commit: 3 slots + footer (header rides with the first commit).
+		{"on-commit/slot", SyncOnCommit(), false, 4},
+		// every-2: records 2 and 4 of 5, plus the forced footer sync.
+		{"every-2/slot", SyncEveryN(2), false, 3},
+		// never: the footer alone is still forced durable.
+		{"never/slot", SyncPolicy{}, false, 1},
+		// A Commit's two records share one write and at most one fsync.
+		// every-record: header, one per commit, footer.
+		{"every-record/commit", SyncEveryRecord(), true, 5},
+		// on-commit: one per commit plus the footer.
+		{"on-commit/commit", SyncOnCommit(), true, 4},
+		// every-2 counts records: header+commit reaches 3, then each commit
+		// reaches 2; the footer's count of 1 is synced by End.
+		{"every-2/commit", SyncEveryN(2), true, 4},
+		// every-5: records 1+2+2 reach 5 at the second commit; the third
+		// commit and the footer are synced by End.
+		{"every-5/commit", SyncEveryN(5), true, 2},
+		// never: the footer alone.
+		{"never/commit", SyncPolicy{}, true, 1},
 	}
-	// on-commit: 3 slots + footer (header rides with the first commit).
-	if n := record(SyncOnCommit(), 3); n != 4 {
-		t.Fatalf("on-commit synced %d times, want 4", n)
-	}
-	// every-2: records 2 and 4 of 5, plus the forced footer sync.
-	if n := record(SyncEveryN(2), 3); n != 3 {
-		t.Fatalf("every-2 synced %d times, want 3", n)
-	}
-	// never: the footer alone is still forced durable.
-	if n := record(SyncPolicy{}, 3); n != 1 {
-		t.Fatalf("no-policy synced %d times, want 1 (footer)", n)
+	for _, tc := range cases {
+		if n := record(tc.p, 3, tc.commit); n != tc.want {
+			t.Errorf("%s synced %d times, want %d", tc.name, n, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,17 +21,22 @@ type Syncer interface {
 // never syncs (the pre-durability behavior: buffered writes, OS-scheduled
 // flushes).
 type SyncPolicy struct {
-	// Every fsyncs after every Nth record (1 = after every record, 0 =
-	// disabled). The footer always syncs regardless, so a finished run is
-	// durable the moment End returns.
+	// Every fsyncs once the records written since the last fsync reach N
+	// (1 = after every write, 0 = disabled). A Commit's two records count
+	// as two but share one write, so they get at most one fsync. The footer
+	// always syncs regardless, so a finished run is durable the moment End
+	// returns.
 	Every int
-	// OnCommit fsyncs after every slot, state, and footer record — the
-	// commit points of the online run. The header may sit in the page cache
-	// until the first slot commits, but no committed decision is ever lost.
+	// OnCommit fsyncs at the commit points of the online run: once after
+	// each Commit (a slot record and its state checkpoint, written
+	// together), once after each lone Slot record, and after the footer.
+	// The header may sit in the page cache until the first slot commits, but
+	// no committed decision is ever lost.
 	OnCommit bool
 }
 
-// SyncEveryRecord returns the strictest policy: one fsync per record.
+// SyncEveryRecord returns the strictest policy: one fsync per write (a
+// Commit's slot and state records are one write).
 func SyncEveryRecord() SyncPolicy { return SyncPolicy{Every: 1} }
 
 // SyncOnCommit returns the default durable policy: fsync at commit points.
@@ -60,10 +66,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 
 // Writer appends journal records as JSONL, each line carrying a trailing
 // crc32c checksum over the rest of the record. All methods serialize on one
-// mutex and each record reaches the underlying io.Writer in a single Write
-// call, so a writer shared by parallel solver goroutines (Workers > 1)
-// never interleaves or tears lines. The first error — a write or sync
-// failure or a protocol misuse (slot before header, two headers, record
+// mutex and each call reaches the underlying io.Writer in a single Write
+// (Commit's two lines together), so a writer shared by parallel solver
+// goroutines (Workers > 1) never interleaves or tears lines. The first
+// error — a write or sync failure or a protocol misuse (slot before header, two headers, record
 // after footer) — is latched, reported through the OnError hook, and all
 // subsequent records are dropped; check Err after the run. The nil *Writer
 // is the disabled state: every method is a no-op, so instrumented code
@@ -90,6 +96,10 @@ type Writer struct {
 	// droppedAlerts counts Alert calls landing outside a Begin/End window
 	// (watchdog transitions with no run to attribute them to).
 	droppedAlerts int
+
+	// line is the buffer each call builds its lines in, kept between calls
+	// so a steady run commits its slots without allocating.
+	line []byte
 }
 
 // DroppedAlerts reports how many alert records were dropped because they
@@ -190,9 +200,9 @@ func (w *Writer) latch(err error) {
 	}
 }
 
-// write marshals one record to a single line, appending the crc field over
-// the marshaled payload. Caller holds w.mu; rec's CRC field must be empty so
-// it is omitted from the payload.
+// write marshals one once-per-run record (header, footer, alert) to a single
+// line, appending the crc field over the marshaled payload. Caller holds
+// w.mu; rec's CRC field must be empty so it is omitted from the payload.
 func (w *Writer) write(rec any, commit bool) {
 	if w.err != nil {
 		return
@@ -202,33 +212,39 @@ func (w *Writer) write(rec any, commit bool) {
 		w.latch(err)
 		return
 	}
-	crc := Checksum(payload)
-	line := make([]byte, 0, len(payload)+len(crcMarker)+len(crc)+3)
-	line = append(line, payload[:len(payload)-1]...)
-	line = append(line, crcMarker...)
-	line = append(line, crc...)
-	line = append(line, '"', '}', '\n')
+	w.line = sealLine(append(w.line[:0], payload...), 0)
+	w.emit(w.line, 1, commit)
+}
+
+// emit writes buf, n complete record lines, to the underlying writer in one
+// Write, applies the sync policy once for all of them, and tees each line
+// into the feed. Caller holds w.mu.
+func (w *Writer) emit(buf []byte, n int, commit bool) {
 	if w.w != nil {
-		if _, err := w.w.Write(line); err != nil {
+		if _, err := w.w.Write(buf); err != nil {
 			w.latch(err)
 			return
 		}
-		w.maybeSync(commit)
+		w.maybeSync(n, commit)
 	}
 	if w.feed != nil {
-		w.feed.Publish(line)
+		for len(buf) > 0 {
+			i := bytes.IndexByte(buf, '\n') + 1
+			w.feed.Publish(buf[:i])
+			buf = buf[i:]
+		}
 	}
 }
 
-// maybeSync applies the sync policy after one record reached the underlying
-// writer. Caller holds w.mu.
-func (w *Writer) maybeSync(commit bool) {
+// maybeSync applies the sync policy after n records reached the underlying
+// writer in one Write. Caller holds w.mu.
+func (w *Writer) maybeSync(n int, commit bool) {
 	if w.syncer == nil || w.err != nil {
 		return
 	}
 	due := commit && w.policy.OnCommit
 	if w.policy.Every > 0 {
-		w.sinceSync++
+		w.sinceSync += n
 		if w.sinceSync >= w.policy.Every {
 			due = true
 		}
@@ -261,47 +277,97 @@ func (w *Writer) Begin(h Header) {
 	w.write(h, false)
 }
 
-// Slot appends one slot record. The writer stamps Kind and TimeNS.
+// Slot appends one slot record without a state checkpoint (post-hoc
+// recordings; the online run uses Commit). The writer stamps Kind and
+// TimeNS.
 func (w *Writer) Slot(r SlotRecord) {
 	if w == nil {
 		return
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err == nil && (!w.opened || w.closed) {
-		w.latch(fmt.Errorf("journal: Slot outside a Begin/End window"))
+	if !w.openSlot(r.Status, "Slot") {
 		return
 	}
-	w.slots++
-	switch r.Status {
-	case StatusRecovered:
-		w.recovered++
-	case StatusDegraded:
-		w.degraded++
+	b, err := w.appendSlot(w.line[:0], &r)
+	w.line = b
+	if err != nil {
+		w.latch(err)
+		return
 	}
-	r.Kind = KindSlot
-	r.TimeNS = w.now().UnixNano()
-	r.CRC = ""
-	w.write(r, true)
+	w.emit(b, 1, true)
 }
 
-// State appends one state checkpoint. The writer stamps Kind and TimeNS; the
-// caller supplies the slot index, decision vectors, and digest (core writes
-// one right after each committed slot's record).
-func (w *Writer) State(r StateRecord) {
+// Commit appends one committed slot: its slot record and, right behind it,
+// the state checkpoint a crashed run resumes from. Both lines reach the
+// underlying writer in one Write, followed by at most one fsync — the
+// slot+state pair is the run's commit point. The writer stamps Kind and
+// TimeNS on both records; the caller supplies the rest (core writes one
+// Commit per decided slot). A record that cannot be encoded (a NaN or ±Inf
+// value) latches an error and writes neither line.
+func (w *Writer) Commit(slot SlotRecord, state StateRecord) {
 	if w == nil {
 		return
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err == nil && (!w.opened || w.closed) {
-		w.latch(fmt.Errorf("journal: State outside a Begin/End window"))
+	if !w.openSlot(slot.Status, "Commit") {
 		return
 	}
+	b, err := w.appendSlot(w.line[:0], &slot)
+	if err == nil {
+		b, err = w.appendState(b, &state)
+	}
+	w.line = b
+	if err != nil {
+		w.latch(err)
+		return
+	}
+	w.emit(b, 2, true)
+}
+
+// openSlot checks that a slot may be written (called by op) and tallies its
+// status for the footer. It reports whether the record should be encoded.
+// Caller holds w.mu.
+func (w *Writer) openSlot(status, op string) bool {
+	if w.err == nil && (!w.opened || w.closed) {
+		w.latch(fmt.Errorf("journal: %s outside a Begin/End window", op))
+		return false
+	}
+	w.slots++
+	switch status {
+	case StatusRecovered:
+		w.recovered++
+	case StatusDegraded:
+		w.degraded++
+	}
+	return w.err == nil
+}
+
+// appendSlot stamps r and appends its sealed line to b. Caller holds w.mu.
+func (w *Writer) appendSlot(b []byte, r *SlotRecord) ([]byte, error) {
+	r.Kind = KindSlot
+	r.TimeNS = w.now().UnixNano()
+	r.CRC = ""
+	start := len(b)
+	b, err := r.appendJSON(b)
+	if err != nil {
+		return b, err
+	}
+	return sealLine(b, start), nil
+}
+
+// appendState stamps r and appends its sealed line to b. Caller holds w.mu.
+func (w *Writer) appendState(b []byte, r *StateRecord) ([]byte, error) {
 	r.Kind = KindState
 	r.TimeNS = w.now().UnixNano()
 	r.CRC = ""
-	w.write(r, true)
+	start := len(b)
+	b, err := r.appendJSON(b)
+	if err != nil {
+		return b, err
+	}
+	return sealLine(b, start), nil
 }
 
 // Alert appends one watchdog alert record. The writer stamps Kind and
