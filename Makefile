@@ -11,10 +11,9 @@ test:
 vet:
 	$(GO) vet -all ./...
 
-# Project-specific invariants: the eight per-package checks (float
+# Project-specific invariants: the seven per-package checks (float
 # comparisons, division guards, map-order determinism, context plumbing,
-# telemetry nil-safety, dropped kernel errors, bare-sleep retries, metric
-# names; DESIGN.md §7). Whole-program contracts (allocation-free hot
+# telemetry nil-safety, dropped kernel errors, metric names; DESIGN.md §7). Whole-program contracts (allocation-free hot
 # loops, goroutine exit, lock copies, determinism) are pinned by tests and
 # vet instead (DESIGN.md §12).
 # -strict-suppress turns stale //sorallint:ignore directives into errors so
@@ -51,10 +50,10 @@ kernels-race:
 	$(GO) test -race -shuffle=on -count=2 ./internal/linalg/... ./internal/lp/... ./internal/staircase/... ./internal/control/...
 
 # The chaos harness drives the seeded crash/recovery fault schedules
-# (process kills, torn writes, transient solver faults) and asserts every
+# (process kills, torn writes, resume edge cases) and asserts every
 # recovery path is bit-identical to the uninterrupted run; it runs under the
 # race detector because recovery interleaves the resume solve loop with the
-# journal writer and the supervisor's retry bookkeeping. See DESIGN.md §10.
+# journal writer. See DESIGN.md §10.
 chaos:
 	$(GO) run -race ./cmd/soralbench -exp chaos
 

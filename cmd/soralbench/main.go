@@ -20,7 +20,7 @@
 // of the structured linear-algebra kernels with a bit-identity check,
 // written as BENCH_kernels.json under -json), chaos
 // (seeded deterministic crash/recovery fault schedules — process kills, torn
-// writes, transient solver faults — each asserting the recovered run is
+// writes, resume edge cases — each asserting the recovered run is
 // bit-identical to the uninterrupted one; written as BENCH_chaos.json),
 // latency (per-phase p50/p99/p999 of the online pipeline from the
 // log-bucketed latency histograms, written as BENCH_latency.json),

@@ -1,4 +1,4 @@
-// Command sorallint runs the soral static-analysis suite: eight
+// Command sorallint runs the soral static-analysis suite: seven
 // per-package analyzers enforcing the numerical, determinism, and
 // concurrency invariants of the solver stack (see internal/analysis and
 // DESIGN.md §7). Contracts that need a whole-program view (allocation-free

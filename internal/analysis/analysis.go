@@ -9,10 +9,10 @@
 // concurrency invariants the paper's guarantees rest on: no raw float
 // equality, no unguarded float division, no order-dependent map iteration,
 // context propagation through solver entry points, nil-safe *obs.Scope use,
-// no dropped factorization/solve errors, and no bare time.Sleep retry loops.
+// no dropped factorization/solve errors, and well-formed metric names that
+// keep one kind each.
 //
-// cmd/sorallint is the command-line driver; cmd/soralbench reuses the same
-// entry points to track analysis cost alongside solver benchmarks.
+// cmd/sorallint runs the suite from the command line.
 package analysis
 
 import (
@@ -116,7 +116,6 @@ func Analyzers() []*Analyzer {
 		MapOrder,
 		MetricName,
 		ScopeNil,
-		SleepRetry,
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	return all

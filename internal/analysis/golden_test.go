@@ -126,15 +126,13 @@ func TestCtxFlowGolden(t *testing.T)  { runGolden(t, "ctxflow") }
 func TestScopeNilGolden(t *testing.T) { runGolden(t, "scopenil") }
 func TestErrDropGolden(t *testing.T)  { runGolden(t, "errdrop") }
 
-func TestSleepRetryGolden(t *testing.T) { runGolden(t, "sleepretry") }
-
 func TestMetricNameGolden(t *testing.T) { runGolden(t, "metricname") }
 
 // TestRegistry pins the registry: sorted, unique, documented.
 func TestRegistry(t *testing.T) {
 	all := Analyzers()
-	if len(all) != 8 {
-		t.Fatalf("registry has %d analyzers, want 8", len(all))
+	if len(all) != 7 {
+		t.Fatalf("registry has %d analyzers, want 7", len(all))
 	}
 	seen := map[string]bool{}
 	for i, a := range all {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"soral/internal/convex"
@@ -42,14 +41,6 @@ type Options struct {
 	// Health, when non-nil, tracks the run's degradation state for the
 	// /healthz exposition endpoint. Nil disables tracking.
 	Health *resilience.Health
-
-	// Supervisor, when non-nil, runs each slot's solve under a per-attempt
-	// deadline with bounded jittered retry and a run-wide restart budget
-	// (see resilience.Supervisor). It sits above the fallback ladder: the
-	// ladder swaps tactics within one attempt, the supervisor re-attempts
-	// the whole solve, and carry-forward degradation remains the last
-	// resort. Nil supervises nothing.
-	Supervisor *resilience.Supervisor
 
 	// WarmStart enables the incremental re-solve layer (DESIGN.md §13):
 	// P2-skeleton reuse with numeric-only refresh, a warm interior point
@@ -209,21 +200,8 @@ func (o *Online) Step() (*model.Decision, error) {
 		}
 		stepOpts.LPWork = o.lpWork
 	}
-	var dec *model.Decision
-	var ladder *resilience.LadderReport
-	var err error
 	solveSpan := slotScope.StartSpan("core.solve")
-	if sup := o.Opts.Supervisor; sup != nil {
-		err = sup.Do(stepOpts.Solver.Ctx, o.t, func(ctx context.Context) error {
-			supOpts := stepOpts
-			supOpts.Solver.Ctx = ctx
-			var serr error
-			dec, ladder, serr = SolveP2Resilient(o.Net, o.In, o.t, o.prev, supOpts)
-			return serr
-		})
-	} else {
-		dec, ladder, err = SolveP2Resilient(o.Net, o.In, o.t, o.prev, stepOpts)
-	}
+	dec, ladder, err := SolveP2Resilient(o.Net, o.In, o.t, o.prev, stepOpts)
 	solveSpan.End()
 	sr := SlotReport{Slot: o.t, Ladder: ladder}
 	switch {

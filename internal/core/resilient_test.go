@@ -31,24 +31,39 @@ func TestReportCleanRun(t *testing.T) {
 	}
 }
 
+// TestP2LadderRestartCenterRecovers injects one transient fault of each
+// kind into the warm rung: the ladder must climb past it and commit a
+// feasible decision from restart-center.
 func TestP2LadderRestartCenterRecovers(t *testing.T) {
-	n := oneByOne(t, 5, 5, 1)
-	in := inputsFor([]float64{4}, []float64{1})
-	opts := DefaultOptions()
-	opts.Solver.Fault = &resilience.FaultPlan{InjectNaN: true, InjectNaNAt: 0, MaxTrips: 1}
-	dec, rep, err := SolveP2Resilient(n, in, 0, model.NewZeroDecision(n), opts)
-	if err != nil {
-		t.Fatalf("SolveP2Resilient: %v", err)
-	}
-	if rep.Rung != RungRestartCenter || !rep.Recovered() {
-		t.Fatalf("rung = %q, want %q: %v", rep.Rung, RungRestartCenter, rep)
-	}
-	se, ok := resilience.AsSolveError(rep.Attempts[0].Err)
-	if !ok || se.Class != resilience.ClassNonFinite {
-		t.Fatalf("first attempt error: %v", rep.Attempts[0].Err)
-	}
-	if ok, v := dec.FeasibleAt(n, in.Workload[0], 1e-4); !ok {
-		t.Fatalf("recovered decision infeasible by %v", v)
+	for _, tc := range []struct {
+		name  string
+		plan  *resilience.FaultPlan
+		class resilience.FailureClass
+	}{
+		{"nan", &resilience.FaultPlan{InjectNaN: true, InjectNaNAt: 0, MaxTrips: 1}, resilience.ClassNonFinite},
+		{"factorization", &resilience.FaultPlan{FailFactorization: true, FailFactorizationAt: 0, MaxTrips: 1}, resilience.ClassFactorization},
+		{"panic", &resilience.FaultPlan{Panic: true, PanicAt: 0, MaxTrips: 1}, resilience.ClassPanic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := oneByOne(t, 5, 5, 1)
+			in := inputsFor([]float64{4}, []float64{1})
+			opts := DefaultOptions()
+			opts.Solver.Fault = tc.plan
+			dec, rep, err := SolveP2Resilient(n, in, 0, model.NewZeroDecision(n), opts)
+			if err != nil {
+				t.Fatalf("SolveP2Resilient: %v", err)
+			}
+			if rep.Rung != RungRestartCenter || !rep.Recovered() {
+				t.Fatalf("rung = %q, want %q: %v", rep.Rung, RungRestartCenter, rep)
+			}
+			se, ok := resilience.AsSolveError(rep.Attempts[0].Err)
+			if !ok || se.Class != tc.class {
+				t.Fatalf("first attempt error: %v, want class %v", rep.Attempts[0].Err, tc.class)
+			}
+			if ok, v := dec.FeasibleAt(n, in.Workload[0], 1e-4); !ok {
+				t.Fatalf("recovered decision infeasible by %v", v)
+			}
+		})
 	}
 }
 

@@ -8,9 +8,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"soral/internal/core"
 	"soral/internal/obs/journal"
-	"soral/internal/resilience"
 )
 
 // ChaosResult is one fault schedule's outcome: what was broken, how the run
@@ -20,9 +18,8 @@ type ChaosResult struct {
 	// Schedule names the fault schedule (e.g. "kill/slot-3", "torn/footer").
 	Schedule string
 	// Kind is the fault family: "kill" (clean truncation at a record
-	// boundary), "torn" (mid-record truncation), "fault" (transient solver
-	// fault absorbed by the supervisor), or "resume" (resume-protocol edge
-	// cases).
+	// boundary), "torn" (mid-record truncation), or "resume"
+	// (resume-protocol edge cases).
 	Kind string
 	// Slots is the horizon length of the run under test.
 	Slots int
@@ -32,10 +29,8 @@ type ChaosResult struct {
 	// CaughtUp counts recorded slots re-solved and digest-verified because
 	// their state checkpoint died with the torn tail.
 	CaughtUp int
-	// Retries counts supervisor re-attempts (fault schedules only).
-	Retries int
-	// NsPerOp is the wall time of the recovery path (recover + resume, or
-	// the supervised run) in nanoseconds.
+	// NsPerOp is the wall time of the recovery path (recover + resume) in
+	// nanoseconds.
 	NsPerOp int64
 	// BitIdentical reports whether every per-slot decision digest of the
 	// recovered run equals the uninterrupted reference run's.
@@ -43,7 +38,7 @@ type ChaosResult struct {
 }
 
 // chaosSeed drives every derived quantity of the chaos experiment: the kill
-// and tear points, the fault-plan seeds, and the retry backoff jitter.
+// and tear points.
 const chaosSeed uint64 = 0x5eed5011d
 
 // chaosSpec is the scenario under chaos: small enough that the full schedule
@@ -153,53 +148,9 @@ func digestsEqual(got, want []string) bool {
 	return true
 }
 
-// faultRun runs the online algorithm under a transient solver fault plan with
-// the supervisor absorbing the failures, and digest-compares the decisions
-// against the reference. The ladder and the degradation path are disabled so
-// the only recovery mechanism in play is the supervisor's whole-solve retry —
-// which must land back on the warm rung and reproduce the clean run exactly.
-func (c *chaosRun) faultRun(ctx context.Context, name string, plan *resilience.FaultPlan) (ChaosResult, error) {
-	res := ChaosResult{Schedule: name, Kind: "fault", Slots: c.cfg.Spec.T, ResumedFrom: -1}
-	scen, err := Build(c.cfg.Spec)
-	if err != nil {
-		return res, err
-	}
-	suite := NewSuite(scen, c.cfg.Eps).WithJournal(nil).WithHealth(nil)
-	opts := suite.Cfg.CoreOpts
-	opts.Solver.Ctx = ctx
-	opts.Solver.Fault = plan
-	opts.Resilience.DisableLadder = true
-	opts.Resilience.DisableDegrade = true
-	sup := resilience.NewSupervisor(resilience.SupervisorOptions{
-		MaxRetries: 3,
-		Backoff:    resilience.Backoff{Base: 100 * time.Microsecond, Cap: time.Millisecond, Seed: chaosSeed},
-	})
-	opts.Supervisor = sup
-	o, err := core.NewOnline(scen.Net, scen.In, opts)
-	if err != nil {
-		return res, err
-	}
-	start := time.Now()
-	seq, err := o.Run()
-	if err != nil {
-		return res, fmt.Errorf("eval: chaos %s: supervised run: %w", name, err)
-	}
-	res.NsPerOp = time.Since(start).Nanoseconds()
-	res.Retries = sup.Retries()
-	got := make([]string, len(seq))
-	for i, d := range seq {
-		got[i] = journal.Digest(d.X, d.Y, d.Z)
-	}
-	// A schedule that never fired its fault (Retries 0) proves nothing; the
-	// bit-identity verdict requires the supervisor to actually have recovered.
-	res.BitIdentical = res.Retries > 0 && digestsEqual(got, c.digests)
-	return res, nil
-}
-
 // Chaos drives the seeded deterministic fault schedules of the crash-recovery
 // pipeline — process kills at record boundaries, torn writes into every
-// record kind, transient solver faults under the supervisor, and the resume
-// protocol's edge cases — asserting that every recovery path reproduces the
+// record kind, and the resume protocol's edge cases — asserting that every recovery path reproduces the
 // uninterrupted run's per-slot decision digests exactly. Each schedule is
 // one "chaos/<schedule>" entry carrying the seed it was drawn from (every
 // schedule is a pure function of it), its recovery bookkeeping, and the
@@ -285,21 +236,6 @@ func ChaosCtx(ctx context.Context, log Logger) (*Table, *Bench, error) {
 	crash(fmt.Sprintf("torn/slot-record-%d", m), "torn", tear(slotLine(m)))
 	crash(fmt.Sprintf("torn/state-record-%d", m), "torn", tear(stateLine(m)))
 	crash("torn/footer", "torn", tear(nlines-1))
-
-	// Transient solver faults absorbed by the supervisor: a factorization
-	// breakdown and an in-solver panic, each firing exactly once.
-	schedules = append(schedules,
-		schedule{"fault/factorization-retry", "fault", func() (ChaosResult, error) {
-			return c.faultRun(ctx, "fault/factorization-retry", &resilience.FaultPlan{
-				FailFactorization: true, FailFactorizationAt: 1, MaxTrips: 1, Seed: chaosSeed,
-			})
-		}},
-		schedule{"fault/panic-retry", "fault", func() (ChaosResult, error) {
-			return c.faultRun(ctx, "fault/panic-retry", &resilience.FaultPlan{
-				Panic: true, PanicAt: 2, MaxTrips: 1, Seed: chaosSeed,
-			})
-		}},
-	)
 
 	// Resume-protocol edge cases: a second resume of a completed journal must
 	// not modify it, and a resume under a different parallel envelope must
@@ -403,7 +339,7 @@ func ChaosCtx(ctx context.Context, log Logger) (*Table, *Bench, error) {
 
 	tbl := &Table{
 		Title:  fmt.Sprintf("Chaos harness — crash/recovery bit-identity (seed %#x, T=%d)", chaosSeed, cfg.Spec.T),
-		Header: []string{"schedule", "kind", "resumed_from", "caught_up", "retries", "ms", "bit-identical"},
+		Header: []string{"schedule", "kind", "resumed_from", "caught_up", "ms", "bit-identical"},
 	}
 	var broken []string
 	for _, s := range schedules {
@@ -418,7 +354,6 @@ func ChaosCtx(ctx context.Context, log Logger) (*Table, *Bench, error) {
 			Info: map[string]float64{
 				"seed": float64(chaosSeed), "slots": float64(r.Slots),
 				"resumed_from": float64(r.ResumedFrom), "caught_up": float64(r.CaughtUp),
-				"retries": float64(r.Retries),
 			},
 			BitIdentical: &r.BitIdentical,
 		})
@@ -426,7 +361,6 @@ func ChaosCtx(ctx context.Context, log Logger) (*Table, *Bench, error) {
 			r.Schedule, r.Kind,
 			fmt.Sprintf("%d", r.ResumedFrom),
 			fmt.Sprintf("%d", r.CaughtUp),
-			fmt.Sprintf("%d", r.Retries),
 			fmt.Sprintf("%.2f", float64(r.NsPerOp)/1e6),
 			fmt.Sprintf("%v", r.BitIdentical),
 		})

@@ -59,16 +59,10 @@ func (e BenchEnv) Comparable(o BenchEnv) bool {
 	return e.Cores == o.Cores && e.GoMaxProcs == o.GoMaxProcs
 }
 
-// LoadBench parses one BENCH_<name>.json file into the entry list Compare
-// consumes.
-func LoadBench(r io.Reader) ([]BenchEntry, error) {
-	entries, _, err := LoadBenchEnv(r)
-	return entries, err
-}
-
-// LoadBenchEnv is LoadBench plus the machine envelope the snapshot was
-// recorded under. A file without named results (such as one written before
-// the schema was unified) is an error.
+// LoadBenchEnv parses one BENCH_<name>.json file into the entry list
+// Compare consumes and the machine envelope the snapshot was recorded
+// under. A file without named results (such as one written before the
+// schema was unified) is an error.
 func LoadBenchEnv(r io.Reader) ([]BenchEntry, BenchEnv, error) {
 	var b Bench
 	if err := json.NewDecoder(r).Decode(&b); err != nil {

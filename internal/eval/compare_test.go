@@ -181,7 +181,7 @@ func TestLoadBenchBothSchemas(t *testing.T) {
 		`{"name":"fig5","iters":1,"ns_per_op":1234,"total_solver_iterations":70}`,
 		`{"neither":true}`,
 	} {
-		if _, err := LoadBench(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "results[") || !strings.Contains(err.Error(), "name") {
+		if _, _, err := LoadBenchEnv(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "results[") || !strings.Contains(err.Error(), "name") {
 			t.Fatalf("old-shape file %s: err = %v, want one naming results[].name", old, err)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // LatencyPhases are the instrumented pipeline phases of one online slot, in
 // execution order: subproblem assembly (BuildP2 + warm start), the Newton
 // loop's Cholesky refactorizations and its backtracking line searches, the
-// whole resilient solve (ladder + supervisor), the commit bookkeeping
+// whole resilient solve (the fallback ladder), the commit bookkeeping
 // (attribution, journal, telemetry), and the end-to-end slot. Each is
 // recorded as a "latency.<phase>.seconds" log-bucketed histogram by the
 // spans in core and convex.

@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"soral/internal/obs"
@@ -140,18 +141,17 @@ func warmstartRun(cfg RunConfig, entry string, warm bool, log Logger) (*warmMeas
 }
 
 // quantileNs returns the q-quantile of the samples (nearest-rank, on a
-// sorted copy); 0 when there are none.
+// sorted copy): the ceil(q·n)-th smallest, ranked from 1 and clamped to
+// [1, n], the rule hist.Quantile uses. 0 when there are none.
 func quantileNs(samples []int64, q float64) int64 {
 	if len(samples) == 0 {
 		return 0
 	}
 	s := append([]int64(nil), samples...)
 	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	i := int(q * float64(len(s)))
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
+	rank := int(math.Ceil(q * float64(len(s))))
+	rank = min(max(rank, 1), len(s))
+	return s[rank-1]
 }
 
 // warmstartMaxStepRatio bounds the warm path's steady-state mean Newton

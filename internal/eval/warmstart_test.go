@@ -177,3 +177,33 @@ func TestWarmJournalReplaysAndResumes(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantileNsNearestRank pins quantileNs to the nearest-rank rule the
+// log-bucketed histograms use (hist.Quantile): the q-quantile of n samples
+// is the ceil(q·n)-th smallest, ranked from 1 and clamped to at least 1.
+func TestQuantileNsNearestRank(t *testing.T) {
+	seq := func(n int) []int64 {
+		s := make([]int64, n)
+		for i := range s {
+			s[i] = int64(n - i) // descending: quantileNs must sort
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name    string
+		samples []int64
+		q       float64
+		want    int64
+	}{
+		{"empty", nil, 0.5, 0},
+		{"n=4 p50", seq(4), 0.5, 2},
+		{"n=100 p99", seq(100), 0.99, 99},
+		{"n=4 q=1", seq(4), 1, 4},
+		{"n=100 q=1", seq(100), 1, 100},
+		{"n=4 q=0", seq(4), 0, 1},
+	} {
+		if got := quantileNs(tc.samples, tc.q); got != tc.want {
+			t.Errorf("%s: quantileNs(q=%v) = %d, want %d", tc.name, tc.q, got, tc.want)
+		}
+	}
+}

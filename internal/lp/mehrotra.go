@@ -75,18 +75,6 @@ type Options struct {
 	// until the next solve with the same workspace (see Workspace). A
 	// workspace must not be shared by concurrent solves.
 	Work *Workspace
-
-	// WarmStart, when true (and Work carries an optimal iterate of the same
-	// shape from a previous solve), starts the Mehrotra loop from a
-	// re-centered copy of that iterate instead of the cold least-squares
-	// point. A warm attempt that stalls or ends non-optimal falls back to the
-	// cold start inside the same call, so callers see at worst the cold
-	// result. Off (the default) the solve path is bit-identical to a build
-	// without the flag. Warm-started solves are deterministic but depend on
-	// the workspace's solve history; keep the flag off where decisions must
-	// be a pure function of the current inputs (e.g. the online resume
-	// contract of DESIGN.md §10).
-	WarmStart bool
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -208,20 +196,11 @@ var ErrEmptyProblem = errors.New("lp: empty problem")
 // (e.g. a dimension mismatch in internal/linalg) are converted into typed
 // resilience.SolveError values instead of propagating.
 //
-// With Options.WarmStart on and a workspace carrying a same-shape optimal
-// iterate, the loop first tries a re-centered copy of that iterate; a warm
-// attempt that fails for any reason other than cancellation falls back to
-// the cold start, so the flag can never make a solvable problem fail.
-//
 // With a warmed Options.Work a same-shape solve allocates only the Solution
 // header, however many iterations it takes (pinned by
 // TestSolveStandardWorkspaceZeroAlloc and, with the staircase backend,
 // TestSolveStandardStaircaseZeroAlloc).
 func SolveStandard(std *Standard, normal NormalSolver, opts Options) (sol *Solution, err error) {
-	// mehrotraIterate converts its own panics; this thin recover covers the
-	// surrounding plumbing (workspace sizing, warm-stash bookkeeping, the
-	// unconstrained screen) so every SolveStandard panic still surfaces as a
-	// typed error, as it did before the warm-start split.
 	defer func() {
 		if r := recover(); r != nil {
 			sol = &Solution{Status: NumericalFailure}
@@ -253,108 +232,39 @@ func SolveStandard(std *Standard, normal NormalSolver, opts Options) (sol *Solut
 
 	opts.Obs.SetGauge(obs.MetricWorkers, float64(opts.Workers))
 
-	if opts.WarmStart {
-		if ws.warmReady(m, n) {
-			sol, err = mehrotraIterate(std, normal, opts, ws, true)
-			if err == nil && sol.Status == Optimal {
-				opts.Obs.Count(obs.MetricWarmLPHits, 1)
-				ws.stashWarm(m, n)
-				return sol, nil
-			}
-			if resilience.IsCanceled(err) {
-				return sol, err
-			}
-			opts.Obs.Count(obs.MetricWarmLPFallbacks, 1)
-		} else {
-			opts.Obs.Count(obs.MetricWarmLPMisses, 1)
-		}
-	}
-	sol, err = mehrotraIterate(std, normal, opts, ws, false)
-	if err != nil {
-		if opts.WarmStart && ws.warmReady(m, n) {
-			ws.clearWarm()
-		}
-		return sol, err
-	}
-	if opts.WarmStart {
-		if sol.Status == Optimal {
-			ws.stashWarm(m, n)
-		} else if ws.warmReady(m, n) {
-			// The cold solve could not replace the same-shape stash, so the
-			// stashed iterate is suspect (it just fed — or would feed — a
-			// doomed warm attempt). Drop it: later solves of this shape go
-			// straight to the cold start instead of re-running the failed
-			// warm attempt first.
-			ws.clearWarm()
-		}
-	}
-	return sol, nil
-}
-
-// mehrotraIterate is one full predictor–corrector run: starting point (warm
-// or cold), then the iteration loop. The cold path is bit-identical to the
-// pre-warm-start solver.
-func mehrotraIterate(std *Standard, normal NormalSolver, opts Options, ws *Workspace, warm bool) (sol *Solution, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			sol = &Solution{Status: NumericalFailure}
-			err = resilience.FromPanic("lp.mehrotra", r)
-		}
-	}()
-	a := std.A
-	n := len(std.C)
-	m := a.M
-	if n == 0 {
-		// SolveStandard screens empty problems before dispatching here; the
-		// guard keeps the µ = xᵀs/n updates below safe if that ever changes.
-		return nil, ErrEmptyProblem
-	}
 	c := std.C
 	b := std.B
 	x := ws.x[:n]
 	s := ws.s[:n]
 	y := ws.y[:m]
 
-	if warm {
-		// Warm start: shift the previous optimal iterate back into the
-		// interior. The optimal point sits on the boundary (complementarity
-		// drives x_i·s_i → 0), so both vectors are re-centered with the same
-		// heuristic the cold start uses; the equality multipliers y carry
-		// over unchanged. Skips the cold path's extra d = 1 factorization.
-		copy(x, ws.prevX[:n])
-		copy(s, ws.prevS[:n])
-		copy(y, ws.prevY[:m])
-		shiftPositive(x)
-		shiftPositive(s)
-	} else {
-		// Starting point (simplified Mehrotra heuristic): factor with d = 1.
-		ones := ws.ones[:n]
-		linalg.Fill(ones, 1)
-		factSpan := opts.Obs.StartSpan("lp.factorize")
-		ferr0 := normal.Factorize(ones)
-		factSpan.End()
-		if err := ferr0; err != nil {
-			return &Solution{Status: NumericalFailure}, &resilience.SolveError{
-				Stage: "lp.mehrotra", Class: resilience.ClassFactorization,
-				Err: fmt.Errorf("initial factorization: %w", err),
-			}
+	// Starting point (simplified Mehrotra heuristic): factor with d = 1.
+	ones := ws.ones[:n]
+	linalg.Fill(ones, 1)
+	factSpan := opts.Obs.StartSpan("lp.factorize")
+	ferr0 := normal.Factorize(ones)
+	factSpan.End()
+	if ferr0 != nil {
+		return &Solution{Status: NumericalFailure}, &resilience.SolveError{
+			Stage: "lp.mehrotra", Class: resilience.ClassFactorization,
+			Err: fmt.Errorf("initial factorization: %w", ferr0),
 		}
-		// x̃ = Aᵀ(AAᵀ)⁻¹ b
-		tmpM := ws.tmpM[:m]
-		normal.Solve(tmpM, b)
-		a.MulVecTrans(x, tmpM)
-		// ỹ = (AAᵀ)⁻¹ A c ; s̃ = c − Aᵀỹ
-		ac := ws.ac[:m]
-		a.MulVec(ac, c)
-		normal.Solve(y, ac)
-		aty := ws.aty[:n]
-		a.MulVecTrans(aty, y)
-		for i := range s {
-			s[i] = c[i] - aty[i]
-		}
-		shiftPositive(x)
-		shiftPositive(s)
 	}
+	// x̃ = Aᵀ(AAᵀ)⁻¹ b
+	tmpM := ws.tmpM[:m]
+	normal.Solve(tmpM, b)
+	a.MulVecTrans(x, tmpM)
+	// ỹ = (AAᵀ)⁻¹ A c ; s̃ = c − Aᵀỹ
+	ac := ws.ac[:m]
+	a.MulVec(ac, c)
+	normal.Solve(y, ac)
+	aty := ws.aty[:n]
+	a.MulVecTrans(aty, y)
+	for i := range s {
+		s[i] = c[i] - aty[i]
+	}
+	shiftPositive(x)
+	shiftPositive(s)
 
 	bNorm := 1 + linalg.NormInf(b)
 	cNorm := 1 + linalg.NormInf(c)

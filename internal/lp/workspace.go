@@ -26,16 +26,6 @@ type Workspace struct {
 	y, tmpM, ac, rb, rhsM, dy []float64
 
 	normal *DenseNormal
-
-	// Previous optimal iterate, stashed after an Optimal solve when
-	// Options.WarmStart is on. The next same-shape solve starts from a
-	// re-centered copy instead of the cold Mehrotra point (DESIGN.md §13).
-	// prevM/prevN record the shape the iterate belongs to; a solve of a
-	// different shape ignores it (and overwrites it on success).
-	prevX, prevS []float64
-	prevY        []float64
-	prevM, prevN int
-	havePrev     bool
 }
 
 // NewWorkspace returns an empty workspace; buffers are sized on first use.
@@ -68,35 +58,6 @@ func (w *Workspace) ensure(m, n int) {
 	}
 	w.m, w.n = m, n
 }
-
-// warmReady reports whether the workspace holds a previous optimal iterate
-// matching an m-row, n-column standard form.
-func (w *Workspace) warmReady(m, n int) bool {
-	return w.havePrev && w.prevM == m && w.prevN == n
-}
-
-// stashWarm copies the current (optimal) iterate into the prev buffers so
-// the next same-shape solve can warm-start from it.
-func (w *Workspace) stashWarm(m, n int) {
-	if len(w.prevX) < n {
-		w.prevX = make([]float64, n)
-		w.prevS = make([]float64, n)
-	}
-	if len(w.prevY) < m {
-		w.prevY = make([]float64, m)
-	}
-	copy(w.prevX[:n], w.x[:n])
-	copy(w.prevS[:n], w.s[:n])
-	copy(w.prevY[:m], w.y[:m])
-	w.prevM, w.prevN = m, n
-	w.havePrev = true
-}
-
-// clearWarm drops the stashed iterate. Called after a cold solve fails to
-// re-stash: the stale iterate already drove (or would drive) a doomed warm
-// attempt on this shape, and keeping it would re-run that attempt before
-// every later fallback, roughly doubling work on persistently hard instances.
-func (w *Workspace) clearWarm() { w.havePrev = false }
 
 // normalFor returns the workspace's dense normal-equation backend for A,
 // reusing the assembled matrix and Cholesky factor buffers when the row

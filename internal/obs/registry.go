@@ -19,7 +19,8 @@ type Registry struct {
 	counters map[string]*atomic.Int64
 	gauges   map[string]*atomic.Uint64 // float64 bits
 	lats     map[string]*hist.Hist
-	spans    map[string]*hist.Hist // span name -> its lats entry
+	spans    map[string]*hist.Hist    // span name -> its lats entry
+	iters    map[string]*atomic.Int64 // solver name -> its counters entry
 
 	// Each kind's metrics in creation order, for the Each* walks.
 	counterList []named[*atomic.Int64]
@@ -39,6 +40,7 @@ func NewRegistry() *Registry {
 		gauges:   map[string]*atomic.Uint64{},
 		lats:     map[string]*hist.Hist{},
 		spans:    map[string]*hist.Hist{},
+		iters:    map[string]*atomic.Int64{},
 	}
 }
 
@@ -145,6 +147,22 @@ func (r *Registry) spanHist(span string) *hist.Hist {
 		r.mu.Unlock()
 	}
 	return h
+}
+
+// iterCounter returns the "<solver>.iterations" counter. Like spanHist it
+// is indexed by the bare solver name, so Scope.Iteration builds no string:
+// only the counter's creation allocates.
+func (r *Registry) iterCounter(solver string) *atomic.Int64 {
+	r.mu.RLock()
+	c := r.iters[solver]
+	r.mu.RUnlock()
+	if c == nil {
+		c = r.counter(solver + ".iterations")
+		r.mu.Lock()
+		r.iters[solver] = c
+		r.mu.Unlock()
+	}
+	return c
 }
 
 // RecordLatency records one observation (seconds) into the named

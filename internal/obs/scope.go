@@ -39,11 +39,6 @@ const (
 	// structural skeleton (rows and sparsity) with a numeric-only refresh.
 	MetricWarmSkeletonHits = "warmstart.skeleton_hits"
 
-	// Mehrotra-level warm-start counters (lp.Options.WarmStart): iterate
-	// carry-over across consecutive same-shape standard-form solves.
-	MetricWarmLPHits      = "warmstart.lp.hits"
-	MetricWarmLPMisses    = "warmstart.lp.misses"
-	MetricWarmLPFallbacks = "warmstart.lp.fallbacks"
 	// MetricWarmStairHits counts staircase backends reused from a
 	// staircase.Cache instead of being rebuilt from scratch.
 	MetricWarmStairHits = "warmstart.stair_hits"
@@ -195,8 +190,10 @@ func (s *Scope) Iteration(name string, iter int, st IterStats) {
 	if s == nil {
 		return
 	}
-	s.Count(MetricSolverIters, 1)
-	s.Count(name+".iterations", 1)
+	if reg := s.core.reg; reg != nil {
+		reg.Add(MetricSolverIters, 1)
+		reg.iterCounter(name).Add(1)
+	}
 	s.emit(Event{
 		Kind: KindIter, Name: name, Iter: iter, Stage: st.Stage,
 		Primal: st.Primal, Dual: st.Dual, Gap: st.Gap,

@@ -39,6 +39,23 @@ func TestSpanEndZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestIterationZeroAllocs pins the enabled iteration path with a nil sink:
+// once the solver's "<name>.iterations" counter exists, Iteration allocates
+// nothing, so an attached scope costs no garbage per solver iteration.
+func TestIterationZeroAllocs(t *testing.T) {
+	sc := NewScope(NewRegistry(), nil)
+	sc.Iteration("lp.mehrotra", 0, IterStats{}) // creates lp.mehrotra.iterations
+	if allocs := testing.AllocsPerRun(100, func() { sc.Iteration("lp.mehrotra", 1, IterStats{Gap: 1e-3}) }); allocs != 0 {
+		t.Fatalf("enabled Iteration allocates %g objects per call, want 0", allocs)
+	}
+	if got := sc.CounterValue("lp.mehrotra.iterations"); got != 102 {
+		t.Fatalf("lp.mehrotra.iterations = %d, want 102", got)
+	}
+	if got := sc.CounterValue(MetricSolverIters); got != 102 {
+		t.Fatalf("%s = %d, want 102", MetricSolverIters, got)
+	}
+}
+
 func TestNilScopeSafe(t *testing.T) {
 	var sc *Scope
 	if sc.Enabled() {

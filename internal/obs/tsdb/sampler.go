@@ -10,8 +10,8 @@ import (
 )
 
 // SourceGauge is an external scalar sampled alongside the registry: sources
-// that maintain their own state (a supervisor's restart budget) and have no
-// reason to push into the registry on their own cadence.
+// that maintain their own state (a health tracker, a journal feed) and have
+// no reason to push into the registry on their own cadence.
 type SourceGauge struct {
 	Name string
 	Read func() float64

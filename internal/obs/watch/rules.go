@@ -19,7 +19,6 @@ const (
 	RuleWarmCollapse     = "warmstart-collapse"
 	RuleIterBlowup       = "warmstart-iteration-blowup"
 	RuleDegradationBurst = "degradation-burst"
-	RuleRestartBudget    = "restart-budget"
 	RuleFeedDrops        = "journal-feed-drops"
 )
 
@@ -317,7 +316,7 @@ func ewma(baseline, sample float64, seen int) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Resilience: degradation-rung burst and restart-budget burn
+// 4. Resilience: degradation-rung burst
 
 type degradeRule struct {
 	health *resilience.Health
@@ -344,39 +343,6 @@ func (r *degradeRule) Eval(tns int64) Verdict {
 		Value:     float64(s.ConsecutiveDegraded),
 		Threshold: float64(r.max),
 		Reason:    fmt.Sprintf("%d consecutive carried-forward slots (last slot %d)", s.ConsecutiveDegraded, s.LastSlot),
-	}
-}
-
-type budgetRule struct {
-	sup  *resilience.Supervisor
-	frac float64
-}
-
-// RestartBudgetBurn fires when the supervisor has spent frac (default 0.8)
-// of its run-wide restart budget — before BudgetExhausted trips and fails
-// the run, while there is still budget to act on. A supervisor with an
-// unlimited budget never fires.
-func RestartBudgetBurn(sup *resilience.Supervisor, frac float64) Rule {
-	if frac <= 0 || frac > 1 {
-		frac = 0.8
-	}
-	return &budgetRule{sup: sup, frac: frac}
-}
-
-func (r *budgetRule) Name() string     { return RuleRestartBudget }
-func (r *budgetRule) Severity() string { return SeverityWarn }
-
-func (r *budgetRule) Eval(tns int64) Verdict {
-	spent, total := r.sup.Budget()
-	if total <= 0 {
-		return Verdict{Threshold: r.frac, Reason: "unlimited restart budget"}
-	}
-	used := float64(spent) / float64(total)
-	return Verdict{
-		Firing:    used >= r.frac,
-		Value:     used,
-		Threshold: r.frac,
-		Reason:    fmt.Sprintf("%d of %d restarts spent", spent, total),
 	}
 }
 

@@ -213,7 +213,7 @@ func TestWarmStartRules(t *testing.T) {
 	}
 }
 
-// TestResilienceRules covers degradation burst and restart-budget burn.
+// TestResilienceRules covers the degradation-burst rule.
 func TestResilienceRules(t *testing.T) {
 	h := resilience.NewHealth()
 	burst := DegradationBurst(h, 3)
@@ -229,16 +229,6 @@ func TestResilienceRules(t *testing.T) {
 	h.RecordSlot(3, resilience.HealthOK)
 	if burst.Eval(3).Firing {
 		t.Fatal("burst did not resolve after a clean slot")
-	}
-
-	sup := resilience.NewSupervisor(resilience.SupervisorOptions{RestartBudget: 4})
-	budget := RestartBudgetBurn(sup, 0.75)
-	if budget.Eval(1).Firing {
-		t.Fatal("budget fired with nothing spent")
-	}
-	unlimited := RestartBudgetBurn(resilience.NewSupervisor(resilience.SupervisorOptions{}), 0.75)
-	if unlimited.Eval(1).Firing {
-		t.Fatal("unlimited budget must never fire")
 	}
 }
 

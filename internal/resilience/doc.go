@@ -9,7 +9,7 @@
 //   - panic conversion (FromPanic / the solvers' deferred recovers), so a
 //     dimension-mismatch panic deep in internal/linalg surfaces as a typed
 //     error instead of killing a whole online run;
-//   - a generic fallback ladder (Climb) that tries escalating recovery
+//   - a generic fallback ladder (ClimbObs) that tries escalating recovery
 //     tactics in order and records, per attempt, which rung failed and which
 //     one finally produced a solution;
 //   - a deterministic fault-injection plan (FaultPlan) hooked into the

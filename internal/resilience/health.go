@@ -55,11 +55,11 @@ func (h *Health) RecordSlot(slot int, status string) {
 	h.mu.Unlock()
 }
 
-// Fail marks a component permanently unhealthy — a failing disk under the
-// journal, an exhausted restart budget. Unlike a degraded slot, which clears
+// Fail marks a component permanently unhealthy, such as a failing disk
+// under the journal. Unlike a degraded slot, which clears
 // when the next slot solves, a failure sticks: the probe answers 503 until
 // the process is replaced, because a controller that can no longer persist
-// or supervise its commitments must not look healthy to its orchestrator.
+// its commitments must not look healthy to its orchestrator.
 func (h *Health) Fail(component string, err error) {
 	if h == nil {
 		return
@@ -86,8 +86,8 @@ type HealthSnapshot struct {
 	// ConsecutiveDegraded counts the current run of carried-forward slots;
 	// nonzero exactly when State is "degraded".
 	ConsecutiveDegraded int `json:"consecutive_degraded"`
-	// Failures lists permanent component failures (journal disk, supervisor
-	// budget); any entry forces State "failed" and a 503 probe.
+	// Failures lists permanent component failures (the journal disk); any
+	// entry forces State "failed" and a 503 probe.
 	Failures []string `json:"failures,omitempty"`
 	// Reason is a human-readable sentence explaining an unhealthy probe
 	// (empty while healthy), so a 503 /healthz body can be read by a person

@@ -62,18 +62,15 @@ func (r *LadderReport) String() string {
 	return b.String()
 }
 
-// Climb runs the rungs in order until one succeeds, recording every attempt.
-// On total failure it returns the zero value, the full report, and an error
-// wrapping the last rung's cause. A cancellation (ClassCanceled) aborts the
-// ladder immediately: retrying after a deadline has expired is pointless and
-// would only delay the caller further.
-func Climb[T any](stage string, rungs []Rung[T]) (T, *LadderReport, error) {
-	return ClimbObs(stage, nil, rungs)
-}
-
-// ClimbObs is Climb with telemetry: each attempt's wall time and solver
-// iteration consumption are recorded on the report and emitted as rung
-// events through sc. A nil scope degrades to plain Climb.
+// ClimbObs runs the rungs in order until one succeeds, recording every
+// attempt. On total failure it returns the zero value, the full report, and
+// an error wrapping the last rung's cause. A cancellation (ClassCanceled)
+// aborts the ladder immediately: retrying after a deadline has expired is
+// pointless and would only delay the caller further.
+//
+// Each attempt's wall time and solver iteration consumption are recorded on
+// the report and emitted as rung events through sc; a nil scope records
+// only the report.
 func ClimbObs[T any](stage string, sc *obs.Scope, rungs []Rung[T]) (T, *LadderReport, error) {
 	rep := &LadderReport{Stage: stage}
 	var zero T

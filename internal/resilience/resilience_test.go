@@ -56,7 +56,7 @@ func TestResidualsBelow(t *testing.T) {
 
 func TestClimbStopsAtFirstSuccess(t *testing.T) {
 	calls := 0
-	v, rep, err := Climb("test", []Rung[int]{
+	v, rep, err := ClimbObs("test", nil, []Rung[int]{
 		{Name: "a", Run: func() (int, error) { calls++; return 0, errors.New("a failed") }},
 		{Name: "b", Run: func() (int, error) { calls++; return 42, nil }},
 		{Name: "c", Run: func() (int, error) { calls++; return 0, errors.New("never reached") }},
@@ -74,7 +74,7 @@ func TestClimbStopsAtFirstSuccess(t *testing.T) {
 
 func TestClimbTotalFailure(t *testing.T) {
 	last := errors.New("terminal")
-	_, rep, err := Climb("test", []Rung[int]{
+	_, rep, err := ClimbObs("test", nil, []Rung[int]{
 		{Name: "a", Run: func() (int, error) { return 0, errors.New("first") }},
 		{Name: "b", Run: func() (int, error) { return 0, last }},
 	})
@@ -88,7 +88,7 @@ func TestClimbTotalFailure(t *testing.T) {
 
 func TestClimbAbortsOnCancellation(t *testing.T) {
 	calls := 0
-	_, rep, err := Climb("test", []Rung[int]{
+	_, rep, err := ClimbObs("test", nil, []Rung[int]{
 		{Name: "a", Run: func() (int, error) {
 			calls++
 			return 0, &SolveError{Stage: "x", Class: ClassCanceled, Err: context.DeadlineExceeded}
