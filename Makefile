@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-self race obs-serve kernels-race chaos latency warmstart watch fuzz check bench bench-compare
+.PHONY: build test vet lint lint-self race obs-serve kernels-race chaos latency warmstart watch fuzz perfbench-check check bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -70,7 +70,7 @@ latency:
 # taking at most half the cold path's mean Newton steps (a deterministic
 # count) and strictly fewer on every warm slot, warm p50 below cold p50, and
 # the digest-keyed decision cache engaging on repeated inputs. It runs under the
-# race detector because the warm path threads SolveState through the same
+# race detector because the warm path threads its warm-start state through the same
 # solver goroutines the latency experiment exercises. See DESIGN.md §13.
 warmstart:
 	$(GO) run -race ./cmd/soralbench -exp warmstart -q
@@ -101,12 +101,20 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzBarrierLog$$' -fuzztime=3s ./internal/convex
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalRecordEncoding$$' -fuzztime=3s ./internal/obs/journal
 
+# The benchmark harness is a nested module (perfbench/go.mod) that imports
+# core, eval and journal, so `go build ./...` here never compiles it. Vetting
+# and testing it from its own directory makes an API change that breaks the
+# benchmark's build fail locally.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # The gate used before merging: static checks (vet plus the sorallint
 # invariants) and the full suite under the race detector (the parallel
 # kernels and the fault-injection trip counter are the concurrency-sensitive
 # paths), plus the focused telemetry and parallel-kernel race passes and the
-# crash/recovery chaos schedules, and the three fuzz targets.
-check: vet lint lint-self race obs-serve kernels-race chaos latency warmstart watch fuzz
+# crash/recovery chaos schedules, the three fuzz targets, and the nested
+# benchmark module's build and tests.
+check: vet lint lint-self race obs-serve kernels-race chaos latency warmstart watch fuzz perfbench-check
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -211,7 +211,7 @@ func main() {
 		}
 	}
 	withReport("kernels", func() (*eval.Table, *eval.Bench, error) { return eval.Kernels(log) })
-	withReport("chaos", func() (*eval.Table, *eval.Bench, error) { return eval.ChaosCtx(ctx, log) })
+	withReport("chaos", func() (*eval.Table, *eval.Bench, error) { return eval.Chaos(ctx, log) })
 	withReport("latency", func() (*eval.Table, *eval.Bench, error) { return eval.Latency(log) })
 	withReport("warmstart", func() (*eval.Table, *eval.Bench, error) { return eval.Warmstart(log) })
 	withReport("watch", func() (*eval.Table, *eval.Bench, error) { return eval.Watch(log) })

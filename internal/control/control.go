@@ -21,10 +21,6 @@ type Config struct {
 	LPOpts   lp.Options   // LP solver tuning
 	CoreOpts core.Options // regularized-subproblem tuning (RFHC/RRHC)
 
-	// DenseWindowLimit is the largest window solved with the dense LP
-	// backend; longer windows use the staircase backend. Default 3.
-	DenseWindowLimit int
-
 	// Obs, when non-nil, wraps every controller run in a per-horizon span
 	// labeled with the algorithm name and is threaded into the LP and core
 	// solves (unless those Options already carry their own scope). The sink
@@ -51,12 +47,9 @@ type Config struct {
 	StairCache *staircase.Cache
 }
 
-func (c *Config) denseLimit() int {
-	if c.DenseWindowLimit <= 0 {
-		return 3
-	}
-	return c.DenseWindowLimit
-}
+// denseWindowLimit is the largest window solved with the dense LP backend;
+// longer windows use the staircase backend.
+const denseWindowLimit = 3
 
 // lpOpts returns the LP options with the config's scope injected.
 func (c *Config) lpOpts() lp.Options {
@@ -97,7 +90,7 @@ func (c *Config) solveLayout(l *model.Layout) ([]*model.Decision, float64, error
 	var sol *lp.GeneralSolution
 	var err error
 	lpo := c.lpOpts()
-	if l.W <= c.denseLimit() {
+	if l.W <= denseWindowLimit {
 		sol, _, err = lp.SolveResilient(l.Prob, lpo)
 	} else {
 		sol, err = staircase.SolveCached(c.StairCache, l.Prob, l.SlotOfCons, l.SlotOfVar, l.W, lpo)

@@ -54,13 +54,18 @@ type Problem struct {
 	Blocks []int
 }
 
+// Mu is the barrier method's growth factor: each stage multiplies the
+// barrier weight by it.
+const Mu = 20
+
+// maxOuter bounds the barrier stages of one solve.
+const maxOuter = 60
+
 // Options tunes the barrier method.
 type Options struct {
 	Tol       float64 // duality-gap tolerance (default 1e-7)
 	TInit     float64 // initial barrier weight (default 1)
-	Mu        float64 // barrier growth factor (default 20)
 	MaxNewton int     // Newton iterations per centering step (default 80)
-	MaxOuter  int     // barrier stages (default 60)
 
 	// Ctx, when non-nil, is checked at every Newton iteration; an expired
 	// deadline or cancellation aborts the solve with a typed
@@ -95,14 +100,8 @@ func (o Options) withDefaults() Options {
 	if o.TInit <= 0 {
 		o.TInit = 1
 	}
-	if o.Mu <= 1 {
-		o.Mu = 20
-	}
 	if o.MaxNewton <= 0 {
 		o.MaxNewton = 80
-	}
-	if o.MaxOuter <= 0 {
-		o.MaxOuter = 60
 	}
 	return o
 }
@@ -209,14 +208,14 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 	// The fault plan can cap the total Newton budget to force an
 	// iteration-limit exit; organically the outer/inner loop bounds are the
 	// only budget.
-	budget := opts.Fault.Budget(opts.MaxOuter * opts.MaxNewton)
-	budgetInjected := budget < opts.MaxOuter*opts.MaxNewton
+	budget := opts.Fault.Budget(maxOuter * opts.MaxNewton)
+	budgetInjected := budget < maxOuter*opts.MaxNewton
 	condEst := 0.0
 	t := opts.TInit
 	// An accepted line-search trial's slack carries into the next Newton
 	// step (haveSlack); a new barrier stage or an exhausted line search
 	// drops it, and the slack is then recomputed exactly as h − G·x.
-	for outer := 0; outer < opts.MaxOuter; outer++ {
+	for outer := 0; outer < maxOuter; outer++ {
 		haveSlack := false
 		// Centering: Newton on t·f(x) − Σ ln(h − Gx).
 		for newton := 0; newton < opts.MaxNewton; newton++ {
@@ -316,7 +315,7 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 			res.Converged = true
 			break
 		}
-		t *= opts.Mu
+		t *= Mu
 	}
 	exactSlack(p.G, p.H, x, slack)
 	duals := make([]float64, m)

@@ -12,25 +12,17 @@ import (
 	"soral/internal/resilience"
 )
 
-// Options bundles the algorithm parameters with solver tuning.
+// Options bundles the algorithm parameters with solver tuning and the
+// run's telemetry sinks. It is configuration only: the per-run solve state
+// and workspaces belong to Online.
 type Options struct {
 	Params Params
 	Solver convex.Options
-
-	// Resilience tunes the fallback ladder and graceful degradation of the
-	// online pipeline; the zero value enables both.
-	Resilience ResilienceOptions
 
 	// Obs, when non-nil, records one span per decided slot plus the nested
 	// ladder-rung and solver-iteration events, and fills the Duration and
 	// Iterations fields of each SlotReport. Nil costs one branch per call.
 	Obs *obs.Scope
-
-	// LPWork, when non-nil, supplies reusable LP buffers to the degradation
-	// path's repair solves (see lp.Workspace). Online threads one across the
-	// whole run automatically; set it only when driving SolveP2Resilient
-	// directly. Not safe for concurrent solves.
-	LPWork *lp.Workspace
 
 	// Journal, when non-nil, receives one flight-recorder record per
 	// committed slot (input/decision digests, objective terms, resilience
@@ -50,12 +42,6 @@ type Options struct {
 	// flag. Decisions stay a pure function of (previous decision, inputs,
 	// config) either way; only latency changes.
 	WarmStart bool
-
-	// State is the warm-start layer's per-run state. Online manages one
-	// automatically when WarmStart is on; set it only when driving
-	// SolveP2Resilient directly across slots yourself. Not safe for
-	// concurrent solves.
-	State *SolveState
 }
 
 // DefaultOptions uses the paper's ε = ε′ = 10⁻² and moderate solver
@@ -77,9 +63,9 @@ type Online struct {
 	report Report
 
 	// Per-run solver workspaces, carried across slots so the slot loop
-	// allocates no solver buffers after the first decision. They are lazily
-	// created in Step and only used when the caller's Options do not already
-	// carry their own.
+	// allocates no solver buffers after the first decision. work serves the
+	// P2 barrier solves unless Opts.Solver carries its own; lpWork serves
+	// the degradation path's repair LPs.
 	work   *convex.Workspace
 	lpWork *lp.Workspace
 
@@ -91,7 +77,7 @@ type Online struct {
 	// state is the warm-start layer's per-run state (nil unless
 	// Opts.WarmStart); Restore replaces it with a fresh one, which is the
 	// "discard deterministically" half of the resume contract.
-	state *SolveState
+	state *solveState
 }
 
 // NewOnline prepares a run over the given inputs starting from the all-zero
@@ -103,12 +89,12 @@ func NewOnline(n *model.Network, in *model.Inputs, opts Options) (*Online, error
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
 	}
-	o := &Online{Net: n, In: in, Opts: opts, prev: model.NewZeroDecision(n)}
+	o := &Online{
+		Net: n, In: in, Opts: opts, prev: model.NewZeroDecision(n),
+		work: convex.NewWorkspace(), lpWork: lp.NewWorkspace(),
+	}
 	if opts.WarmStart {
-		o.state = opts.State
-		if o.state == nil {
-			o.state = NewSolveState()
-		}
+		o.state = newSolveState()
 	}
 	return o, nil
 }
@@ -140,7 +126,7 @@ func (o *Online) Restore(t int, prev *model.Decision) error {
 	// (and rebuilds the skeleton/cache as it goes), producing bit-identical
 	// decisions either way.
 	if o.state != nil {
-		o.state = NewSolveState()
+		o.state = newSolveState()
 	}
 	return nil
 }
@@ -154,11 +140,13 @@ func (o *Online) Slot() int { return o.t }
 func (o *Online) Report() *Report { return &o.report }
 
 // Step solves P2(t) for the next slot and advances the state. Solver
-// failures climb the fallback ladder; if the whole ladder fails and
-// degradation is enabled (the default), the previous decision — projected to
-// feasibility for the realized inputs — is applied and the slot is marked
-// Degraded in the run report, so a sequence never aborts on a numerical
-// breakdown. Build/validation errors and context cancellation still abort.
+// failures climb the fallback ladder; if the whole ladder fails, the
+// previous decision — projected to feasibility for the realized inputs — is
+// applied and the slot is marked Degraded in the run report, so a sequence
+// never aborts on a numerical breakdown. Build/validation errors and
+// context cancellation still abort. On WarmStart runs a solved decision
+// within solver jitter of the previous one commits the previous decision
+// bitwise (the fixed-point snap, DESIGN.md §13).
 func (o *Online) Step() (*model.Decision, error) {
 	if o.t >= o.In.T {
 		return nil, fmt.Errorf("core: horizon exhausted at slot %d", o.t)
@@ -187,21 +175,11 @@ func (o *Online) Step() (*model.Decision, error) {
 	itersBefore := slotScope.CounterValue(obs.MetricSolverIters)
 	stepOpts := o.Opts
 	stepOpts.Obs = slotScope
-	stepOpts.State = o.state
 	if stepOpts.Solver.Work == nil {
-		if o.work == nil {
-			o.work = convex.NewWorkspace()
-		}
 		stepOpts.Solver.Work = o.work
 	}
-	if stepOpts.LPWork == nil {
-		if o.lpWork == nil {
-			o.lpWork = lp.NewWorkspace()
-		}
-		stepOpts.LPWork = o.lpWork
-	}
 	solveSpan := slotScope.StartSpan("core.solve")
-	dec, ladder, err := SolveP2Resilient(o.Net, o.In, o.t, o.prev, stepOpts)
+	dec, ladder, err := solveP2(o.Net, o.In, o.t, o.prev, stepOpts, o.state)
 	solveSpan.End()
 	sr := SlotReport{Slot: o.t, Ladder: ladder}
 	switch {
@@ -210,7 +188,16 @@ func (o *Online) Step() (*model.Decision, error) {
 		if ladder.Recovered() {
 			sr.Status = SlotRecovered
 		}
-	case o.Opts.Resilience.DisableDegrade || !resilience.IsSolveFailure(err) || resilience.IsCanceled(err):
+		if o.state != nil && snapToPrev(dec, o.prev) {
+			// Fixed-point snap: whichever rung committed, a decision within
+			// solver jitter of the previous one commits it bitwise, so
+			// stationary stretches repeat digests the decision cache can
+			// short-circuit.
+			if ok, _ := o.prev.FeasibleAt(o.Net, o.In.Workload[o.t], feasTol); ok {
+				dec = o.prev.Clone()
+			}
+		}
+	case !resilience.IsSolveFailure(err) || resilience.IsCanceled(err):
 		span.End()
 		return nil, fmt.Errorf("core: slot %d: %w", o.t, err)
 	default:
@@ -218,7 +205,7 @@ func (o *Online) Step() (*model.Decision, error) {
 		var tactic string
 		var derr error
 		slotScope.Phase(o.Opts.Solver.Ctx, "repair", func() {
-			carried, tactic, derr = carryForward(o.Net, o.In, o.t, o.prev, stepOpts)
+			carried, tactic, derr = carryForward(o.Net, o.In, o.t, o.prev, stepOpts, o.lpWork)
 		})
 		if derr != nil {
 			span.End()

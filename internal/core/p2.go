@@ -28,11 +28,12 @@ type P2 struct {
 
 	Prob *convex.Problem
 
-	// Structural-skeleton bookkeeping for the warm-start layer (DESIGN.md
-	// §13): where the λ_t- and prev-dependent numbers live inside the built
-	// problem, so Patch can refresh them in place when the next slot's
-	// constraint topology matches. Everything else — sparsity, group
-	// membership, coefficients, capacity rows — is slot-invariant.
+	// Where the λ_t-, price- and prev-dependent numbers live inside the
+	// built problem, so fill can write them for a slot: BuildP2 lays the
+	// structure out and fills it once, Patch refills it in place when the
+	// next slot's constraint topology matches (DESIGN.md §13). Everything
+	// else — sparsity, group membership, coefficients, capacity rows — is
+	// slot-invariant.
 	groups []groupRef // source of Obj.Groups[k].Prev, aligned with Groups
 	idx3c  []int      // row index of (3c) per tier-1 cloud j
 	act3d  []bool     // whether cloud i's (3d) covering row was active
@@ -55,10 +56,12 @@ const (
 )
 
 // BuildP2 constructs P2(t) (equations 3a–3f) for the given slot from the
-// previous slot's decision. Besides the paper's covering constraints (3d)
-// and (3e), the explicit capacity constraints of P1 are included as
-// numerical safeguards; Lemma 1 shows they are inactive at the optimum, so
-// the solution is unchanged.
+// previous slot's decision: it lays out the structure (variables, rows,
+// sparsity, entropic groups, which covering rows are active) and then
+// writes the slot's numbers with fill. Besides the paper's covering
+// constraints (3d) and (3e), the explicit capacity constraints of P1 are
+// included as numerical safeguards; Lemma 1 shows they are inactive at the
+// optimum, so the solution is unchanged.
 func BuildP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, params Params) (*P2, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -80,20 +83,10 @@ func BuildP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, pa
 	p2.NumVars = cursor
 
 	lam := in.Workload[t]
-	var totalLam float64
-	for _, l := range lam {
-		totalLam += l
-	}
+	totalLam := sumOf(lam)
 
-	// ---- Objective ----
+	// ---- Objective (fill writes the prices and the entropic anchors) ----
 	obj := &convex.Entropic{Linear: make([]float64, p2.NumVars)}
-	for p, pr := range n.Pairs {
-		obj.Linear[p2.XOff+p] = in.PriceT2[t][pr.I]
-		obj.Linear[p2.YOff+p] = n.PriceNet[p]
-		if n.Tier1 {
-			obj.Linear[p2.ZOff+p] = in.PriceT1[t][pr.J]
-		}
-	}
 	for i := 0; i < n.NumTier2; i++ {
 		pairs := n.PairsOfI(i)
 		//sorallint:ignore floatcmp a zero reconfiguration price disables the penalty group; the skip is exact by contract
@@ -101,16 +94,13 @@ func BuildP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, pa
 			continue
 		}
 		members := make([]int, len(pairs))
-		prevSum := 0.0
 		for k, p := range pairs {
 			members[k] = p2.XOff + p
-			prevSum += prev.X[p]
 		}
 		obj.Groups = append(obj.Groups, convex.EntGroup{
 			Members: members,
 			Coef:    n.ReconfT2[i] / params.EtaT2(n, i),
 			Eps:     params.EpsT2,
-			Prev:    prevSum,
 		})
 		p2.groups = append(p2.groups, groupRef{kind: groupT2, idx: i})
 	}
@@ -123,7 +113,6 @@ func BuildP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, pa
 			Members: []int{p2.YOff + p},
 			Coef:    n.ReconfNet[p] / params.EtaNet(n, p),
 			Eps:     params.EpsNet,
-			Prev:    prev.Y[p],
 		})
 		p2.groups = append(p2.groups, groupRef{kind: groupNet, idx: p})
 	}
@@ -135,22 +124,19 @@ func BuildP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, pa
 			}
 			pairs := n.PairsOfJ(j)
 			members := make([]int, len(pairs))
-			prevSum := 0.0
 			for k, p := range pairs {
 				members[k] = p2.ZOff + p
-				prevSum += prev.Z[p]
 			}
 			obj.Groups = append(obj.Groups, convex.EntGroup{
 				Members: members,
 				Coef:    n.ReconfT1[j] / params.EtaT1(n, j),
 				Eps:     params.epsT1(),
-				Prev:    prevSum,
 			})
 			p2.groups = append(p2.groups, groupRef{kind: groupT1, idx: j})
 		}
 	}
 
-	// ---- Constraints (all rows G·v ≤ h) ----
+	// ---- Constraints (all rows G·v ≤ h; fill writes the (3c)–(3e) right-hand sides) ----
 	type row struct {
 		es  []lp.Entry
 		rhs float64
@@ -176,7 +162,7 @@ func BuildP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, pa
 			es = append(es, lp.Entry{Index: p2.SOff + p, Val: -1})
 		}
 		p2.idx3c = append(p2.idx3c, len(rows))
-		add(es, -lam[j])
+		add(es, 0)
 	}
 	// (3d): Σ_{k≠i} Σ_{p∈P(k)} x ≥ [Σ_j λ_j − C_i]⁺ for every tier-2 cloud i.
 	p2.act3d = make([]bool, n.NumTier2)
@@ -199,7 +185,7 @@ func BuildP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, pa
 		}
 		p2.act3d[i] = true
 		p2.idx3d = append(p2.idx3d, len(rows))
-		add(es, -need)
+		add(es, 0)
 	}
 	// (3e): Σ_{k∈I_j, k≠i} y_kj ≥ [λ_j − B_ij]⁺ for every pair (i,j).
 	p2.act3e = make([]bool, np)
@@ -220,7 +206,7 @@ func BuildP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, pa
 		}
 		p2.act3e[p] = true
 		p2.idx3e = append(p2.idx3e, len(rows))
-		add(es, -need)
+		add(es, 0)
 	}
 	// Capacity safeguards (inactive at the optimum per Lemma 1).
 	for i := 0; i < n.NumTier2; i++ {
@@ -256,6 +242,7 @@ func BuildP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, pa
 		h[r] = rw.rhs
 	}
 	p2.Prob = &convex.Problem{Obj: obj, G: g, H: h, Blocks: p2.blocks()}
+	p2.fill(in, t, prev)
 	return p2, nil
 }
 
@@ -288,27 +275,22 @@ func (p2 *P2) Extract(v []float64) *model.Decision {
 	return d
 }
 
-// Patch refreshes a built P2 in place for a new slot, rewriting exactly the
-// numbers BuildP2 derives from (t, prev) — the operating-price entries of
-// the linear objective, the Prev anchors of the entropic groups, and the
-// right-hand sides of the demand rows (3c) and the conditional covering
-// rows (3d)/(3e) — while reusing every structural artifact (row sparsity,
-// group membership, capacity safeguards). It returns false when the new
-// slot's covering-row activity pattern differs from the built one or t is
-// out of range; the caller must then rebuild with BuildP2. A successful
-// Patch leaves the problem bit-identical to a fresh BuildP2 for the same
-// (n, in, t, prev, params), which is what keeps warm-started runs
-// deterministic and resumable (DESIGN.md §13).
+// Patch refreshes a built P2 in place for a new slot: when the slot's
+// (3d)/(3e) covering-row activity matches the built one, it refills the
+// slot's numbers with the same fill BuildP2 uses and reuses every
+// structural artifact (row sparsity, group membership, capacity
+// safeguards), so the patched problem is bit-identical to a fresh BuildP2
+// for the same (n, in, t, prev, params). That keeps warm-started runs
+// deterministic and resumable (DESIGN.md §13). It returns false when the
+// activity pattern differs or t is out of range; the caller must then
+// rebuild with BuildP2.
 func (p2 *P2) Patch(in *model.Inputs, t int, prev *model.Decision, params Params) bool {
 	if t < 0 || t >= in.T || p2.act3d == nil {
 		return false
 	}
 	n := p2.Net
 	lam := in.Workload[t]
-	var totalLam float64
-	for _, l := range lam {
-		totalLam += l
-	}
+	totalLam := sumOf(lam)
 	// The activity pattern must repeat exactly — presence of a covering row
 	// changes the constraint set, not just its numbers.
 	for i := 0; i < n.NumTier2; i++ {
@@ -321,10 +303,20 @@ func (p2 *P2) Patch(in *model.Inputs, t int, prev *model.Decision, params Params
 			return false
 		}
 	}
+	p2.fill(in, t, prev)
+	return true
+}
 
+// fill writes every number of P2 that depends on the slot or the previous
+// decision: the linear objective's prices, the entropic groups' Prev
+// anchors (previous-decision sums), and the right-hand sides of the demand
+// rows (3c) and the active covering rows (3d)/(3e).
+func (p2 *P2) fill(in *model.Inputs, t int, prev *model.Decision) {
+	n := p2.Net
 	obj := p2.Prob.Obj.(*convex.Entropic)
 	for p, pr := range n.Pairs {
 		obj.Linear[p2.XOff+p] = in.PriceT2[t][pr.I]
+		obj.Linear[p2.YOff+p] = n.PriceNet[p]
 		if n.Tier1 {
 			obj.Linear[p2.ZOff+p] = in.PriceT1[t][pr.J]
 		}
@@ -347,6 +339,8 @@ func (p2 *P2) Patch(in *model.Inputs, t int, prev *model.Decision, params Params
 			obj.Groups[k].Prev = prevSum
 		}
 	}
+	lam := in.Workload[t]
+	totalLam := sumOf(lam)
 	h := p2.Prob.H
 	for j, r := range p2.idx3c {
 		h[r] = -lam[j]
@@ -365,7 +359,15 @@ func (p2 *P2) Patch(in *model.Inputs, t int, prev *model.Decision, params Params
 			k++
 		}
 	}
-	return true
+}
+
+// sumOf returns Σ v in index order.
+func sumOf(v []float64) float64 {
+	var s float64
+	for _, x := range v {
+		s += x
+	}
+	return s
 }
 
 // warmStart builds a strictly feasible interior point for P2 from the

@@ -62,7 +62,7 @@ type SlotReport struct {
 	// false when Options.WarmStart is off.
 	Warm bool
 	// SolveIters counts the Newton iterations of the attempt that produced
-	// the committed decision, tracked by the SolveState independently of any
+	// the committed decision, tracked by the warm-start state independently of any
 	// obs scope. Zero when Options.WarmStart is off, on cache hits (no solve
 	// ran), and on degraded slots.
 	SolveIters int

@@ -10,19 +10,6 @@ import (
 	"soral/internal/resilience"
 )
 
-// ResilienceOptions tunes the online pipeline's fault handling. The zero
-// value enables everything: resilience is the default and must be opted out
-// of, not into.
-type ResilienceOptions struct {
-	// DisableLadder restricts every P2 solve to the primary warm-started
-	// attempt (no restart or loosened-tolerance rungs).
-	DisableLadder bool
-	// DisableDegrade makes a slot whose whole ladder failed abort the run
-	// (the pre-resilience behavior) instead of carrying the previous
-	// decision forward.
-	DisableDegrade bool
-}
-
 // looseTolFactor scales the solver tolerance on the last ladder rung.
 const looseTolFactor = 100
 
@@ -53,11 +40,7 @@ const feasTol = 1e-4
 // SolveP2Resilient solves the regularized subproblem for one slot through a
 // fallback ladder:
 //
-//  1. warm — the barrier solve from the structured warm start; with a
-//     SolveState attached (Options.WarmStart), this rung first tries the
-//     carried previous-decision point at a late-path barrier weight and
-//     falls back to the structured start inside the same rung on any
-//     failure, so the ladder below never sees a warm-start artifact;
+//  1. warm — the barrier solve from the structured warm start;
 //  2. restart-center — discard the warm start and restart the barrier from
 //     the phase-I strictly feasible point (the fresh centering path pulls
 //     through the analytic center, stepping around whatever corner of the
@@ -69,8 +52,21 @@ const feasTol = 1e-4
 // is feasible for the realized slot inputs within 1e-4. Build/validation
 // errors are returned directly with a nil report: a malformed instance must
 // not be retried.
+//
+// SolveP2Resilient is stateless: it builds P2 afresh and never carries a
+// warm point, whatever opts.WarmStart says. Online.Step runs the same
+// ladder with its per-run warm-start state (DESIGN.md §13).
 func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options) (*model.Decision, *resilience.LadderReport, error) {
-	st := opts.State
+	return solveP2(n, in, t, prev, opts, nil)
+}
+
+// solveP2 is SolveP2Resilient with the warm-start layer's per-run state st
+// (nil runs stateless). With st, P2 is patched from the cached skeleton
+// when its topology repeats, and the warm rung first tries the carried
+// previous-decision point at a late-path barrier weight, falling back to
+// the structured start inside the same rung on any failure, so the rungs
+// below never see a warm-start artifact.
+func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, st *solveState) (*model.Decision, *resilience.LadderReport, error) {
 	if st != nil {
 		st.lastWarm, st.lastSolveIters = false, 0
 	}
@@ -105,7 +101,11 @@ func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Dec
 	}
 	asm.End()
 
-	attempt := func(solverOpts convex.Options, start []float64) (*model.Decision, int, error) {
+	// attempt runs one barrier solve from start and, on success, notes its
+	// iteration count and whether it started warm in the solve state
+	// (nil-safe): the journal's warm-vs-cold delta and the decision cache's
+	// bookkeeping both read them after the ladder returns.
+	attempt := func(solverOpts convex.Options, start []float64, warm bool) (*model.Decision, error) {
 		if solverOpts.Obs == nil {
 			solverOpts.Obs = opts.Obs
 		}
@@ -115,10 +115,10 @@ func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Dec
 			res, serr = convex.Solve(p2.Prob, start, solverOpts)
 		})
 		if serr != nil {
-			return nil, 0, serr
+			return nil, serr
 		}
 		if !res.Converged {
-			return nil, 0, &resilience.SolveError{
+			return nil, &resilience.SolveError{
 				Stage: "convex.barrier", Class: resilience.ClassIterationLimit,
 				Iters: res.NewtonIters,
 				Err:   fmt.Errorf("barrier stopped before reaching tol %g", solverOpts.Tol),
@@ -126,44 +126,28 @@ func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Dec
 		}
 		dec := p2.Extract(res.X)
 		if ok, v := dec.FeasibleAt(n, in.Workload[t], feasTol); !ok {
-			return nil, 0, &resilience.SolveError{
+			return nil, &resilience.SolveError{
 				Stage: "core.p2", Class: resilience.ClassInfeasible,
 				Iters: res.NewtonIters,
 				Err:   fmt.Errorf("extracted decision violates slot %d constraints by %g", t, v),
 			}
 		}
-		return dec, res.NewtonIters, nil
-	}
-	// record notes the committing attempt's iteration count in the solve
-	// state (nil-safe): the journal's warm-vs-cold delta and the decision
-	// cache's bookkeeping both read it after the ladder returns.
-	record := func(iters int, warm bool) {
-		if st == nil {
-			return
+		if st != nil {
+			st.lastWarm = warm
+			st.lastSolveIters = res.NewtonIters
+			if !warm {
+				st.lastColdIters = res.NewtonIters
+			}
 		}
-		st.lastWarm = warm
-		st.lastSolveIters = iters
-		if !warm {
-			st.lastColdIters = iters
-		}
+		return dec, nil
 	}
 
 	rungs := []resilience.Rung[*model.Decision]{
 		{Name: RungWarm, Run: func() (*model.Decision, error) {
 			if warmX0 != nil {
 				wopts := warmOptions(len(p2.Prob.H), opts.Solver)
-				dec, iters, werr := attempt(wopts, warmX0)
+				dec, werr := attempt(wopts, warmX0, true)
 				if werr == nil {
-					// Fixed-point snap: a solve that landed within solver
-					// jitter of the previous decision commits it bitwise, so
-					// stationary stretches produce repeating digests the
-					// decision cache can short-circuit.
-					if snapToPrev(dec, prev) {
-						if ok, _ := prev.FeasibleAt(n, in.Workload[t], feasTol); ok {
-							dec = prev.Clone()
-						}
-					}
-					record(iters, true)
 					opts.Obs.Count(obs.MetricWarmHits, 1)
 					return dec, nil
 				}
@@ -175,43 +159,29 @@ func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Dec
 				// ladder above is untouched by warm-start failures.
 				opts.Obs.Count(obs.MetricWarmFallbacks, 1)
 			}
-			dec, iters, err := attempt(opts.Solver, x0)
-			if err == nil {
-				record(iters, false)
-			}
-			return dec, err
+			return attempt(opts.Solver, x0, false)
 		}},
 	}
-	if !opts.Resilience.DisableLadder {
-		if x0 != nil {
-			rungs = append(rungs, resilience.Rung[*model.Decision]{
-				Name: RungRestartCenter, Run: func() (*model.Decision, error) {
-					dec, iters, err := attempt(opts.Solver, nil)
-					if err == nil {
-						record(iters, false)
-					}
-					return dec, err
-				}})
-		}
-		loose := opts.Solver
-		loose.Tol = loose.Tol * looseTolFactor
-		if loose.Tol <= 0 {
-			loose.Tol = 1e-7 * looseTolFactor
-		}
-		if loose.MaxNewton <= 0 {
-			loose.MaxNewton = 160 // 2× the barrier default
-		} else {
-			loose.MaxNewton *= 2
-		}
+	if x0 != nil {
 		rungs = append(rungs, resilience.Rung[*model.Decision]{
-			Name: RungLooseTol, Run: func() (*model.Decision, error) {
-				dec, iters, err := attempt(loose, nil)
-				if err == nil {
-					record(iters, false)
-				}
-				return dec, err
+			Name: RungRestartCenter, Run: func() (*model.Decision, error) {
+				return attempt(opts.Solver, nil, false)
 			}})
 	}
+	loose := opts.Solver
+	loose.Tol = loose.Tol * looseTolFactor
+	if loose.Tol <= 0 {
+		loose.Tol = 1e-7 * looseTolFactor
+	}
+	if loose.MaxNewton <= 0 {
+		loose.MaxNewton = 160 // 2× the barrier default
+	} else {
+		loose.MaxNewton *= 2
+	}
+	rungs = append(rungs, resilience.Rung[*model.Decision]{
+		Name: RungLooseTol, Run: func() (*model.Decision, error) {
+			return attempt(loose, nil, false)
+		}})
 	return resilience.ClimbObs(fmt.Sprintf("core.p2[t=%d]", t), opts.Obs, rungs)
 }
 
@@ -221,8 +191,8 @@ func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Dec
 // the previous decision as lower bounds (the same machinery as the
 // controllers' repair step), an unconstrained one-shot LP, and finally the
 // solver-free greedy spread. It returns the applied decision and the tactic
-// name.
-func carryForward(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options) (*model.Decision, string, error) {
+// name. lpWork supplies the repair LPs' reusable buffers.
+func carryForward(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, lpWork *lp.Workspace) (*model.Decision, string, error) {
 	if ok, _ := prev.FeasibleAt(n, in.Workload[t], 1e-7); ok {
 		return prev.Clone(), DegradeCarry, nil
 	}
@@ -232,7 +202,7 @@ func carryForward(n *model.Network, in *model.Inputs, t int, prev *model.Decisio
 		// degradation path must not fail on a config quirk, so normalize.
 		lpWorkers = 0
 	}
-	lpOpts := lp.Options{Ctx: opts.Solver.Ctx, Obs: opts.Obs, Work: opts.LPWork, Workers: lpWorkers}
+	lpOpts := lp.Options{Ctx: opts.Solver.Ctx, Obs: opts.Obs, Work: lpWork, Workers: lpWorkers}
 	if l, err := model.BuildP1(n, in.Window(t, 1), prev, nil); err == nil {
 		l.LowerBoundPlan(prev)
 		if sol, _, err := lp.SolveResilient(l.Prob, lpOpts); err == nil {

@@ -139,45 +139,6 @@ func TestOnlineEverySlotDegradedStillCompletes(t *testing.T) {
 	}
 }
 
-func TestOnlineDisableDegradeAborts(t *testing.T) {
-	n := oneByOne(t, 5, 5, 1)
-	in := inputsFor([]float64{5, 2}, []float64{1, 1})
-	opts := DefaultOptions()
-	opts.Solver.Fault = &resilience.FaultPlan{InjectNaN: true, InjectNaNAt: 0}
-	opts.Resilience.DisableDegrade = true
-	seq, rep, err := RunOnlineReport(n, in, opts)
-	if err == nil {
-		t.Fatal("disabled degradation did not abort")
-	}
-	if !resilience.IsSolveFailure(err) {
-		t.Fatalf("abort error lost its SolveError: %v", err)
-	}
-	if len(seq) != 0 || len(rep.Slots) != 0 {
-		t.Fatalf("aborted run decided %d slots", len(seq))
-	}
-}
-
-func TestOnlineDisableLadderSkipsRetries(t *testing.T) {
-	// With the ladder off, a single transient fault that one retry would have
-	// absorbed instead degrades the slot — and the transcript shows exactly
-	// one attempt.
-	n := oneByOne(t, 5, 5, 1)
-	in := inputsFor([]float64{5, 2}, []float64{1, 1})
-	opts := DefaultOptions()
-	opts.Solver.Fault = &resilience.FaultPlan{InjectNaN: true, InjectNaNAt: 0, MaxTrips: 1}
-	opts.Resilience.DisableLadder = true
-	_, rep, err := RunOnlineReport(n, in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Degraded(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("degraded slots = %v, want [0]", got)
-	}
-	if la := rep.Slots[0].Ladder; la == nil || len(la.Attempts) != 1 {
-		t.Fatalf("ladder transcript: %v", rep.Slots[0].Ladder)
-	}
-}
-
 func TestOnlineCanceledContextAborts(t *testing.T) {
 	// Cancellation must abort the run, never be papered over by degradation.
 	n := oneByOne(t, 5, 5, 1)
@@ -202,7 +163,7 @@ func TestCarryForwardTactics(t *testing.T) {
 
 	// An already-feasible previous decision is cloned as-is.
 	feasible := model.SpreadDecision(n, in.Workload[0])
-	dec, tactic, err := carryForward(n, in, 0, feasible, opts)
+	dec, tactic, err := carryForward(n, in, 0, feasible, opts, nil)
 	if err != nil || tactic != DegradeCarry {
 		t.Fatalf("tactic %q err %v, want %q", tactic, err, DegradeCarry)
 	}
@@ -212,7 +173,7 @@ func TestCarryForwardTactics(t *testing.T) {
 	}
 
 	// A zero previous decision under positive workload needs the repair LP.
-	dec, tactic, err = carryForward(n, in, 0, model.NewZeroDecision(n), opts)
+	dec, tactic, err = carryForward(n, in, 0, model.NewZeroDecision(n), opts, nil)
 	if err != nil {
 		t.Fatalf("carryForward: %v", err)
 	}

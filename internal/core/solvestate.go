@@ -13,7 +13,7 @@ import (
 // latency profile, though never its decisions — are deterministic.
 const decisionCacheCap = 64
 
-// SolveState is the per-run incremental re-solve state of the warm-start
+// solveState is the per-run incremental re-solve state of the warm-start
 // layer (DESIGN.md §13). It carries three kinds of reuse across slots:
 //
 //   - the structural skeleton of P2 (rows, sparsity, group membership),
@@ -29,8 +29,8 @@ const decisionCacheCap = 64
 // config), which is why Online.Restore can simply discard the state and a
 // resumed run still reproduces an uninterrupted one bit-for-bit.
 //
-// A SolveState must not be shared by concurrent solves.
-type SolveState struct {
+// A solveState must not be shared by concurrent solves.
+type solveState struct {
 	p2 *P2 // cached subproblem skeleton (nil until the first build)
 
 	x0 []float64 // warm-point buffer, reused across slots
@@ -51,7 +51,7 @@ type SolveState struct {
 	// warm-vs-cold iteration delta is measured against.
 	lastColdIters int
 
-	// Per-slot scratch, reset at the top of every SolveP2Resilient call:
+	// Per-slot scratch, reset at the top of every solveP2 call:
 	// whether the committing attempt started from the carried warm point,
 	// and how many Newton iterations it took.
 	lastWarm       bool
@@ -69,11 +69,10 @@ type cacheEntry struct {
 	digest string
 }
 
-// NewSolveState returns an empty warm-start state. Online creates one per
-// run when Options.WarmStart is on; create one directly only when driving
-// SolveP2Resilient yourself.
-func NewSolveState() *SolveState {
-	return &SolveState{cache: make(map[cacheKey]cacheEntry, decisionCacheCap)}
+// newSolveState returns an empty warm-start state. Online creates one per
+// run when Options.WarmStart is on, and a fresh one on Restore.
+func newSolveState() *solveState {
+	return &solveState{cache: make(map[cacheKey]cacheEntry, decisionCacheCap)}
 }
 
 // cacheKey derives the decision-cache key for slot t: the journal input
@@ -82,7 +81,7 @@ func NewSolveState() *SolveState {
 // full pair is what makes a hit bit-identical to a re-solve — P2(t) depends
 // on exactly those inputs and nothing else. The key's inputs digest is the
 // one the slot's journal record carries.
-func (st *SolveState) cacheKey(in *model.Inputs, t int, prev *model.Decision) cacheKey {
+func (st *solveState) cacheKey(in *model.Inputs, t int, prev *model.Decision) cacheKey {
 	if st.prevDigest == "" {
 		st.prevDigest = journal.Digest(prev.X, prev.Y, prev.Z)
 	}
@@ -92,14 +91,14 @@ func (st *SolveState) cacheKey(in *model.Inputs, t int, prev *model.Decision) ca
 // lookup returns the cached decision for key, if any. The returned decision
 // is shared (it was committed once already) and must be treated as
 // immutable — committed decisions never are mutated.
-func (st *SolveState) lookup(key cacheKey) (*model.Decision, string, bool) {
+func (st *solveState) lookup(key cacheKey) (*model.Decision, string, bool) {
 	e, ok := st.cache[key]
 	return e.dec, e.digest, ok
 }
 
 // store caches a cleanly committed decision under key, evicting the oldest
 // entry once the cache is full.
-func (st *SolveState) store(key cacheKey, dec *model.Decision, digest string) {
+func (st *solveState) store(key cacheKey, dec *model.Decision, digest string) {
 	if _, ok := st.cache[key]; ok {
 		return
 	}
@@ -113,7 +112,7 @@ func (st *SolveState) store(key cacheKey, dec *model.Decision, digest string) {
 
 // size returns the decision cache's population (the warmstart.cache_size
 // gauge).
-func (st *SolveState) size() int { return len(st.cache) }
+func (st *solveState) size() int { return len(st.cache) }
 
 // warmCapMargin is the relative interior margin the warm point keeps from
 // every capacity. The previous optimum routinely sits ON a capacity boundary
@@ -134,7 +133,7 @@ const warmCapMargin = 1e-6
 // warm decisions survive the resume contract of DESIGN.md §10. Once the
 // buffers have grown to the instance size it allocates nothing (pinned by
 // TestWarmPointZeroAlloc).
-func (st *SolveState) warmPoint(p2 *P2, in *model.Inputs, t int, prev *model.Decision) []float64 {
+func (st *solveState) warmPoint(p2 *P2, in *model.Inputs, t int, prev *model.Decision) []float64 {
 	if len(p2.groups) == 0 {
 		return nil
 	}
@@ -325,8 +324,9 @@ func (st *SolveState) warmPoint(p2 *P2, in *model.Inputs, t int, prev *model.Dec
 }
 
 // warmSnapEps is the relative componentwise tolerance of the fixed-point
-// snap: a warm solve landing this close to the previous decision commits the
-// previous decision bitwise. Stationary instances converge to a fixed point
+// snap: on WarmStart runs, a solved decision landing this close to the
+// previous decision commits the previous decision bitwise, whichever ladder
+// rung produced it. Stationary instances converge to a fixed point
 // up to solver jitter (~1e-14 at unit scale, measured) but never bit-exactly,
 // so without the snap the digest-keyed decision cache could never see a
 // repeated (inputs, previous-decision) pair. 1e-9 sits far above the jitter
@@ -376,12 +376,8 @@ func warmOptions(m int, solver convex.Options) convex.Options {
 	if w.Tol < warmGap {
 		w.Tol = warmGap
 	}
-	mu := w.Mu
-	if mu <= 1 {
-		mu = 20
-	}
 	// Start a couple of growth stages from the termination weight m/Tol
 	// instead of walking the whole central path up from TInit=1.
-	w.TInit = 1.1 * float64(m) / (w.Tol * mu)
+	w.TInit = 1.1 * float64(m) / (w.Tol * convex.Mu)
 	return w
 }

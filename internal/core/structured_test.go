@@ -156,7 +156,7 @@ func TestCarriedSlackExitStrictlyFeasible(t *testing.T) {
 	for _, c := range structuredCases() {
 		t.Run(c.name, func(t *testing.T) {
 			n, in := c.build(t)
-			st := NewSolveState()
+			st := newSolveState()
 			prev := model.NewZeroDecision(n)
 			warm := 0
 			for tt := 0; tt < in.T; tt++ {

@@ -137,7 +137,7 @@ func TestWarmReportMarksWarmSlots(t *testing.T) {
 }
 
 // TestWarmPointZeroAlloc pins the steady-state allocation contract of the
-// warm path: once the SolveState buffers have grown to the instance size,
+// warm path: once the solveState buffers have grown to the instance size,
 // deriving the carried interior point allocates nothing.
 func TestWarmPointZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(903))
@@ -152,7 +152,7 @@ func TestWarmPointZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewSolveState()
+	st := newSolveState()
 	if st.warmPoint(p2, in, 1, prev) == nil {
 		t.Fatal("no warm point for a clean previous decision")
 	}
@@ -198,7 +198,7 @@ func TestWarmCacheKeyCoversTier1Prices(t *testing.T) {
 	in := inputsFor([]float64{4, 4}, []float64{1, 1})
 	in.PriceT1 = [][]float64{{1}, {3}}
 	prev := model.NewZeroDecision(n)
-	st := NewSolveState()
+	st := newSolveState()
 	if k0, k1 := st.cacheKey(in, 0, prev), st.cacheKey(in, 1, prev); k0 == k1 {
 		t.Fatalf("cache key ignores tier-1 prices: slots 0 and 1 collide on %s", k0)
 	}
@@ -258,7 +258,7 @@ func TestWarmCacheMissesOnTier1PriceChange(t *testing.T) {
 	}
 }
 
-// TestWarmDecisionCacheHitsOnStationaryPair drives SolveState's cache
+// TestWarmDecisionCacheHitsOnStationaryPair drives solveState's cache
 // through Online on a stationary two-tier instance. Under reconfiguration
 // smoothing the decision approaches the stationary optimum geometrically
 // (that is the algorithm working as designed), so the horizon is long enough

@@ -83,7 +83,7 @@ func ResumeWith(ctx context.Context, j *journal.Journal, w *journal.Writer, opts
 	}
 	suite := NewSuite(scen, cfg.Eps).WithJournal(nil)
 	if cfg.WarmStart {
-		// A warm-recorded run resumes warm: the SolveState itself died with
+		// A warm-recorded run resumes warm: the warm-start state itself died with
 		// the process (core.Restore discards it deterministically), but the
 		// catch-up re-solves and the resumed tail must walk the same warm
 		// rungs the uninterrupted run would have.

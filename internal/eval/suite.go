@@ -113,7 +113,7 @@ func (s *Suite) WithObs(sc *obs.Scope) *Suite {
 }
 
 // WithWarmStart toggles the warm-started incremental re-solve layer
-// (DESIGN.md §13): the online pipeline carries a core.SolveState across
+// (DESIGN.md §13): the online pipeline carries its warm-start state across
 // slots, and window solves reuse the staircase backend through a cache.
 // Off — the default — is bit-identical to the pre-warm-start pipeline.
 func (s *Suite) WithWarmStart(on bool) *Suite {

@@ -125,7 +125,7 @@ func warmJournalSpec() RunConfig {
 // TestWarmJournalReplaysAndResumes covers the crash-safety contract for
 // warm runs end to end: a journaled warm run replays cleanly (including the
 // warm-vs-cold iteration reconciliation), and a run resumed from a
-// truncated journal — where the fresh process has discarded the SolveState —
+// truncated journal — where the fresh process has discarded the warm-start state —
 // reproduces the uninterrupted run's decisions bit-for-bit.
 func TestWarmJournalReplaysAndResumes(t *testing.T) {
 	dir := t.TempDir()
@@ -155,7 +155,7 @@ func TestWarmJournalReplaysAndResumes(t *testing.T) {
 
 	// Truncate mid-run — keep the header and the first three slot/state
 	// pairs — then resume. The resumed process starts with a fresh (empty)
-	// SolveState, exactly like a post-crash restart, and must still commit
+	// warm-start state, exactly like a post-crash restart, and must still commit
 	// the uninterrupted run's decisions.
 	lines := bytes.SplitAfter(ref, []byte("\n"))
 	path := filepath.Join(dir, "trunc.jsonl")

@@ -3,7 +3,6 @@ package model
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"soral/internal/lp"
 )
@@ -356,22 +355,4 @@ func SolveP1Dense(n *Network, in *Inputs, prev, endPin *Decision, opts lp.Option
 		return nil, 0, fmt.Errorf("model: P1 solve status %v", sol.Status)
 	}
 	return l.ExtractDecisions(sol.X), sol.Obj, nil
-}
-
-// RoundFeasible nudges a decision sequence onto the feasible set of P1:
-// tiny solver-noise violations of coverage are repaired by raising the
-// binding resources, and capacity overshoot is clipped. It returns the
-// largest adjustment made.
-func RoundFeasible(n *Network, in *Inputs, seq []*Decision) float64 {
-	maxAdj := 0.0
-	for t, d := range seq {
-		for p := range d.Y {
-			if d.Y[p] > n.CapNet[p] {
-				maxAdj = math.Max(maxAdj, d.Y[p]-n.CapNet[p])
-				d.Y[p] = n.CapNet[p]
-			}
-		}
-		_ = t
-	}
-	return maxAdj
 }

@@ -379,15 +379,9 @@ func RunGreedy(s *System, in *Inputs, opts lp.Options) ([]*Decision, error) {
 		if err != nil {
 			return nil, err
 		}
-		sol, err := lp.Solve(prob, opts)
-		if err != nil || sol.Status != lp.Optimal {
-			sol, err = lp.SolveSimplex(prob, lp.Options{Ctx: opts.Ctx})
-			if err != nil {
-				return nil, fmt.Errorf("ntier: greedy slot %d: %w", t, err)
-			}
-			if sol.Status != lp.Optimal {
-				return nil, fmt.Errorf("ntier: greedy slot %d status %v", t, sol.Status)
-			}
+		sol, _, err := lp.SolveResilient(prob, opts)
+		if err != nil {
+			return nil, fmt.Errorf("ntier: greedy slot %d: %w", t, err)
 		}
 		d := l.extract(sol.X[:l.numVars])
 		out = append(out, d)

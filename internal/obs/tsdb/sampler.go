@@ -9,14 +9,6 @@ import (
 	"soral/internal/obs/hist"
 )
 
-// SourceGauge is an external scalar sampled alongside the registry: sources
-// that maintain their own state (a health tracker, a journal feed) and have
-// no reason to push into the registry on their own cadence.
-type SourceGauge struct {
-	Name string
-	Read func() float64
-}
-
 // Sampler periodically copies the registry into the store: every counter and
 // gauge verbatim, every latency histogram as derived `<name>.p50`,
 // `<name>.p99`, and `<name>.count` series. One Tick is one column of the
@@ -33,8 +25,6 @@ type Sampler struct {
 	// into the registry before each sample, so they appear in /metrics and
 	// the store from the same read.
 	Runtime bool
-	// Gauges are external scalars sampled each tick.
-	Gauges []SourceGauge
 	// AfterSample, when set, runs after each tick's column is fully written
 	// (the watch engine's evaluation hook).
 	AfterSample func(tns int64)
@@ -63,11 +53,6 @@ func (s *Sampler) Tick(now time.Time) {
 			s.rtSamples = obs.CollectRuntime(s.Reg, s.rtSamples)
 		}
 		s.sampleRegistry(tns)
-	}
-	for _, g := range s.Gauges {
-		if g.Read != nil {
-			s.DB.Series(g.Name).Record(tns, g.Read())
-		}
 	}
 	if s.AfterSample != nil {
 		s.AfterSample(tns)

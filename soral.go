@@ -72,7 +72,8 @@ func NewZeroDecision(n *Network) *Decision { return model.NewZeroDecision(n) }
 // Params are the regularization parameters ε, ε′ of the online algorithm.
 type Params = core.Params
 
-// Options bundles algorithm parameters with solver tuning.
+// Options bundles algorithm parameters with solver tuning and telemetry
+// sinks. It is configuration only: an Online run keeps its own solve state.
 type Options = core.Options
 
 // Online is the incremental slot-by-slot driver of the online algorithm.
@@ -98,11 +99,11 @@ func RunOnline(n *Network, in *Inputs, opts Options) ([]*Decision, error) {
 }
 
 // ---- Resilience: fallback ladders and graceful degradation ----
-
-// ResilienceOptions tunes the online pipeline's fault handling; the zero
-// value (the default inside Options) enables the fallback ladder and
-// graceful degradation.
-type ResilienceOptions = core.ResilienceOptions
+//
+// Every online slot climbs the P2 fallback ladder on a solver failure and,
+// when the whole ladder fails, carries the previous decision forward made
+// feasible for the slot. Both are always on; the run report records the
+// outcome of every slot.
 
 // Report is the per-run resilience record of an online run: one entry per
 // decided slot, marking clean, recovered, and degraded slots.
