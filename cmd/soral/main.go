@@ -13,7 +13,7 @@
 //	soral -resume run.jsonl                  # recover a crashed run and finish it
 //	soral -serve 127.0.0.1:9090              # live /metrics /healthz /runs
 //	soral -serve 127.0.0.1:9090 -watch -slo 5ms   # ... plus /alerts /timeseries
-//	soral -metrics m.jsonl -metrics-interval 1s   # periodic snapshot dumps
+//	soral -metrics m.prom                    # Prometheus text dump at exit
 //	soral -trace-event trace.json            # Chrome trace-event JSON (Perfetto)
 //
 // A config file looks like:
@@ -35,10 +35,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/pprof"
-	"sync"
-	"time"
 
 	"soral/internal/core"
 	"soral/internal/eval"
@@ -87,14 +84,13 @@ func main() {
 
 		traceOut   = flag.String("trace", "", "write a JSONL telemetry trace to this file")
 		traceEvent = flag.String("trace-event", "", "write a Chrome trace-event JSON (chrome://tracing, ui.perfetto.dev) to this file")
-		metricsOut = flag.String("metrics", "", "write an expvar-style metrics dump to this file")
+		metricsOut = flag.String("metrics", "", "write the metrics at exit to this file, in the Prometheus text format /metrics serves")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (with phase labels) to this file")
 		verbose    = flag.Bool("v", false, "print a one-line resilience summary (ok/recovered/degraded, solver iterations)")
 		warm       = flag.Bool("warm", false, "warm-start each slot's solve from the previous decision (incremental re-solve)")
 
 		watchFlag = flag.Bool("watch", false, "run the self-monitoring watchdog: sample telemetry into an in-process time-series store and evaluate alert rules each tick")
 		sloFlag   = flag.Duration("slo", 0, "per-slot latency objective for the watchdog's SLO burn-rate alert (implies -watch)")
-		metricsIv = flag.Duration("metrics-interval", 0, "append a registry snapshot (JSONL) to the -metrics file at this interval instead of one final text dump")
 
 		journalOut = flag.String("journal", "", "write a flight-recorder journal (JSONL) to this file")
 		fsyncSpec  = flag.String("fsync", "commit", "journal durability policy: none|commit|every|N (fsync per N records)")
@@ -150,9 +146,6 @@ func main() {
 	// /metrics endpoint, and the watchdog.
 	serving := *serveAddr != ""
 	watching := *watchFlag || *sloFlag > 0
-	if *metricsIv > 0 && *metricsOut == "" {
-		fatal(errors.New("-metrics-interval needs -metrics <file>"))
-	}
 	var reg *obs.Registry
 	var traceSink *obs.JSONLSink
 	var eventBuf *obs.BufferSink
@@ -271,39 +264,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serving:          http://%s %s\n", srv.Addr(), endpoints)
 	}
 
-	// Periodic metrics snapshots: with -metrics-interval the -metrics file is
-	// a JSONL history (one SnapshotLine per interval plus a final one at
-	// exit) that tsdb.Ingest can load post-hoc, instead of a single
-	// end-of-run text dump.
-	var metricsFile *os.File
-	var metricsMu sync.Mutex
-	if *metricsIv > 0 {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		metricsFile = f
-		go func() {
-			tick := time.NewTicker(*metricsIv)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case now := <-tick.C:
-					metricsMu.Lock()
-					err := tsdb.WriteSnapshot(metricsFile, now, reg)
-					metricsMu.Unlock()
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "soral: metrics snapshot:", err)
-						return
-					}
-				}
-			}
-		}()
-	}
-
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -340,17 +300,7 @@ func main() {
 			fatal(oerr)
 		}
 		scen = &eval.Scenario{Net: net, In: in}
-		suite := eval.NewSuite(scen, cfg.Eps).WithJournal(jw)
-		suite.Cfg.CoreOpts.Solver.Ctx = ctx
-		jw.Begin(journal.Header{
-			Algorithm:  cfg.Algorithm,
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Workers:    runtime.GOMAXPROCS(0),
-		})
-		run, err = suite.RunConfigured(runCfg)
-		if err == nil {
-			jw.End(journal.Footer{TotalCost: run.Cost.Total()})
-		}
+		run, err = eval.RecordInstance(ctx, scen, runCfg, jw)
 	} else {
 		spec := eval.ScenarioSpec{
 			NumTier2: cfg.NumTier2, NumTier1: cfg.NumTier1, K: cfg.K, T: cfg.T,
@@ -435,26 +385,16 @@ func main() {
 			ok, rec, deg, iters)
 	}
 	if *metricsOut != "" {
-		if metricsFile != nil {
-			// Interval mode: one last snapshot line captures the end state.
-			metricsMu.Lock()
-			err := tsdb.WriteSnapshot(metricsFile, time.Now(), reg)
-			metricsMu.Unlock()
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := reg.WriteText(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
+		f, err := os.Create(*metricsOut)
+		if err != nil {
+			fatal(err)
+		}
+		if err := reg.WritePrometheus(f); err != nil {
+			f.Close()
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "metrics:          %s\n", *metricsOut)
 	}

@@ -7,7 +7,7 @@
 //	soralbench -exp all -scale medium -csv out/
 //	soralbench -exp fig4 -series trace.csv   # dump raw demand traces
 //	soralbench -compare old.json new.json    # regression-diff two snapshots
-//	soralbench -serve 127.0.0.1:9090 ...     # live /metrics /healthz /runs
+//	soralbench -exp fig5 -metrics m.prom     # Prometheus text dump at exit
 //
 // With -compare the two BENCH_<name>.json snapshots are paired by
 // experiment name and diffed per metric; the process exits 0 when clean, 1
@@ -43,17 +43,12 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
 	"soral/internal/eval"
 	"soral/internal/obs"
-	"soral/internal/obs/journal"
-	"soral/internal/obs/tsdb"
-	"soral/internal/obs/watch"
-	"soral/internal/resilience"
 	"soral/internal/workload"
 )
 
@@ -70,14 +65,11 @@ func main() {
 
 		jsonDir    = flag.String("json", "", "write per-experiment BENCH_<name>.json results into this directory")
 		traceOut   = flag.String("trace", "", "write a JSONL telemetry trace to this file")
-		metricsOut = flag.String("metrics", "", "write an expvar-style metrics dump to this file")
+		metricsOut = flag.String("metrics", "", "write the metrics at exit to this file, in the Prometheus text format")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (with phase labels) to this file")
 
 		compareRun = flag.Bool("compare", false, "diff two BENCH_<name>.json snapshots (old new); exit 1 on regression")
 		threshold  = flag.Float64("threshold", 0, "relative worsening τ that fails -compare (default 0.20)")
-		serveAddr  = flag.String("serve", "", "serve /metrics, /healthz, and /runs on this address while experiments run")
-		watchFlag  = flag.Bool("watch", false, "with -serve: run the self-monitoring watchdog and add /alerts and /timeseries")
-		sloFlag    = flag.Duration("slo", 0, "per-slot latency objective for the watchdog's SLO burn-rate alert (implies -watch)")
 	)
 	flag.Parse()
 
@@ -99,10 +91,9 @@ func main() {
 
 	// One registry for the whole process: experiments build their own Suites
 	// internally, so the scope is installed as the eval-package default.
-	serving := *serveAddr != ""
 	var reg *obs.Registry
 	var traceSink *obs.JSONLSink
-	if *jsonDir != "" || *traceOut != "" || *metricsOut != "" || serving {
+	if *jsonDir != "" || *traceOut != "" || *metricsOut != "" {
 		reg = obs.NewRegistry()
 		var sink obs.Sink
 		if *traceOut != "" {
@@ -115,59 +106,6 @@ func main() {
 			sink = traceSink
 		}
 		eval.SetDefaultObs(obs.NewScope(reg, sink))
-	}
-	var srv *obs.Server
-	if serving {
-		// One journal window spans the whole bench process: every suite the
-		// experiments build streams its slot records into /runs (slot indices
-		// restart per run — the stream is a live tail, not a single-run
-		// journal file), and /healthz aggregates degradation across all of
-		// them.
-		health := resilience.NewHealth()
-		eval.SetDefaultHealth(health)
-		feed := journal.NewFeed(0)
-		jw := journal.NewWriter(nil).Attach(feed)
-		jw.Begin(journal.Header{Algorithm: "bench", GoMaxProcs: runtime.GOMAXPROCS(0), Workers: runtime.GOMAXPROCS(0)})
-		eval.SetDefaultJournal(jw)
-		defer jw.End(journal.Footer{})
-		opts := obs.ServeOptions{
-			Registry: reg,
-			Health: func() (bool, any) {
-				s := health.Snapshot()
-				return s.Healthy(), s
-			},
-			Runs: feed,
-		}
-		endpoints := "/metrics /healthz /runs"
-		if *watchFlag || *sloFlag > 0 {
-			// Watchdog over the shared bench registry. No competitive-ratio
-			// rules here: experiments sweep ε, so there is no single
-			// certificate for the process-wide ratio gauge.
-			db := tsdb.New(tsdb.Options{})
-			eng := watch.New().Metrics(reg).Journal(jw)
-			if *sloFlag > 0 {
-				eng.AddRule(watch.SLOBurnRate(reg.LatencyHist("latency.core.slot.seconds"),
-					watch.SLOConfig{Objective: *sloFlag}))
-			}
-			collapse, blowup := watch.WarmStartRules(reg, watch.WarmConfig{})
-			eng.AddRule(collapse, blowup,
-				watch.DegradationBurst(health, 0),
-				watch.FeedDropRate(feed, 0, 0))
-			eng.OnAlert(func(a watch.Alert) {
-				fmt.Fprintf(os.Stderr, "# watch: %s\n", a)
-			})
-			sampler := &tsdb.Sampler{DB: db, Reg: reg, Runtime: true, AfterSample: eng.Eval}
-			go sampler.Run(ctx, 0)
-			opts.Timeseries = db
-			opts.Alerts = func() any { return eng.Status() }
-			endpoints += " /alerts /timeseries"
-		}
-		var err error
-		srv, err = obs.Serve(ctx, *serveAddr, opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "# serving http://%s %s\n", srv.Addr(), endpoints)
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -302,7 +240,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := reg.WriteText(f); err != nil {
+		if err := reg.WritePrometheus(f); err != nil {
 			f.Close()
 			fatal(err)
 		}
@@ -315,11 +253,6 @@ func main() {
 		if err := traceSink.Err(); err != nil {
 			fatal(fmt.Errorf("writing trace %s: %w", *traceOut, err))
 		}
-	}
-	if srv != nil {
-		fmt.Fprintln(os.Stderr, "# experiments finished; serving until interrupted (Ctrl-C to exit)")
-		<-ctx.Done()
-		<-srv.Done()
 	}
 }
 

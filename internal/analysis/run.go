@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // RunConfig selects what Run analyzes.
 type RunConfig struct {
@@ -15,21 +12,10 @@ type RunConfig struct {
 	Checks []string
 }
 
-// PackageResult carries the outcome and cost of analyzing one package.
+// PackageResult carries the outcome of analyzing one package.
 type PackageResult struct {
 	Path        string
-	Files       int
-	Duration    time.Duration // analyzer wall time for this package (excludes load)
-	Diagnostics []Diagnostic
-}
-
-// Result is the outcome of one Run.
-type Result struct {
-	Packages     []PackageResult
-	LoadDuration time.Duration // parse + type-check time for the whole module
-	// Analyzers records per-analyzer wall time summed over all packages.
-	Analyzers   map[string]time.Duration
-	Diagnostics []Diagnostic // all surviving diagnostics, merged and sorted
+	Diagnostics []Diagnostic // surviving diagnostics, sorted
 }
 
 // Run loads the module containing cfg.Dir and analyzes every package.
@@ -38,12 +24,11 @@ type Result struct {
 // full check set runs; with a restricted -checks list they are skipped,
 // because a suppression for an analyzer that did not run always looks
 // unused.
-func Run(cfg RunConfig) (*Result, error) {
+func Run(cfg RunConfig) ([]PackageResult, error) {
 	root, module, err := FindModuleRoot(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	loadStart := time.Now()
 	pr, err := Load(LoadConfig{Dir: root, Module: module})
 	if err != nil {
 		return nil, err
@@ -52,36 +37,22 @@ func Run(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		LoadDuration: time.Since(loadStart),
-		Analyzers:    make(map[string]time.Duration, len(checks)),
-	}
+	var res []PackageResult
 	known := map[string]bool{}
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
 	fullSet := len(cfg.Checks) == 0
 	for _, pkg := range pr.Packages {
-		start := time.Now()
-		diags := analyzePackageTimed(pr, pkg, checks, res.Analyzers)
+		diags := AnalyzePackage(pr, pkg, checks)
 		dirs, problems := ParseDirectives(pr.Fset, pkg, known)
 		diags = Suppress(diags, dirs)
 		diags = append(diags, problems...)
 		if fullSet {
 			diags = append(diags, UnusedDirectives(dirs)...)
 		}
-		diags = sortDiagnostics(diags)
-		res.Packages = append(res.Packages, PackageResult{
-			Path:        pkg.Path,
-			Files:       len(pkg.Files),
-			Duration:    time.Since(start),
-			Diagnostics: diags,
-		})
-		res.Diagnostics = append(res.Diagnostics, diags...)
+		res = append(res, PackageResult{Path: pkg.Path, Diagnostics: sortDiagnostics(diags)})
 	}
-	// Per-package slices are already sorted; the merged view must be too,
-	// independent of package visit order.
-	res.Diagnostics = sortDiagnostics(res.Diagnostics)
 	return res, nil
 }
 
@@ -104,10 +75,6 @@ func selectChecks(names []string) ([]*Analyzer, error) {
 // AnalyzePackage runs the given analyzers over one package and returns the
 // raw (pre-suppression) diagnostics, sorted and deduplicated.
 func AnalyzePackage(pr *Program, pkg *Package, checks []*Analyzer) []Diagnostic {
-	return analyzePackageTimed(pr, pkg, checks, nil)
-}
-
-func analyzePackageTimed(pr *Program, pkg *Package, checks []*Analyzer, timings map[string]time.Duration) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range checks {
 		pass := &Pass{
@@ -116,11 +83,7 @@ func analyzePackageTimed(pr *Program, pkg *Package, checks []*Analyzer, timings 
 			Pkg:      pkg,
 			report:   func(d Diagnostic) { diags = append(diags, d) },
 		}
-		start := time.Now()
 		a.Run(pass)
-		if timings != nil {
-			timings[a.Name] += time.Since(start)
-		}
 	}
 	return sortDiagnostics(diags)
 }

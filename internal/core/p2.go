@@ -167,8 +167,7 @@ func BuildP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, pa
 	// (3d): Σ_{k≠i} Σ_{p∈P(k)} x ≥ [Σ_j λ_j − C_i]⁺ for every tier-2 cloud i.
 	p2.act3d = make([]bool, n.NumTier2)
 	for i := 0; i < n.NumTier2; i++ {
-		need := totalLam - n.CapT2[i]
-		if need <= 0 {
+		if !covers(totalLam - n.CapT2[i]) {
 			continue // the [·]⁺ is zero and the row is implied by x ≥ 0
 		}
 		var es []lp.Entry
@@ -190,8 +189,7 @@ func BuildP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, pa
 	// (3e): Σ_{k∈I_j, k≠i} y_kj ≥ [λ_j − B_ij]⁺ for every pair (i,j).
 	p2.act3e = make([]bool, np)
 	for p, pr := range n.Pairs {
-		need := lam[pr.J] - n.CapNet[p]
-		if need <= 0 {
+		if !covers(lam[pr.J] - n.CapNet[p]) {
 			continue
 		}
 		var es []lp.Entry
@@ -280,11 +278,12 @@ func (p2 *P2) Extract(v []float64) *model.Decision {
 // slot's numbers with the same fill BuildP2 uses and reuses every
 // structural artifact (row sparsity, group membership, capacity
 // safeguards), so the patched problem is bit-identical to a fresh BuildP2
-// for the same (n, in, t, prev, params). That keeps warm-started runs
-// deterministic and resumable (DESIGN.md §13). It returns false when the
-// activity pattern differs or t is out of range; the caller must then
-// rebuild with BuildP2.
-func (p2 *P2) Patch(in *model.Inputs, t int, prev *model.Decision, params Params) bool {
+// for the same (n, in, t, prev). It takes no parameters: they only enter
+// the entropic groups' coefficients, which BuildP2 fixes. That keeps
+// warm-started runs deterministic and resumable (DESIGN.md §13). It
+// returns false when the activity pattern differs or t is out of range;
+// the caller must then rebuild with BuildP2.
+func (p2 *P2) Patch(in *model.Inputs, t int, prev *model.Decision) bool {
 	if t < 0 || t >= in.T || p2.act3d == nil {
 		return false
 	}
@@ -294,18 +293,23 @@ func (p2 *P2) Patch(in *model.Inputs, t int, prev *model.Decision, params Params
 	// The activity pattern must repeat exactly — presence of a covering row
 	// changes the constraint set, not just its numbers.
 	for i := 0; i < n.NumTier2; i++ {
-		if (totalLam-n.CapT2[i] > 0) != p2.act3d[i] {
+		if covers(totalLam-n.CapT2[i]) != p2.act3d[i] {
 			return false
 		}
 	}
 	for p, pr := range n.Pairs {
-		if (lam[pr.J]-n.CapNet[p] > 0) != p2.act3e[p] {
+		if covers(lam[pr.J]-n.CapNet[p]) != p2.act3e[p] {
 			return false
 		}
 	}
 	p2.fill(in, t, prev)
 	return true
 }
+
+// covers reports whether a (3d)/(3e) covering row with right-hand side
+// [need]⁺ is active. BuildP2 and Patch share it, so both read a NaN need
+// as inactive.
+func covers(need float64) bool { return need > 0 }
 
 // fill writes every number of P2 that depends on the slot or the previous
 // decision: the linear objective's prices, the entropic groups' Prev

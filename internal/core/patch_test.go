@@ -81,7 +81,7 @@ func TestPatchMatchesBuildP2(t *testing.T) {
 						t.Fatal(err)
 					}
 					same := slices.Equal(p2.act3d, fresh.act3d) && slices.Equal(p2.act3e, fresh.act3e)
-					if got := p2.Patch(in, tt, prevOf(tt), opts.Params); got != same {
+					if got := p2.Patch(in, tt, prevOf(tt)); got != same {
 						t.Fatalf("patch slot %d to %d: Patch = %v, activity pattern unchanged = %v", src, tt, got, same)
 					}
 					if !same {
@@ -98,6 +98,29 @@ func TestPatchMatchesBuildP2(t *testing.T) {
 	if refused == 0 {
 		t.Error("no slot pair changed the covering-row activity; the refusal half is untested")
 	}
+
+	// BuildP2 does not validate its inputs (Online does), so a NaN demand
+	// reaches the covering-row predicate. BuildP2 and Patch must read it the
+	// same way, or Patch refuses the very slot its P2 was built for.
+	t.Run("nan-workload", func(t *testing.T) {
+		n, in := coveringSwitchCase(t)
+		in.Workload[1][0] = math.NaN()
+		prev := model.NewZeroDecision(n)
+		p2, err := BuildP2(n, in, 1, prev, DefaultOptions().Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := BuildP2(n, in, 1, prev, DefaultOptions().Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p2.Patch(in, 1, prev) {
+			t.Fatalf("Patch refused the slot its P2 was built for (act3d %v, act3e %v)", p2.act3d, p2.act3e)
+		}
+		if msg := p2Diff(p2.Prob, fresh.Prob); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }
 
 // p2Diff describes the first bitwise difference between two P2 problems, or

@@ -72,7 +72,7 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 	}
 	asm := opts.Obs.StartSpan("core.assemble")
 	var p2 *P2
-	if st != nil && st.p2 != nil && st.p2.Patch(in, t, prev, opts.Params) {
+	if st != nil && st.p2 != nil && st.p2.Patch(in, t, prev) {
 		// Same constraint topology as the cached skeleton: numerics were
 		// refreshed in place, bit-identical to a fresh build.
 		p2 = st.p2

@@ -100,25 +100,42 @@ func Record(ctx context.Context, cfg RunConfig, w *journal.Writer) (*Run, *Scena
 	if err != nil {
 		return nil, nil, err
 	}
-	suite := NewSuite(scen, cfg.Eps).WithJournal(w)
-	suite.Cfg.CoreOpts.Solver.Ctx = ctx
 	raw, err := json.Marshal(cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("eval: encoding run config: %w", err)
 	}
-	w.Begin(journal.Header{
-		Algorithm:    cfg.Algorithm,
-		ConfigDigest: journal.DigestBytes(raw),
-		Config:       raw,
-		Seed:         cfg.Spec.Seed,
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-		Workers:      linalg.ResolveWorkers(suite.Cfg.CoreOpts.Solver.Workers),
-		Solver:       solverFor(cfg.Algorithm),
-	})
+	run, err := record(ctx, scen, cfg, raw, w)
+	return run, scen, err
+}
+
+// RecordInstance is Record for an external instance (model.ReadInstance):
+// cfg.Spec did not build scen, so the header embeds no config and the
+// journal is auditable but not replayable.
+func RecordInstance(ctx context.Context, scen *Scenario, cfg RunConfig, w *journal.Writer) (*Run, error) {
+	return record(ctx, scen, cfg, nil, w)
+}
+
+// record runs cfg on scen and journals it; raw is the header's embedded
+// config (nil embeds none).
+func record(ctx context.Context, scen *Scenario, cfg RunConfig, raw json.RawMessage, w *journal.Writer) (*Run, error) {
+	suite := NewSuite(scen, cfg.Eps).WithJournal(w)
+	suite.Cfg.CoreOpts.Solver.Ctx = ctx
+	h := journal.Header{
+		Algorithm:  cfg.Algorithm,
+		Config:     raw,
+		Seed:       cfg.Spec.Seed,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Workers:    linalg.ResolveWorkers(suite.Cfg.CoreOpts.Solver.Workers),
+		Solver:     solverFor(cfg.Algorithm),
+	}
+	if raw != nil {
+		h.ConfigDigest = journal.DigestBytes(raw)
+	}
+	w.Begin(h)
 	start := time.Now()
 	run, err := suite.RunConfigured(cfg)
 	if err != nil {
-		return nil, scen, err
+		return nil, err
 	}
 	footer := journal.Footer{
 		TotalCost: run.Cost.Total(),
@@ -128,7 +145,7 @@ func Record(ctx context.Context, cfg RunConfig, w *journal.Writer) (*Run, *Scena
 		footer.TotalIters = run.Report.TotalIterations()
 	}
 	w.End(footer)
-	return run, scen, w.Err()
+	return run, w.Err()
 }
 
 // solverFor is the solver identity a run of alg stamps into its journal

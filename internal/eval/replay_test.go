@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"soral/internal/core"
+	"soral/internal/obs"
 	"soral/internal/obs/journal"
 )
 
@@ -184,6 +185,47 @@ func TestReplayRejectsConfiglessJournal(t *testing.T) {
 	}
 	if _, err := Replay(context.Background(), j); err == nil || !strings.Contains(err.Error(), "no config") {
 		t.Fatalf("err = %v, want not-replayable", err)
+	}
+}
+
+// TestRecordInstanceHeader pins the journal of an external-instance run
+// (soral -instance): the same header and footer as Record, naming the
+// solver and carrying the iteration total and wall time, but with no
+// embedded config, so it is auditable and not replayable.
+func TestRecordInstanceHeader(t *testing.T) {
+	scen, err := Build(replaySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per-slot iteration counts come from the telemetry scope, which soral
+	// installs the same way whenever it records telemetry.
+	SetDefaultObs(obs.NewScope(obs.NewRegistry(), nil))
+	defer SetDefaultObs(nil)
+	var buf bytes.Buffer
+	run, err := RecordInstance(context.Background(), &Scenario{Net: scen.Net, In: scen.In},
+		RunConfig{Algorithm: "online"}, journal.NewWriter(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := j.Header
+	if h.Solver != core.SolverID || h.Algorithm != "online" {
+		t.Fatalf("header algorithm %q solver %q, want online and %q", h.Algorithm, h.Solver, core.SolverID)
+	}
+	if len(h.Config) != 0 || h.ConfigDigest != "" || j.Replayable() {
+		t.Fatalf("instance header embeds a config: digest %q config %s", h.ConfigDigest, h.Config)
+	}
+	if len(j.Slots) != scen.In.T {
+		t.Fatalf("journal has %d slots, want %d", len(j.Slots), scen.In.T)
+	}
+	f := j.Footer
+	if f == nil || f.TotalCost != run.Cost.Total() || f.DurNS <= 0 ||
+		f.TotalIters <= 0 || f.TotalIters != run.Report.TotalIterations() {
+		t.Fatalf("footer %+v, want total cost %g, total_iters %d and dur_ns > 0",
+			f, run.Cost.Total(), run.Report.TotalIterations())
 	}
 }
 

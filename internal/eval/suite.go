@@ -10,7 +10,6 @@ import (
 	"soral/internal/core"
 	"soral/internal/model"
 	"soral/internal/obs"
-	"soral/internal/obs/journal"
 	"soral/internal/predict"
 	"soral/internal/resilience"
 	"soral/internal/staircase"
@@ -53,21 +52,10 @@ func SetDefaultObs(sc *obs.Scope) { defaultObs.Store(sc) }
 // DefaultObs returns the process-wide scope (nil when unset).
 func DefaultObs() *obs.Scope { return defaultObs.Load() }
 
-// defaultJournal and defaultHealth mirror defaultObs for the flight recorder
-// and the /healthz tracker: harnesses whose suites are built internally (the
-// experiment functions) still stream slot records and degradation state to a
-// serving process.
-var (
-	defaultJournal atomic.Pointer[journal.Writer]
-	defaultHealth  atomic.Pointer[resilience.Health]
-)
-
-// SetDefaultJournal installs the journal writer every subsequently-built
-// Suite picks up. Pass nil to clear it.
-func SetDefaultJournal(w *journal.Writer) { defaultJournal.Store(w) }
-
-// DefaultJournal returns the process-wide journal writer (nil when unset).
-func DefaultJournal() *journal.Writer { return defaultJournal.Load() }
+// defaultHealth mirrors defaultObs for the degradation tracker, so suites
+// built inside Record report to the serving process's /healthz and
+// watchdog.
+var defaultHealth atomic.Pointer[resilience.Health]
 
 // SetDefaultHealth installs the degradation tracker every subsequently-built
 // Suite picks up. Pass nil to clear it.
@@ -94,9 +82,6 @@ func NewSuite(s *Scenario, eps float64) *Suite {
 	}
 	if sc := DefaultObs(); sc != nil {
 		suite.WithObs(sc)
-	}
-	if w := DefaultJournal(); w != nil {
-		suite.WithJournal(w)
 	}
 	if h := DefaultHealth(); h != nil {
 		suite.WithHealth(h)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -46,12 +47,14 @@ func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // error, and only non-empty buckets are exposed.
 const latencyHelp = "log-bucketed (8 sub-buckets per octave, <=12.5% relative bucket width); counts exact over the whole run; only non-empty buckets exposed."
 
-// WritePrometheus encodes a registry snapshot in the Prometheus text
+// WritePrometheus writes a snapshot of the registry in the Prometheus text
 // exposition format (version 0.0.4): counters, then gauges, then latency
 // histograms with cumulative buckets, _sum/_count and p50/p99/p999 gauge
 // companions, each group sorted by name so the output is byte-stable for
-// equal snapshots (golden-pinned by TestPrometheusGolden).
-func WritePrometheus(w io.Writer, snap Snapshot) error {
+// equal snapshots (golden-pinned by TestPrometheusGolden). It is the
+// registry's one dump: /metrics serves it and -metrics writes it to a file.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	snap := r.Snapshot()
 	for _, name := range sortedKeys(snap.Counters) {
 		pn := promName(name)
 		if _, err := fmt.Fprintf(w, "# HELP %s Counter %s.\n# TYPE %s counter\n%s %d\n",
@@ -104,4 +107,13 @@ func WritePrometheus(w io.Writer, snap Snapshot) error {
 		}
 	}
 	return nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -31,7 +31,7 @@ func promRegistry() *Registry {
 // format changes — scrapers parse these lines.
 func TestPrometheusGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, promRegistry().Snapshot()); err != nil {
+	if err := promRegistry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -59,10 +59,10 @@ func TestPrometheusGolden(t *testing.T) {
 func TestPrometheusStableAcrossSnapshots(t *testing.T) {
 	var a, b bytes.Buffer
 	reg := promRegistry()
-	if err := WritePrometheus(&a, reg.Snapshot()); err != nil {
+	if err := reg.WritePrometheus(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePrometheus(&b, reg.Snapshot()); err != nil {
+	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -89,7 +89,7 @@ func TestPromNameSanitization(t *testing.T) {
 // bucket equal to _count, and p50/p99/p999 gauge companions.
 func TestPrometheusLatencyBuckets(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, promRegistry().Snapshot()); err != nil {
+	if err := promRegistry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -250,37 +247,4 @@ func (r *Registry) EachLatency(fn func(name string, h *hist.Hist)) {
 	for _, e := range r.latList {
 		fn(e.name, e.m)
 	}
-}
-
-// WriteText dumps the registry as sorted, expvar-style text: one metric per
-// line, grouped by kind, stable across runs with equal values.
-func (r *Registry) WriteText(w io.Writer) error {
-	snap := r.Snapshot()
-	for _, name := range sortedKeys(snap.Counters) {
-		if _, err := fmt.Fprintf(w, "counter %s %d\n", name, snap.Counters[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(snap.Gauges) {
-		if _, err := fmt.Fprintf(w, "gauge %s %g\n", name, snap.Gauges[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(snap.Latencies) {
-		l := snap.Latencies[name]
-		if _, err := fmt.Fprintf(w, "latency %s count=%d sum=%g min=%g max=%g p50=%g p99=%g p999=%g\n",
-			name, l.Count, l.Sum, l.Min, l.Max, l.P50, l.P99, l.P999); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

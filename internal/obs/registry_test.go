@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -23,25 +22,6 @@ func TestRegistryCountersGauges(t *testing.T) {
 	}
 	if got := r.Gauge("missing"); got != 0 {
 		t.Fatalf("missing gauge = %g, want 0", got)
-	}
-}
-
-func TestRegistryWriteText(t *testing.T) {
-	r := NewRegistry()
-	r.Add("z.count", 1)
-	r.Add("a.count", 7)
-	r.SetGauge("m.gauge", 0.5)
-	r.RecordLatency("lat", 2)
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "counter a.count 7\n" +
-		"counter z.count 1\n" +
-		"gauge m.gauge 0.5\n" +
-		"latency lat count=1 sum=2 min=2 max=2 p50=2 p99=2 p999=2\n"
-	if sb.String() != want {
-		t.Fatalf("WriteText:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
 

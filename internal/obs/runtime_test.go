@@ -6,8 +6,8 @@ import (
 )
 
 // TestCollectRuntime pins the runtime collector family: the gauges land in
-// the registry under their vetted names and flow into the text dump (the
-// /metrics exposition derives from the same snapshot).
+// the registry under their vetted names and flow into the Prometheus dump
+// that -metrics and /metrics write.
 func TestCollectRuntime(t *testing.T) {
 	CollectRuntime(nil, nil) // nil registry is a no-op
 
@@ -27,12 +27,12 @@ func TestCollectRuntime(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
+	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{MetricGoroutines, MetricHeapBytes, MetricGCPauseP99, MetricGCCycles} {
-		if !strings.Contains(sb.String(), name) {
-			t.Fatalf("text dump missing %s:\n%s", name, sb.String())
+		if !strings.Contains(sb.String(), promName(name)+" ") {
+			t.Fatalf("dump missing %s:\n%s", promName(name), sb.String())
 		}
 	}
 }

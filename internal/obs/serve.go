@@ -76,7 +76,7 @@ func Serve(ctx context.Context, addr string, opts ServeOptions) (*Server, error)
 		}
 		// Past the first byte there is no way to signal failure; a broken
 		// client connection is its own problem.
-		_ = WritePrometheus(w, opts.Registry.Snapshot())
+		_ = opts.Registry.WritePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if opts.Health == nil {

@@ -87,6 +87,33 @@ func TestServeMetricsAndHealthz(t *testing.T) {
 	}
 }
 
+// TestRegistryWritePrometheusMatchesMetrics pins that the -metrics file and
+// the /metrics body are one format: for a registry with no feed attached,
+// WritePrometheus writes exactly the bytes a scrape returns.
+func TestRegistryWritePrometheusMatchesMetrics(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	reg := promRegistry()
+	srv, err := Serve(ctx, "127.0.0.1:0", ServeOptions{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+
+	var dump strings.Builder
+	if err := reg.WritePrometheus(&dump); err != nil {
+		t.Fatal(err)
+	}
+	code, body, _ := get(t, "http://"+srv.Addr()+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics status %d", code)
+	}
+	if body != dump.String() {
+		t.Fatalf("/metrics body differs from WritePrometheus.\nbody:\n%s\ndump:\n%s", body, dump.String())
+	}
+}
+
 // TestServeRunsStreams exercises the live journal tail: a subscriber sees
 // the retained prefix immediately and subsequently appended slot records as
 // they commit, and the stream ends when the journal closes.

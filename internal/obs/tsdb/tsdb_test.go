@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"sync"
@@ -263,44 +262,4 @@ func TestSamplerCopiesRegistry(t *testing.T) {
 	check("convex.newton.iterations", 1, 7)
 	check("latency.core.slot.seconds.count", 4, 1)
 	check("latency.convex.linesearch.seconds.count", 1, 1)
-}
-
-// TestDumpIngestRoundTrip pins the -metrics-interval flow: periodic
-// WriteSnapshot lines ingest into a store with the live sampler's naming.
-func TestDumpIngestRoundTrip(t *testing.T) {
-	reg := obs.NewRegistry()
-	var buf bytes.Buffer
-	times := tickTimes(5)
-	for i, now := range times {
-		reg.Add("journal.feed.dropped_lines", int64(i))
-		reg.SetGauge("attr.competitive_ratio", 1+float64(i)/10)
-		reg.RecordLatency("latency.core.slot.seconds", 1e-3)
-		if err := WriteSnapshot(&buf, now, reg); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	db := New(Options{})
-	n, err := db.Ingest(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("ingested %d lines, want 5", n)
-	}
-	pts := db.QuerySince("journal.feed.dropped_lines", 0)
-	if len(pts) != 5 || pts[4].V != 0+1+2+3+4 {
-		t.Fatalf("counter series = %+v", pts)
-	}
-	if pts := db.QuerySince("latency.core.slot.seconds.count", 0); len(pts) != 5 || pts[4].V != 5 {
-		t.Fatalf("latency count series = %+v", pts)
-	}
-	if pts := db.QuerySince("attr.competitive_ratio", times[3].UnixNano()); len(pts) != 2 {
-		t.Fatalf("ratio range query = %+v", pts)
-	}
-
-	// Corrupt input reports the failing line without losing the prefix.
-	if _, err := db.Ingest(bytes.NewBufferString("{\"t_ns\":1}\nnot json\n")); err == nil {
-		t.Fatal("Ingest accepted corrupt line")
-	}
 }
