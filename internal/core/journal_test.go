@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"soral/internal/model"
+	"soral/internal/obs"
 	"soral/internal/obs/journal"
+	"soral/internal/obs/obstest"
 	"soral/internal/resilience"
 )
 
@@ -117,5 +119,83 @@ func TestOnlineJournalRecordsDegradation(t *testing.T) {
 	}
 	if j.Footer.Degraded != 1 {
 		t.Fatalf("footer degraded = %d, want 1", j.Footer.Degraded)
+	}
+}
+
+// TestSlotIterationsIndependentOfScope runs the same config with and
+// without an obs scope and checks that every slot reports, and journals,
+// the same iteration count: the count comes from what the solvers return,
+// not from the scope's counter. The plans cover a clean run, a first rung
+// that fails mid-solve (its Newton steps still count), and a fully failed
+// ladder whose slot the repair LP decides. Where no repair LP runs, the
+// scope's MetricSolverIters counter agrees with the report.
+func TestSlotIterationsIndependentOfScope(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := model.RandomNetwork(rng, 2, 3, 2, 20)
+	in := model.RandomInputs(rng, n, 5)
+	for _, tc := range []struct {
+		name  string
+		plan  func() *resilience.FaultPlan
+		slot0 SlotStatus
+	}{
+		{"clean", func() *resilience.FaultPlan { return nil }, SlotOK},
+		{"first-rung-fails", func() *resilience.FaultPlan {
+			return &resilience.FaultPlan{FailFactorization: true, FailFactorizationAt: 2, MaxTrips: 1}
+		}, SlotRecovered},
+		{"ladder-fails", func() *resilience.FaultPlan {
+			return &resilience.FaultPlan{InjectNaN: true, InjectNaNAt: 1}
+		}, SlotDegraded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(scoped bool) (*Report, *journal.Journal, int64) {
+				opts := DefaultOptions()
+				opts.WarmStart = true
+				opts.Solver.Fault = tc.plan()
+				var buf bytes.Buffer
+				opts.Journal = journal.NewWriter(&buf)
+				var rec *obstest.Recorder
+				if scoped {
+					opts.Obs, rec = obstest.NewScope()
+				}
+				opts.Journal.Begin(journal.Header{Algorithm: "online"})
+				_, rep, err := RunOnlineReport(n, in, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Journal.End(journal.Footer{TotalIters: rep.TotalIterations()})
+				j, err := journal.Read(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var counter int64
+				if rec != nil {
+					counter = rec.Counter(obs.MetricSolverIters)
+				}
+				return rep, j, counter
+			}
+			plain, plainJ, _ := run(false)
+			scoped, scopedJ, counter := run(true)
+			for i, sr := range plain.Slots {
+				if sr.Iterations <= 0 {
+					t.Fatalf("slot %d reports %d iterations, want > 0", sr.Slot, sr.Iterations)
+				}
+				if got := scoped.Slots[i].Iterations; got != sr.Iterations {
+					t.Fatalf("slot %d: %d iterations with a scope, %d without", sr.Slot, got, sr.Iterations)
+				}
+				if plainJ.Slots[i].Iters != sr.Iterations || scopedJ.Slots[i].Iters != sr.Iterations {
+					t.Fatalf("slot %d: journaled iters %d (plain) and %d (scoped), report %d",
+						sr.Slot, plainJ.Slots[i].Iters, scopedJ.Slots[i].Iters, sr.Iterations)
+				}
+			}
+			if plainJ.Footer.TotalIters != scopedJ.Footer.TotalIters {
+				t.Fatalf("footer total_iters %d (plain) != %d (scoped)", plainJ.Footer.TotalIters, scopedJ.Footer.TotalIters)
+			}
+			if plain.Slots[0].Status != tc.slot0 {
+				t.Fatalf("slot 0 status %v, want %v", plain.Slots[0].Status, tc.slot0)
+			}
+			if tc.slot0 != SlotDegraded && int64(scoped.TotalIterations()) != counter {
+				t.Fatalf("report total %d != %s counter %d", scoped.TotalIterations(), obs.MetricSolverIters, counter)
+			}
+		})
 	}
 }

@@ -20,8 +20,8 @@ type Options struct {
 	Solver convex.Options
 
 	// Obs, when non-nil, records one span per decided slot plus the nested
-	// ladder-rung and solver-iteration events, and fills the Duration and
-	// Iterations fields of each SlotReport. Nil costs one branch per call.
+	// ladder-rung and solver-iteration events, and fills the Duration field
+	// of each SlotReport. Nil costs one branch per call.
 	Obs *obs.Scope
 
 	// Journal, when non-nil, receives one flight-recorder record per
@@ -172,16 +172,15 @@ func (o *Online) Step() (*model.Decision, error) {
 			return dec, nil
 		}
 	}
-	itersBefore := slotScope.CounterValue(obs.MetricSolverIters)
 	stepOpts := o.Opts
 	stepOpts.Obs = slotScope
 	if stepOpts.Solver.Work == nil {
 		stepOpts.Solver.Work = o.work
 	}
 	solveSpan := slotScope.StartSpan("core.solve")
-	dec, ladder, err := solveP2(o.Net, o.In, o.t, o.prev, stepOpts, o.state)
+	dec, ladder, iters, err := solveP2(o.Net, o.In, o.t, o.prev, stepOpts, o.state)
 	solveSpan.End()
-	sr := SlotReport{Slot: o.t, Ladder: ladder}
+	sr := SlotReport{Slot: o.t, Ladder: ladder, Iterations: iters}
 	switch {
 	case err == nil:
 		sr.Rung = ladder.Rung
@@ -203,10 +202,12 @@ func (o *Online) Step() (*model.Decision, error) {
 	default:
 		var carried *model.Decision
 		var tactic string
+		var repairIters int
 		var derr error
 		slotScope.Phase(o.Opts.Solver.Ctx, "repair", func() {
-			carried, tactic, derr = carryForward(o.Net, o.In, o.t, o.prev, stepOpts, o.lpWork)
+			carried, tactic, repairIters, derr = carryForward(o.Net, o.In, o.t, o.prev, stepOpts, o.lpWork)
 		})
+		sr.Iterations += repairIters
 		if derr != nil {
 			span.End()
 			return nil, fmt.Errorf("core: slot %d unrecoverable: %w (degradation failed: %v)", o.t, err, derr)
@@ -221,7 +222,6 @@ func (o *Online) Step() (*model.Decision, error) {
 		sr.SolveIters = o.state.lastSolveIters
 	}
 	sr.Duration = span.End()
-	sr.Iterations = int(slotScope.CounterValue(obs.MetricSolverIters) - itersBefore)
 	o.report.Slots = append(o.report.Slots, sr)
 	digest := o.recordCommit(dec, sr, key.inputs, "")
 	if o.state != nil {

@@ -53,8 +53,11 @@ type SlotReport struct {
 	// measured by the slot span; zero when no obs scope was attached.
 	Duration time.Duration
 	// Iterations counts the solver iterations (Newton + LP) the slot
-	// consumed, a delta of the obs.MetricSolverIters counter; zero when no
-	// obs scope was attached.
+	// consumed, as the solvers reported them: each barrier attempt's
+	// Newton steps and the repair LPs' iterations. It does not depend on
+	// an obs scope. With one, it equals the slot's delta of the
+	// obs.MetricSolverIters counter unless a panic or a repair LP was
+	// involved.
 	Iterations int
 	// Warm marks a slot committed by the warm-start layer: the carried
 	// previous-decision point was accepted by the primary rung, or the

@@ -57,7 +57,8 @@ const feasTol = 1e-4
 // warm point, whatever opts.WarmStart says. Online.Step runs the same
 // ladder with its per-run warm-start state (DESIGN.md §13).
 func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options) (*model.Decision, *resilience.LadderReport, error) {
-	return solveP2(n, in, t, prev, opts, nil)
+	dec, ladder, _, err := solveP2(n, in, t, prev, opts, nil)
+	return dec, ladder, err
 }
 
 // solveP2 is SolveP2Resilient with the warm-start layer's per-run state st
@@ -65,8 +66,11 @@ func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Dec
 // when its topology repeats, and the warm rung first tries the carried
 // previous-decision point at a late-path barrier weight, falling back to
 // the structured start inside the same rung on any failure, so the rungs
-// below never see a warm-start artifact.
-func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, st *solveState) (*model.Decision, *resilience.LadderReport, error) {
+// below never see a warm-start artifact. It also returns the Newton
+// iterations of every barrier attempt, failed ones included, as the solver
+// reported them (Result.NewtonIters or SolveError.Iters), so the count does
+// not depend on an obs scope.
+func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, st *solveState) (*model.Decision, *resilience.LadderReport, int, error) {
 	if st != nil {
 		st.lastWarm, st.lastSolveIters = false, 0
 	}
@@ -82,7 +86,7 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 		p2, err = BuildP2(n, in, t, prev, opts.Params)
 		if err != nil {
 			asm.End()
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		if st != nil {
 			st.p2 = p2
@@ -104,7 +108,9 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 	// attempt runs one barrier solve from start and, on success, notes its
 	// iteration count and whether it started warm in the solve state
 	// (nil-safe): the journal's warm-vs-cold delta and the decision cache's
-	// bookkeeping both read them after the ladder returns.
+	// bookkeeping both read them after the ladder returns. Every attempt adds
+	// the Newton iterations it ran to iters.
+	iters := 0
 	attempt := func(solverOpts convex.Options, start []float64, warm bool) (*model.Decision, error) {
 		if solverOpts.Obs == nil {
 			solverOpts.Obs = opts.Obs
@@ -115,8 +121,12 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 			res, serr = convex.Solve(p2.Prob, start, solverOpts)
 		})
 		if serr != nil {
+			if se, ok := resilience.AsSolveError(serr); ok {
+				iters += se.Iters
+			}
 			return nil, serr
 		}
+		iters += res.NewtonIters
 		if !res.Converged {
 			return nil, &resilience.SolveError{
 				Stage: "convex.barrier", Class: resilience.ClassIterationLimit,
@@ -182,7 +192,8 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 		Name: RungLooseTol, Run: func() (*model.Decision, error) {
 			return attempt(loose, nil, false)
 		}})
-	return resilience.ClimbObs(fmt.Sprintf("core.p2[t=%d]", t), opts.Obs, rungs)
+	dec, ladder, err := resilience.ClimbObs(fmt.Sprintf("core.p2[t=%d]", t), opts.Obs, rungs)
+	return dec, ladder, iters, err
 }
 
 // carryForward implements graceful degradation for one slot: reuse the
@@ -191,10 +202,11 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 // the previous decision as lower bounds (the same machinery as the
 // controllers' repair step), an unconstrained one-shot LP, and finally the
 // solver-free greedy spread. It returns the applied decision and the tactic
-// name. lpWork supplies the repair LPs' reusable buffers.
-func carryForward(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, lpWork *lp.Workspace) (*model.Decision, string, error) {
+// name, and the iterations the repair LPs reported (lpIters). lpWork
+// supplies the repair LPs' reusable buffers.
+func carryForward(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, lpWork *lp.Workspace) (*model.Decision, string, int, error) {
 	if ok, _ := prev.FeasibleAt(n, in.Workload[t], 1e-7); ok {
-		return prev.Clone(), DegradeCarry, nil
+		return prev.Clone(), DegradeCarry, 0, nil
 	}
 	lpWorkers := opts.Solver.Workers
 	if lpWorkers < 0 {
@@ -203,20 +215,42 @@ func carryForward(n *model.Network, in *model.Inputs, t int, prev *model.Decisio
 		lpWorkers = 0
 	}
 	lpOpts := lp.Options{Ctx: opts.Solver.Ctx, Obs: opts.Obs, Work: lpWork, Workers: lpWorkers}
+	iters := 0
 	if l, err := model.BuildP1(n, in.Window(t, 1), prev, nil); err == nil {
 		l.LowerBoundPlan(prev)
-		if sol, _, err := lp.SolveResilient(l.Prob, lpOpts); err == nil {
-			return l.ExtractDecisions(sol.X)[0], DegradeProject, nil
+		sol, rep, err := lp.SolveResilient(l.Prob, lpOpts)
+		iters += lpIters(sol, rep)
+		if err == nil {
+			return l.ExtractDecisions(sol.X)[0], DegradeProject, iters, nil
 		}
 	}
 	if l, err := model.BuildP1(n, in.Window(t, 1), prev, nil); err == nil {
-		if sol, _, err := lp.SolveResilient(l.Prob, lpOpts); err == nil {
-			return l.ExtractDecisions(sol.X)[0], DegradeOneShot, nil
+		sol, rep, err := lp.SolveResilient(l.Prob, lpOpts)
+		iters += lpIters(sol, rep)
+		if err == nil {
+			return l.ExtractDecisions(sol.X)[0], DegradeOneShot, iters, nil
 		}
 	}
 	d := model.SpreadDecision(n, in.Workload[t])
 	if ok, v := d.FeasibleAt(n, in.Workload[t], 1e-7); !ok {
-		return nil, "", fmt.Errorf("core: emergency spread allocation still infeasible by %g at slot %d", v, t)
+		return nil, "", iters, fmt.Errorf("core: emergency spread allocation still infeasible by %g at slot %d", v, t)
 	}
-	return d, DegradeSpread, nil
+	return d, DegradeSpread, iters, nil
+}
+
+// lpIters counts the iterations one resilient LP solve reported: each failed
+// rung's SolveError.Iters and the returned solution's Iters.
+func lpIters(sol *lp.GeneralSolution, rep *resilience.LadderReport) int {
+	n := 0
+	if sol != nil {
+		n = sol.Iters
+	}
+	if rep != nil {
+		for _, a := range rep.Attempts {
+			if se, ok := resilience.AsSolveError(a.Err); ok {
+				n += se.Iters
+			}
+		}
+	}
+	return n
 }

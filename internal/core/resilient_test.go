@@ -163,7 +163,7 @@ func TestCarryForwardTactics(t *testing.T) {
 
 	// An already-feasible previous decision is cloned as-is.
 	feasible := model.SpreadDecision(n, in.Workload[0])
-	dec, tactic, err := carryForward(n, in, 0, feasible, opts, nil)
+	dec, tactic, _, err := carryForward(n, in, 0, feasible, opts, nil)
 	if err != nil || tactic != DegradeCarry {
 		t.Fatalf("tactic %q err %v, want %q", tactic, err, DegradeCarry)
 	}
@@ -173,7 +173,7 @@ func TestCarryForwardTactics(t *testing.T) {
 	}
 
 	// A zero previous decision under positive workload needs the repair LP.
-	dec, tactic, err = carryForward(n, in, 0, model.NewZeroDecision(n), opts, nil)
+	dec, tactic, _, err = carryForward(n, in, 0, model.NewZeroDecision(n), opts, nil)
 	if err != nil {
 		t.Fatalf("carryForward: %v", err)
 	}

@@ -13,9 +13,12 @@
 // type. Field names and their order are the schema, pinned by a golden-file
 // test; extend by appending fields, never by renaming or reordering. Slot
 // and state lines, written once per committed slot, are encoded by hand
-// (encode.go) to the same bytes encoding/json would write, so a field added
-// to SlotRecord, CostAttr or StateRecord must be added there too;
-// TestRecordEncodersCoverEveryField fails until it is.
+// (encode.go) to the same bytes encoding/json would write, and read back
+// without reflection (decode.go), so a field added to SlotRecord, CostAttr
+// or StateRecord must be added to both. TestRecordEncodersCoverEveryField
+// and TestCanonicalDecodersCoverEveryField fail until it is; until then the
+// reader sends every line carrying the field through encoding/json, which
+// is correct, only slower.
 //
 // The package is intentionally stdlib-only and imports nothing else from
 // this module, so every layer (core, control, eval, the commands, the

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -188,12 +189,27 @@ func (r *SlotRecord) appendJSON(b []byte) ([]byte, error) {
 
 // appendJSON appends r as json.Marshal encodes it.
 func (r *StateRecord) appendJSON(b []byte) ([]byte, error) {
+	return r.appendJSONMemo(b, nil)
+}
+
+// appendJSONMemo is appendJSON with the vectors' text taken from m when r's
+// X, Y and Z repeat m's bitwise, and recorded into m otherwise (m may be
+// nil). An unencodable vector leaves m unfilled.
+func (r *StateRecord) appendJSONMemo(b []byte, m *vectorMemo) ([]byte, error) {
 	e := encoder{b: b}
 	e.str(`{"kind":`, r.Kind)
 	e.int(`,"slot":`, int64(r.Slot))
-	e.floats(`,"x":`, r.X)
-	e.floats(`,"y":`, r.Y)
-	e.floats(`,"z":`, r.Z)
+	if m.matches(r.X, r.Y, r.Z) {
+		e.b = append(e.b, m.text...)
+	} else {
+		start := len(e.b)
+		e.floats(`,"x":`, r.X)
+		e.floats(`,"y":`, r.Y)
+		e.floats(`,"z":`, r.Z)
+		if e.err == nil {
+			m.fill(r.X, r.Y, r.Z, e.b[start:])
+		}
+	}
 	e.str(`,"decision_digest":`, r.DecisionDigest)
 	e.int(`,"t_ns":`, r.TimeNS)
 	if r.CRC != "" {
@@ -201,4 +217,77 @@ func (r *StateRecord) appendJSON(b []byte) ([]byte, error) {
 	}
 	e.b = append(e.b, '}')
 	return e.b, e.err
+}
+
+// vectorMemo holds the last checkpoint's X, Y and Z and the text they
+// encoded to (`,"x":[…],"y":[…],"z":[…]`). An online run at a fixed point —
+// a decision-cache hit or a snapped decision — checkpoints the same vectors
+// slot after slot, and the memo appends their text instead of formatting
+// every float again. Vectors match only bitwise (math.Float64bits, so −0 and
+// +0 differ, as their encodings do) and only with the same nil-ness (nil
+// encodes as null, an empty slice as []).
+type vectorMemo struct {
+	ok   bool
+	vecs [3][]float64
+	null [3]bool
+	text []byte
+}
+
+// matches reports whether x, y and z repeat the memoized vectors bitwise.
+// The nil memo matches nothing.
+func (m *vectorMemo) matches(x, y, z []float64) bool {
+	if m == nil || !m.ok {
+		return false
+	}
+	for i, v := range [3][]float64{x, y, z} {
+		if (v == nil) != m.null[i] || !sameBits(v, m.vecs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// fill memoizes x, y and z and their encoded text, reusing the memo's
+// buffers. The nil memo ignores the call.
+func (m *vectorMemo) fill(x, y, z []float64, text []byte) {
+	if m == nil {
+		return
+	}
+	for i, v := range [3][]float64{x, y, z} {
+		m.vecs[i] = append(m.vecs[i][:0], v...)
+		m.null[i] = v == nil
+	}
+	m.text = append(m.text[:0], text...)
+	m.ok = true
+}
+
+// matchesText reports whether b starts with the memoized text. The nil
+// memo matches nothing.
+func (m *vectorMemo) matchesText(b []byte) bool {
+	return m != nil && m.ok && bytes.HasPrefix(b, m.text)
+}
+
+// copyTo returns memoized vector i in dst's storage: nil where the memo
+// holds nil, a non-nil slice otherwise.
+func (m *vectorMemo) copyTo(i int, dst []float64) []float64 {
+	if m.null[i] {
+		return nil
+	}
+	if dst == nil {
+		dst = []float64{}
+	}
+	return append(dst[:0], m.vecs[i]...)
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

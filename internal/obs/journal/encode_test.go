@@ -159,32 +159,43 @@ func TestRecordEncodersCoverEveryField(t *testing.T) {
 }
 
 // TestCommitZeroAlloc pins the commit path allocation-free once the
-// writer's line buffer has grown: encoding, checksum and the one Write.
+// writer's line buffer has grown: encoding, checksum and the one Write. A
+// repeated decision takes the checkpoint memo; a changing one (two
+// decisions in turn) misses it on every commit and refills it in place.
 func TestCommitZeroAlloc(t *testing.T) {
-	w := NewWriter(io.Discard)
-	base := time.Unix(1700000000, 0)
-	w.SetClock(func() time.Time { return base })
-	w.Begin(Header{Algorithm: "online", GoMaxProcs: 1, Workers: 1})
-	x, y, z := []float64{1.25, 3e-9, 4e22}, []float64{0.5}, []float64{7, 8}
-	slot := SlotRecord{
-		InputsDigest: sampleDigest(1), DecisionDigest: Digest(x, y, z),
-		AllocCost: 12.5, ReconfCost: 0.125, Status: StatusOK, Rung: "cache",
-		DurNS: 20000, Iters: 3, Warm: true,
-		Attr: &CostAttr{AllocT2: 8, AllocNet: 4.5, ReconfT2: 0.1, ReconfNet: 0.025,
-			PerTier2: []float64{6, 6.5}, PerTier1: []float64{12.625}, OperLB: 10},
-	}
-	state := StateRecord{X: x, Y: y, Z: z, DecisionDigest: slot.DecisionDigest}
-	w.Commit(slot, state)
-	allocs := testing.AllocsPerRun(100, func() {
-		slot.Slot++
-		state.Slot = slot.Slot
+	for _, repeat := range []bool{true, false} {
+		w := NewWriter(io.Discard)
+		base := time.Unix(1700000000, 0)
+		w.SetClock(func() time.Time { return base })
+		w.Begin(Header{Algorithm: "online", GoMaxProcs: 1, Workers: 1})
+		x, y, z := []float64{1.25, 3e-9, 4e22}, []float64{0.5}, []float64{7, 8}
+		other := []float64{1.25, 3e-9, 4.5e22}
+		slot := SlotRecord{
+			InputsDigest: sampleDigest(1), DecisionDigest: Digest(x, y, z),
+			AllocCost: 12.5, ReconfCost: 0.125, Status: StatusOK, Rung: "cache",
+			DurNS: 20000, Iters: 3, Warm: true,
+			Attr: &CostAttr{AllocT2: 8, AllocNet: 4.5, ReconfT2: 0.1, ReconfNet: 0.025,
+				PerTier2: []float64{6, 6.5}, PerTier1: []float64{12.625}, OperLB: 10},
+		}
+		state := StateRecord{X: x, Y: y, Z: z, DecisionDigest: slot.DecisionDigest}
 		w.Commit(slot, state)
-	})
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Fatalf("Writer.Commit allocates %v times per call, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			slot.Slot++
+			state.Slot = slot.Slot
+			if !repeat {
+				state.X, other = other, state.X
+			}
+			if w.memo.matches(state.X, state.Y, state.Z) != repeat {
+				t.Fatalf("repeat=%v: memo match %v before commit %d", repeat, !repeat, slot.Slot)
+			}
+			w.Commit(slot, state)
+		})
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Fatalf("repeat=%v: Writer.Commit allocates %v times per call, want 0", repeat, allocs)
+		}
 	}
 }
 
@@ -202,5 +213,91 @@ func TestCommitNaNWritesNothing(t *testing.T) {
 	}
 	if buf.Len() != n {
 		t.Fatalf("failed commit wrote %q", buf.Bytes()[n:])
+	}
+}
+
+// TestCommitLinesMatchMarshal drives one Writer through a commit sequence
+// that exercises the checkpoint memo — a repeated decision, a changed one,
+// nil Z, empty vectors, and +0 against −0 — and checks every line it writes
+// is json.Marshal of the stamped record plus its crc.
+func TestCommitLinesMatchMarshal(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	states := []StateRecord{
+		{X: []float64{1.5, 3e-9}, Y: []float64{0.25}, Z: []float64{7}},
+		{X: []float64{1.5, 3e-9}, Y: []float64{0.25}, Z: []float64{7}}, // repeat
+		{X: []float64{1.5, 3e-9}, Y: []float64{0.25}, Z: []float64{7}}, // repeat again
+		{X: []float64{1.5, 3e-9}, Y: []float64{0.5}, Z: []float64{7}},  // changed
+		{X: []float64{1.5, 3e-9}, Y: []float64{0.5}, Z: nil},           // nil Z
+		{X: []float64{1.5, 3e-9}, Y: []float64{0.5}, Z: []float64{}},   // empty Z, not nil
+		{X: []float64{}, Y: []float64{}, Z: []float64{}},
+		{X: nil, Y: nil, Z: nil},
+		{X: []float64{0}, Y: []float64{0}, Z: []float64{0}},
+		{X: []float64{negZero}, Y: []float64{0}, Z: []float64{0}}, // −0 differs from +0
+		{X: []float64{negZero}, Y: []float64{0}, Z: []float64{0}},
+		{X: []float64{0}, Y: []float64{0}, Z: []float64{0}},
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	clock := fixedClock()
+	w.SetClock(clock)
+	w.Begin(Header{Algorithm: "online", GoMaxProcs: 1, Workers: 1})
+	want := fixedClock()
+	want() // the header's tick
+	var lines [][]byte
+	for i, st := range states {
+		d := Digest(st.X, st.Y, st.Z)
+		slot := SlotRecord{Slot: i, InputsDigest: sampleDigest(float64(i)), DecisionDigest: d, Status: StatusOK}
+		st.Slot, st.DecisionDigest = i, d
+		n := buf.Len()
+		w.Commit(slot, st)
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		slot.Kind, slot.TimeNS = KindSlot, want().UnixNano()
+		st.Kind, st.TimeNS = KindState, want().UnixNano()
+		for _, rec := range []any{&slot, &st} {
+			payload, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, sealLine(payload, 0))
+		}
+		if got, exp := buf.Bytes()[n:], bytes.Join(lines[len(lines)-2:], nil); !bytes.Equal(got, exp) {
+			t.Fatalf("commit %d wrote\n%s\nwant\n%s", i, got, exp)
+		}
+	}
+	if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("memoized journal does not re-read: %v", err)
+	}
+}
+
+// TestCommitNaNLeavesMemoUnfilled pins that a checkpoint that cannot be
+// encoded is not memoized, on a fresh writer and on one whose memo holds an
+// earlier checkpoint.
+func TestCommitNaNLeavesMemoUnfilled(t *testing.T) {
+	nan := StateRecord{X: []float64{math.NaN()}, Y: []float64{1}, Z: []float64{2}}
+	slot := SlotRecord{InputsDigest: sampleDigest(1), DecisionDigest: sampleDigest(2), Status: StatusOK}
+
+	w := NewWriter(io.Discard)
+	w.Begin(Header{Algorithm: "online", GoMaxProcs: 1, Workers: 1})
+	w.Commit(slot, nan)
+	if w.Err() == nil {
+		t.Fatal("NaN checkpoint did not latch an error")
+	}
+	if w.memo.ok {
+		t.Fatalf("NaN checkpoint filled the memo with %q", w.memo.text)
+	}
+
+	good := StateRecord{X: []float64{1}, Y: []float64{2}, Z: []float64{3}}
+	var m vectorMemo
+	if _, err := good.appendJSONMemo(nil, &m); err != nil {
+		t.Fatal(err)
+	}
+	text := string(m.text)
+	if _, err := nan.appendJSONMemo(nil, &m); err == nil {
+		t.Fatal("NaN checkpoint encoded")
+	}
+	if !m.matches(good.X, good.Y, good.Z) || string(m.text) != text {
+		t.Fatalf("NaN checkpoint replaced the memo: %q", m.text)
 	}
 }

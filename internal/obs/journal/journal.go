@@ -106,9 +106,10 @@ type SlotRecord struct {
 	// primary solve).
 	Status string `json:"status"`
 	Rung   string `json:"rung,omitempty"`
-	// DurNS is the slot's wall time and Iters its solver-iteration
-	// consumption, reconciled with the trace's core.slot span (zero when the
-	// run carried no obs scope or the record was written post-hoc).
+	// DurNS is the slot's wall time, reconciled with the trace's core.slot
+	// span (zero when the run carried no obs scope or the record was written
+	// post-hoc), and Iters its solver-iteration consumption as the solvers
+	// reported it (zero on a decision-cache hit or a post-hoc record).
 	DurNS int64 `json:"dur_ns,omitempty"`
 	Iters int   `json:"iters,omitempty"`
 	// Warm marks a slot committed by the warm-start machinery (a carried
@@ -295,14 +296,23 @@ func Digest(groups ...[]float64) string {
 			h.Write(buf[:])
 		}
 	}
-	return "sha256:" + hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	return digestText(h.Sum(sum[:0]))
 }
 
 // DigestBytes fingerprints a byte blob (e.g. a canonical config JSON) with
 // the same self-describing "sha256:" prefix as Digest.
 func DigestBytes(b []byte) string {
 	sum := sha256.Sum256(b)
-	return "sha256:" + hex.EncodeToString(sum[:])
+	return digestText(sum[:])
+}
+
+// digestText formats a SHA-256 sum as "sha256:" plus its hex digits.
+func digestText(sum []byte) string {
+	var text [len("sha256:") + 2*sha256.Size]byte
+	n := copy(text[:], "sha256:")
+	hex.Encode(text[n:], sum)
+	return string(text[:])
 }
 
 // crcPrefix self-describes the per-record checksum algorithm (CRC32 with the
@@ -330,6 +340,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // final occurrence on a line is always the record's own checksum.
 var crcMarker = []byte(`,"crc":"`)
 
+// closeBrace restores the payload's closing brace when a line is verified.
+var closeBrace = []byte{'}'}
+
 // sealLine turns the record payload b[start:] (one JSON object) into a
 // journal line: the closing brace gives way to the crc field over the
 // payload, and a newline ends the line.
@@ -348,7 +361,7 @@ func verifyLine(raw []byte, crc string) error {
 	if i < 0 {
 		return fmt.Errorf("record carries crc %q but the line has no crc field", crc)
 	}
-	sum := crc32.Update(crc32.Checksum(raw[:i], castagnoli), castagnoli, []byte{'}'})
+	sum := crc32.Update(crc32.Checksum(raw[:i], castagnoli), castagnoli, closeBrace)
 	var buf [len(crcPrefix) + 8]byte
 	if got := appendChecksum(buf[:0], sum); string(got) != crc {
 		return fmt.Errorf("checksum mismatch: line sums to %s, record claims %s", got, crc)

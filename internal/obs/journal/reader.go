@@ -8,14 +8,26 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 )
 
 // maxLine bounds one journal line; headers embed configs, which can carry
 // custom traces, so the ceiling is generous.
 const maxLine = 16 << 20
 
-var digestRe = regexp.MustCompile(`^sha256:[0-9a-f]{64}$`)
+// validDigest reports whether s is a well-formed digest: "sha256:"
+// followed by exactly 64 lower-case hex digits.
+func validDigest(s string) bool {
+	const prefix = "sha256:"
+	if len(s) != len(prefix)+64 || s[:len(prefix)] != prefix {
+		return false
+	}
+	for _, c := range []byte(s[len(prefix):]) {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // corruptError marks a structural failure — bytes that cannot be what the
 // writer produced (unparseable JSON, a failed or missing checksum). At the
@@ -111,7 +123,20 @@ type scanState struct {
 	j          *Journal
 	seenHeader bool
 	crcNeeded  bool
+	// spare is the record the next canonical state line decodes into; it
+	// never aliases j.LastState, so a line that fails validation leaves the
+	// last good checkpoint intact.
+	spare *StateRecord
+	// memo holds the last canonical state line's vector text and values, so
+	// a run of repeated checkpoints is parsed once.
+	memo vectorMemo
 }
+
+// The first bytes of canonical slot and state lines.
+var (
+	slotPrefix  = []byte(`{"kind":"slot",`)
+	statePrefix = []byte(`{"kind":"state",`)
+)
 
 // scan drives the line loop shared by Read and Recover.
 func scan(r io.Reader, tolerate bool) (*Journal, *RecoverInfo, error) {
@@ -119,8 +144,9 @@ func scan(r io.Reader, tolerate bool) (*Journal, *RecoverInfo, error) {
 	st := &scanState{j: &Journal{}}
 	info := &RecoverInfo{LastSlot: -1}
 	line := 0
+	var long []byte
 	for {
-		raw, rerr := br.ReadBytes('\n')
+		raw, rerr := readLine(br, &long)
 		if rerr != nil && rerr != io.EOF {
 			return nil, nil, fmt.Errorf("journal: %w", rerr)
 		}
@@ -181,27 +207,65 @@ func scan(r io.Reader, tolerate bool) (*Journal, *RecoverInfo, error) {
 	return st.j, info, nil
 }
 
-// add validates and applies one record line.
+// readLine returns the next line, its newline included, or what is left
+// before EOF. A line that fits the reader's buffer is returned in place,
+// valid until the next read; a longer one (a header embedding a large
+// config) is assembled in *long.
+func readLine(br *bufio.Reader, long *[]byte) ([]byte, error) {
+	raw, err := br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return raw, err
+	}
+	buf := append((*long)[:0], raw...)
+	for err == bufio.ErrBufferFull {
+		raw, err = br.ReadSlice('\n')
+		buf = append(buf, raw...)
+	}
+	*long = buf
+	return buf, err
+}
+
+// add validates and applies one record line. Slot and state lines in the
+// writer's canonical form are decoded without reflection (decode.go); any
+// other line, and any line those decoders decline, goes through
+// json.Unmarshal, so both paths accept and reject the same lines.
 func (st *scanState) add(raw []byte, line int) error {
 	j := st.j
-	var kind struct {
-		Kind string `json:"kind"`
-		CRC  string `json:"crc"`
+	var kind, crc string
+	var slot SlotRecord
+	fast := false
+	switch {
+	case bytes.HasPrefix(raw, slotPrefix):
+		fast = decodeSlot(raw, &slot)
+		kind, crc = slot.Kind, slot.CRC
+	case bytes.HasPrefix(raw, statePrefix):
+		if st.spare == nil {
+			st.spare = &StateRecord{}
+		}
+		fast = decodeState(raw, st.spare, &st.memo)
+		kind, crc = st.spare.Kind, st.spare.CRC
 	}
-	if err := json.Unmarshal(raw, &kind); err != nil {
-		return &corruptError{fmt.Errorf("not a JSON record: %w", err)}
+	if !fast {
+		var probe struct {
+			Kind string `json:"kind"`
+			CRC  string `json:"crc"`
+		}
+		if err := json.Unmarshal(raw, &probe); err != nil {
+			return &corruptError{fmt.Errorf("not a JSON record: %w", err)}
+		}
+		kind, crc = probe.Kind, probe.CRC
 	}
-	if kind.CRC != "" {
-		if err := verifyLine(raw, kind.CRC); err != nil {
+	if crc != "" {
+		if err := verifyLine(raw, crc); err != nil {
 			return &corruptError{err}
 		}
 	} else if st.crcNeeded {
 		return fmt.Errorf("version %d record carries no crc field", Version)
 	}
 	if j.Footer != nil {
-		return fmt.Errorf("%q record after the footer", kind.Kind)
+		return fmt.Errorf("%q record after the footer", kind)
 	}
-	switch kind.Kind {
+	switch kind {
 	case KindHeader:
 		if st.seenHeader {
 			return fmt.Errorf("second header")
@@ -213,14 +277,14 @@ func (st *scanState) add(raw []byte, line int) error {
 			return fmt.Errorf("schema version %d (reader supports 1..%d)", j.Header.Version, Version)
 		}
 		st.crcNeeded = j.Header.Version >= 2
-		if st.crcNeeded && kind.CRC == "" {
+		if st.crcNeeded && crc == "" {
 			return fmt.Errorf("version %d header carries no crc field", j.Header.Version)
 		}
 		if j.Header.Algorithm == "" {
 			return fmt.Errorf("header names no algorithm")
 		}
 		if j.Header.ConfigDigest != "" {
-			if !digestRe.MatchString(j.Header.ConfigDigest) {
+			if !validDigest(j.Header.ConfigDigest) {
 				return fmt.Errorf("malformed config digest %q", j.Header.ConfigDigest)
 			}
 			if len(j.Header.Config) > 0 && DigestBytes(j.Header.Config) != j.Header.ConfigDigest {
@@ -232,17 +296,19 @@ func (st *scanState) add(raw []byte, line int) error {
 		if !st.seenHeader {
 			return fmt.Errorf("slot record before the header")
 		}
-		var rec SlotRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("bad slot record: %w", err)
+		rec := slot
+		if !fast {
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				return fmt.Errorf("bad slot record: %w", err)
+			}
 		}
 		if n := len(j.Slots); n > 0 && rec.Slot <= j.Slots[n-1].Slot {
 			return fmt.Errorf("slot %d after slot %d (must be strictly increasing)", rec.Slot, j.Slots[n-1].Slot)
 		}
-		if !digestRe.MatchString(rec.InputsDigest) {
+		if !validDigest(rec.InputsDigest) {
 			return fmt.Errorf("malformed inputs digest %q", rec.InputsDigest)
 		}
-		if !digestRe.MatchString(rec.DecisionDigest) {
+		if !validDigest(rec.DecisionDigest) {
 			return fmt.Errorf("malformed decision digest %q", rec.DecisionDigest)
 		}
 		switch rec.Status {
@@ -255,9 +321,12 @@ func (st *scanState) add(raw []byte, line int) error {
 		if !st.seenHeader {
 			return fmt.Errorf("state record before the header")
 		}
-		var rec StateRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("bad state record: %w", err)
+		rec := st.spare
+		if !fast {
+			rec = &StateRecord{}
+			if err := json.Unmarshal(raw, rec); err != nil {
+				return fmt.Errorf("bad state record: %w", err)
+			}
 		}
 		n := len(j.Slots)
 		if n == 0 || j.Slots[n-1].Slot != rec.Slot {
@@ -269,7 +338,12 @@ func (st *scanState) add(raw []byte, line int) error {
 		if rec.DecisionDigest != j.Slots[n-1].DecisionDigest {
 			return fmt.Errorf("state checkpoint for slot %d does not match the committed decision", rec.Slot)
 		}
-		j.LastState = &rec
+		if fast {
+			// The checkpoint it replaces lends its vectors to the next
+			// state line.
+			st.spare = j.LastState
+		}
+		j.LastState = rec
 	case KindAlert:
 		if !st.seenHeader {
 			return fmt.Errorf("alert record before the header")
@@ -318,7 +392,7 @@ func (st *scanState) add(raw []byte, line int) error {
 		}
 		j.Footer = &f
 	default:
-		return fmt.Errorf("unknown record kind %q", kind.Kind)
+		return fmt.Errorf("unknown record kind %q", kind)
 	}
 	return nil
 }

@@ -100,6 +100,10 @@ type Writer struct {
 	// line is the buffer each call builds its lines in, kept between calls
 	// so a steady run commits its slots without allocating.
 	line []byte
+	// memo holds the last checkpoint's vectors and their text, so a Commit
+	// that repeats the previous decision appends that text instead of
+	// formatting it again.
+	memo vectorMemo
 }
 
 // DroppedAlerts reports how many alert records were dropped because they
@@ -304,7 +308,8 @@ func (w *Writer) Slot(r SlotRecord) {
 // slot+state pair is the run's commit point. The writer stamps Kind and
 // TimeNS on both records; the caller supplies the rest (core writes one
 // Commit per decided slot). A record that cannot be encoded (a NaN or ±Inf
-// value) latches an error and writes neither line.
+// value) latches an error and writes neither line. A checkpoint whose
+// vectors repeat the previous one's bitwise reuses their encoded text.
 func (w *Writer) Commit(slot SlotRecord, state StateRecord) {
 	if w == nil {
 		return
@@ -363,7 +368,7 @@ func (w *Writer) appendState(b []byte, r *StateRecord) ([]byte, error) {
 	r.TimeNS = w.now().UnixNano()
 	r.CRC = ""
 	start := len(b)
-	b, err := r.appendJSON(b)
+	b, err := r.appendJSONMemo(b, &w.memo)
 	if err != nil {
 		return b, err
 	}
