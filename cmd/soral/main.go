@@ -14,7 +14,6 @@
 //	soral -serve 127.0.0.1:9090              # live /metrics /healthz /runs
 //	soral -serve 127.0.0.1:9090 -watch -slo 5ms   # ... plus /alerts /timeseries
 //	soral -metrics m.prom                    # Prometheus text dump at exit
-//	soral -trace-event trace.json            # Chrome trace-event JSON (Perfetto)
 //
 // A config file looks like:
 //
@@ -83,7 +82,6 @@ func main() {
 		decOut    = flag.String("decisions", "", "write the decision sequence as JSON to this file")
 
 		traceOut   = flag.String("trace", "", "write a JSONL telemetry trace to this file")
-		traceEvent = flag.String("trace-event", "", "write a Chrome trace-event JSON (chrome://tracing, ui.perfetto.dev) to this file")
 		metricsOut = flag.String("metrics", "", "write the metrics at exit to this file, in the Prometheus text format /metrics serves")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (with phase labels) to this file")
 		verbose    = flag.Bool("v", false, "print a one-line resilience summary (ok/recovered/degraded, solver iterations)")
@@ -148,8 +146,7 @@ func main() {
 	watching := *watchFlag || *sloFlag > 0
 	var reg *obs.Registry
 	var traceSink *obs.JSONLSink
-	var eventBuf *obs.BufferSink
-	if *traceOut != "" || *traceEvent != "" || *metricsOut != "" || *verbose || serving || watching {
+	if *traceOut != "" || *metricsOut != "" || *verbose || serving || watching {
 		reg = obs.NewRegistry()
 		var sink obs.Sink
 		if *traceOut != "" {
@@ -160,13 +157,6 @@ func main() {
 			defer f.Close()
 			traceSink = obs.NewJSONLSink(f)
 			sink = traceSink
-		}
-		if *traceEvent != "" {
-			// The trace-event export needs the whole run in memory (spans are
-			// rebased against the earliest timestamp); buffer alongside
-			// whatever JSONL sink is active.
-			eventBuf = &obs.BufferSink{}
-			sink = obs.Tee(sink, eventBuf)
 		}
 		eval.SetDefaultObs(obs.NewScope(reg, sink))
 	}
@@ -403,20 +393,6 @@ func main() {
 			fatal(fmt.Errorf("writing trace %s: %w", *traceOut, err))
 		}
 		fmt.Fprintf(os.Stderr, "trace:            %s\n", *traceOut)
-	}
-	if eventBuf != nil {
-		f, err := os.Create(*traceEvent)
-		if err != nil {
-			fatal(err)
-		}
-		if err := obs.WriteTraceEvents(f, eventBuf.Events()); err != nil {
-			f.Close()
-			fatal(fmt.Errorf("writing trace-event %s: %w", *traceEvent, err))
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "trace-event:      %s\n", *traceEvent)
 	}
 
 	if srv != nil {

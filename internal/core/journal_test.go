@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"soral/internal/model"
@@ -124,11 +127,12 @@ func TestOnlineJournalRecordsDegradation(t *testing.T) {
 
 // TestSlotIterationsIndependentOfScope runs the same config with and
 // without an obs scope and checks that every slot reports, and journals,
-// the same iteration count: the count comes from what the solvers return,
-// not from the scope's counter. The plans cover a clean run, a first rung
-// that fails mid-solve (its Newton steps still count), and a fully failed
-// ladder whose slot the repair LP decides. Where no repair LP runs, the
-// scope's MetricSolverIters counter agrees with the report.
+// the same iteration count and the same record keys, wall time included:
+// the count comes from what the solvers return and the time from Step's own
+// clock, not from the scope. The plans cover a clean run, a first rung that
+// fails mid-solve (its Newton steps still count), and a fully failed ladder
+// whose slot the repair LP decides. The scope's MetricSolverIters counter
+// agrees with the report in every case.
 func TestSlotIterationsIndependentOfScope(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := model.RandomNetwork(rng, 2, 3, 2, 20)
@@ -147,7 +151,7 @@ func TestSlotIterationsIndependentOfScope(t *testing.T) {
 		}, SlotDegraded},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(scoped bool) (*Report, *journal.Journal, int64) {
+			run := func(scoped bool) (*Report, *journal.Journal, []string, int64) {
 				opts := DefaultOptions()
 				opts.WarmStart = true
 				opts.Solver.Fault = tc.plan()
@@ -163,7 +167,7 @@ func TestSlotIterationsIndependentOfScope(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts.Journal.End(journal.Footer{TotalIters: rep.TotalIterations()})
-				j, err := journal.Read(&buf)
+				j, err := journal.Read(bytes.NewReader(buf.Bytes()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -171,10 +175,10 @@ func TestSlotIterationsIndependentOfScope(t *testing.T) {
 				if rec != nil {
 					counter = rec.Counter(obs.MetricSolverIters)
 				}
-				return rep, j, counter
+				return rep, j, slotRecordKeys(t, buf.Bytes()), counter
 			}
-			plain, plainJ, _ := run(false)
-			scoped, scopedJ, counter := run(true)
+			plain, plainJ, plainKeys, _ := run(false)
+			scoped, scopedJ, scopedKeys, counter := run(true)
 			for i, sr := range plain.Slots {
 				if sr.Iterations <= 0 {
 					t.Fatalf("slot %d reports %d iterations, want > 0", sr.Slot, sr.Iterations)
@@ -186,6 +190,13 @@ func TestSlotIterationsIndependentOfScope(t *testing.T) {
 					t.Fatalf("slot %d: journaled iters %d (plain) and %d (scoped), report %d",
 						sr.Slot, plainJ.Slots[i].Iters, scopedJ.Slots[i].Iters, sr.Iterations)
 				}
+				if plainJ.Slots[i].DurNS <= 0 || plainJ.Slots[i].DurNS != sr.Duration.Nanoseconds() {
+					t.Fatalf("slot %d: journaled dur_ns %d without a scope, report %v",
+						sr.Slot, plainJ.Slots[i].DurNS, sr.Duration)
+				}
+				if plainKeys[i] != scopedKeys[i] {
+					t.Fatalf("slot %d record keys differ:\nplain:  %s\nscoped: %s", sr.Slot, plainKeys[i], scopedKeys[i])
+				}
 			}
 			if plainJ.Footer.TotalIters != scopedJ.Footer.TotalIters {
 				t.Fatalf("footer total_iters %d (plain) != %d (scoped)", plainJ.Footer.TotalIters, scopedJ.Footer.TotalIters)
@@ -193,9 +204,32 @@ func TestSlotIterationsIndependentOfScope(t *testing.T) {
 			if plain.Slots[0].Status != tc.slot0 {
 				t.Fatalf("slot 0 status %v, want %v", plain.Slots[0].Status, tc.slot0)
 			}
-			if tc.slot0 != SlotDegraded && int64(scoped.TotalIterations()) != counter {
+			if int64(scoped.TotalIterations()) != counter {
 				t.Fatalf("report total %d != %s counter %d", scoped.TotalIterations(), obs.MetricSolverIters, counter)
 			}
 		})
 	}
+}
+
+// slotRecordKeys returns, per slot record of a raw journal, its sorted
+// top-level JSON keys joined by commas.
+func slotRecordKeys(t *testing.T, raw []byte) []string {
+	t.Helper()
+	var out []string
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if string(rec["kind"]) != `"`+journal.KindSlot+`"` {
+			continue
+		}
+		keys := make([]string, 0, len(rec))
+		for k := range rec {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		out = append(out, strings.Join(keys, ","))
+	}
+	return out
 }

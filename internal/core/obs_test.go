@@ -80,38 +80,47 @@ func TestOnlineTraceReconciles(t *testing.T) {
 }
 
 // TestLadderAttemptTelemetry checks the resilience satellite: attempts carry
-// wall time always, and iteration consumption when a scope is attached.
+// wall time and the iterations their solves ran, with or without a scope,
+// and with one the iterations sum to the shared counter.
 func TestLadderAttemptTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := model.RandomNetwork(rng, 2, 2, 1, 20)
 	in := model.RandomInputs(rng, n, 2)
 
-	sc, rec := obstest.NewScope()
-	opts := DefaultOptions()
-	opts.Obs = sc
-	// Force the first rung to fail so the ladder records a failed attempt
-	// followed by a successful one.
-	opts.Solver.Fault = &resilience.FaultPlan{FailFactorization: true, FailFactorizationAt: 1, MaxTrips: 1}
-
-	_, ladder, err := SolveP2Resilient(n, in, 0, model.NewZeroDecision(n), opts)
-	if err != nil {
-		t.Fatal(err)
+	climb := func(sc *obs.Scope) *resilience.LadderReport {
+		opts := DefaultOptions()
+		opts.Obs = sc
+		// Force the first rung to fail so the ladder records a failed
+		// attempt followed by a successful one.
+		opts.Solver.Fault = &resilience.FaultPlan{FailFactorization: true, FailFactorizationAt: 1, MaxTrips: 1}
+		_, ladder, err := SolveP2Resilient(n, in, 0, model.NewZeroDecision(n), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ladder
 	}
+	sc, rec := obstest.NewScope()
+	ladder, plain := climb(sc), climb(nil)
 	if len(ladder.Attempts) < 2 {
 		t.Fatalf("expected a failed rung plus a recovery, got %d attempts", len(ladder.Attempts))
 	}
-	var total int
+	if len(plain.Attempts) != len(ladder.Attempts) {
+		t.Fatalf("%d attempts without a scope, %d with one", len(plain.Attempts), len(ladder.Attempts))
+	}
 	for i, a := range ladder.Attempts {
-		if a.Duration <= 0 {
+		if a.Duration <= 0 || plain.Attempts[i].Duration <= 0 {
 			t.Fatalf("attempt %d (%s) has no duration", i, a.Rung)
 		}
-		total += a.Iterations
+		if a.Iterations <= 0 || plain.Attempts[i].Iterations != a.Iterations {
+			t.Fatalf("attempt %d (%s): %d iterations with a scope, %d without, want equal and > 0",
+				i, a.Rung, a.Iterations, plain.Attempts[i].Iterations)
+		}
 	}
-	if succ := ladder.Attempts[len(ladder.Attempts)-1]; succ.Err != nil || succ.Iterations <= 0 {
-		t.Fatalf("successful rung %q: err=%v iterations=%d, want nil err and > 0", succ.Rung, succ.Err, succ.Iterations)
+	if succ := ladder.Attempts[len(ladder.Attempts)-1]; succ.Err != nil {
+		t.Fatalf("successful rung %q: err=%v", succ.Rung, succ.Err)
 	}
-	if int64(total) != rec.Counter(obs.MetricSolverIters) {
-		t.Fatalf("attempt iteration sum %d != counter %d", total, rec.Counter(obs.MetricSolverIters))
+	if int64(ladder.Iterations()) != rec.Counter(obs.MetricSolverIters) {
+		t.Fatalf("attempt iteration sum %d != counter %d", ladder.Iterations(), rec.Counter(obs.MetricSolverIters))
 	}
 	statuses := map[string]bool{}
 	for _, e := range rec.Kind(obs.KindRung) {

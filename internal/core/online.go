@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"soral/internal/convex"
 	"soral/internal/lp"
@@ -20,8 +21,9 @@ type Options struct {
 	Solver convex.Options
 
 	// Obs, when non-nil, records one span per decided slot plus the nested
-	// ladder-rung and solver-iteration events, and fills the Duration field
-	// of each SlotReport. Nil costs one branch per call.
+	// ladder-rung and solver-iteration events. It only records: every
+	// SlotReport field, Duration and Iterations included, is the same with
+	// or without it. Nil costs one branch per call.
 	Obs *obs.Scope
 
 	// Journal, when non-nil, receives one flight-recorder record per
@@ -146,11 +148,14 @@ func (o *Online) Report() *Report { return &o.report }
 // never aborts on a numerical breakdown. Build/validation errors and
 // context cancellation still abort. On WarmStart runs a solved decision
 // within solver jitter of the previous one commits the previous decision
-// bitwise (the fixed-point snap, DESIGN.md §13).
+// bitwise (the fixed-point snap, DESIGN.md §13). Step reads the clock once
+// on entry and once at commit; that one measurement is the slot's Duration,
+// its journaled dur_ns and its core.slot span's duration.
 func (o *Online) Step() (*model.Decision, error) {
 	if o.t >= o.In.T {
 		return nil, fmt.Errorf("core: horizon exhausted at slot %d", o.t)
 	}
+	start := time.Now()
 	slotScope := o.Opts.Obs.Slot(o.t)
 	span := slotScope.StartSpan("core.slot")
 	var key cacheKey
@@ -162,8 +167,8 @@ func (o *Online) Step() (*model.Decision, error) {
 			// decision is bit-identical to what a fresh solve would return.
 			slotScope.Count(obs.MetricWarmCacheHits, 1)
 			slotScope.SetGauge(obs.MetricWarmCacheSize, float64(o.state.size()))
-			sr := SlotReport{Slot: o.t, Rung: RungCache, Warm: true}
-			sr.Duration = span.End()
+			sr := SlotReport{Slot: o.t, Rung: RungCache, Warm: true, Duration: time.Since(start)}
+			span.EndWith(sr.Duration)
 			o.report.Slots = append(o.report.Slots, sr)
 			o.recordCommit(dec, sr, key.inputs, digest)
 			o.state.prevDigest = digest
@@ -178,9 +183,10 @@ func (o *Online) Step() (*model.Decision, error) {
 		stepOpts.Solver.Work = o.work
 	}
 	solveSpan := slotScope.StartSpan("core.solve")
-	dec, ladder, iters, err := solveP2(o.Net, o.In, o.t, o.prev, stepOpts, o.state)
+	dec, ladder, commit, err := solveP2(o.Net, o.In, o.t, o.prev, stepOpts, o.state)
 	solveSpan.End()
-	sr := SlotReport{Slot: o.t, Ladder: ladder, Iterations: iters}
+	sr := SlotReport{Slot: o.t, Ladder: ladder, Iterations: ladder.Iterations(),
+		Warm: commit.warm, SolveIters: commit.iters}
 	switch {
 	case err == nil:
 		sr.Rung = ladder.Rung
@@ -217,11 +223,8 @@ func (o *Online) Step() (*model.Decision, error) {
 		sr.Rung = tactic
 		sr.Err = err
 	}
-	if o.state != nil {
-		sr.Warm = o.state.lastWarm
-		sr.SolveIters = o.state.lastSolveIters
-	}
-	sr.Duration = span.End()
+	sr.Duration = time.Since(start)
+	span.EndWith(sr.Duration)
 	o.report.Slots = append(o.report.Slots, sr)
 	digest := o.recordCommit(dec, sr, key.inputs, "")
 	if o.state != nil {

@@ -49,25 +49,25 @@ type SlotReport struct {
 	// Err is the terminal solver error that forced degradation (nil unless
 	// Status == SlotDegraded).
 	Err error
-	// Duration is the slot's wall time (solve ladder plus any degradation),
-	// measured by the slot span; zero when no obs scope was attached.
+	// Duration is the slot's wall time from Step's entry to its commit
+	// (cache lookup, solve ladder and any degradation), read on Step's own
+	// clock with or without an obs scope.
 	Duration time.Duration
-	// Iterations counts the solver iterations (Newton + LP) the slot
-	// consumed, as the solvers reported them: each barrier attempt's
-	// Newton steps and the repair LPs' iterations. It does not depend on
-	// an obs scope. With one, it equals the slot's delta of the
-	// obs.MetricSolverIters counter unless a panic or a repair LP was
-	// involved.
+	// Iterations counts the solver iterations (Newton + LP) the slot ran:
+	// the sum of the P2 ladder's and the repair ladders' attempts, each as
+	// its solver returned it. It does not depend on an obs scope. With one,
+	// it equals the slot's delta of the obs.MetricSolverIters counter unless
+	// a solve panicked: a panicking solve reports none of the iterations it
+	// ran before the panic. The simplex rung's pivots are in neither count.
 	Iterations int
 	// Warm marks a slot committed by the warm-start layer: the carried
 	// previous-decision point was accepted by the primary rung, or the
 	// decision cache short-circuited the solve (Rung == RungCache). Always
 	// false when Options.WarmStart is off.
 	Warm bool
-	// SolveIters counts the Newton iterations of the attempt that produced
-	// the committed decision, tracked by the warm-start state independently of any
-	// obs scope. Zero when Options.WarmStart is off, on cache hits (no solve
-	// ran), and on degraded slots.
+	// SolveIters counts the Newton iterations of the barrier attempt that
+	// produced the committed decision. Zero on cache hits (no solve ran) and
+	// on degraded slots.
 	SolveIters int
 }
 
@@ -100,8 +100,7 @@ func (r *Report) Recovered() []int {
 	return out
 }
 
-// TotalIterations sums the solver iterations over every decided slot (0
-// when the run carried no obs scope).
+// TotalIterations sums the solver iterations over every decided slot.
 func (r *Report) TotalIterations() int {
 	var n int
 	for _, s := range r.Slots {
@@ -110,8 +109,7 @@ func (r *Report) TotalIterations() int {
 	return n
 }
 
-// TotalDuration sums the per-slot wall times (0 when the run carried no obs
-// scope).
+// TotalDuration sums the per-slot wall times.
 func (r *Report) TotalDuration() time.Duration {
 	var d time.Duration
 	for _, s := range r.Slots {

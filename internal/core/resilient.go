@@ -61,19 +61,23 @@ func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Dec
 	return dec, ladder, err
 }
 
+// p2Commit describes the barrier attempt that produced a slot's decision:
+// its Newton iterations and whether it started from the carried warm point.
+type p2Commit struct {
+	iters int
+	warm  bool
+}
+
 // solveP2 is SolveP2Resilient with the warm-start layer's per-run state st
 // (nil runs stateless). With st, P2 is patched from the cached skeleton
 // when its topology repeats, and the warm rung first tries the carried
 // previous-decision point at a late-path barrier weight, falling back to
 // the structured start inside the same rung on any failure, so the rungs
-// below never see a warm-start artifact. It also returns the Newton
-// iterations of every barrier attempt, failed ones included, as the solver
-// reported them (Result.NewtonIters or SolveError.Iters), so the count does
-// not depend on an obs scope.
-func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, st *solveState) (*model.Decision, *resilience.LadderReport, int, error) {
-	if st != nil {
-		st.lastWarm, st.lastSolveIters = false, 0
-	}
+// below never see a warm-start artifact. Every attempt on the ladder
+// reports the Newton iterations its barrier solves ran, failed ones
+// included, as the solver returned them (Result.NewtonIters or
+// SolveError.Iters). solveP2 also returns the committing attempt.
+func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, st *solveState) (*model.Decision, *resilience.LadderReport, p2Commit, error) {
 	asm := opts.Obs.StartSpan("core.assemble")
 	var p2 *P2
 	if st != nil && st.p2 != nil && st.p2.Patch(in, t, prev) {
@@ -86,7 +90,7 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 		p2, err = BuildP2(n, in, t, prev, opts.Params)
 		if err != nil {
 			asm.End()
-			return nil, nil, 0, err
+			return nil, nil, p2Commit{}, err
 		}
 		if st != nil {
 			st.p2 = p2
@@ -105,13 +109,11 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 	}
 	asm.End()
 
-	// attempt runs one barrier solve from start and, on success, notes its
-	// iteration count and whether it started warm in the solve state
-	// (nil-safe): the journal's warm-vs-cold delta and the decision cache's
-	// bookkeeping both read them after the ladder returns. Every attempt adds
-	// the Newton iterations it ran to iters.
-	iters := 0
-	attempt := func(solverOpts convex.Options, start []float64, warm bool) (*model.Decision, error) {
+	// attempt runs one barrier solve from start and returns its decision
+	// and the Newton iterations it ran, failed or not. A success is the
+	// slot's commit, so it is noted in commit.
+	var commit p2Commit
+	attempt := func(solverOpts convex.Options, start []float64, warm bool) (*model.Decision, int, error) {
 		if solverOpts.Obs == nil {
 			solverOpts.Obs = opts.Obs
 		}
@@ -121,14 +123,10 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 			res, serr = convex.Solve(p2.Prob, start, solverOpts)
 		})
 		if serr != nil {
-			if se, ok := resilience.AsSolveError(serr); ok {
-				iters += se.Iters
-			}
-			return nil, serr
+			return nil, resilience.IterationsOf(serr), serr
 		}
-		iters += res.NewtonIters
 		if !res.Converged {
-			return nil, &resilience.SolveError{
+			return nil, res.NewtonIters, &resilience.SolveError{
 				Stage: "convex.barrier", Class: resilience.ClassIterationLimit,
 				Iters: res.NewtonIters,
 				Err:   fmt.Errorf("barrier stopped before reaching tol %g", solverOpts.Tol),
@@ -136,45 +134,42 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 		}
 		dec := p2.Extract(res.X)
 		if ok, v := dec.FeasibleAt(n, in.Workload[t], feasTol); !ok {
-			return nil, &resilience.SolveError{
+			return nil, res.NewtonIters, &resilience.SolveError{
 				Stage: "core.p2", Class: resilience.ClassInfeasible,
 				Iters: res.NewtonIters,
 				Err:   fmt.Errorf("extracted decision violates slot %d constraints by %g", t, v),
 			}
 		}
-		if st != nil {
-			st.lastWarm = warm
-			st.lastSolveIters = res.NewtonIters
-			if !warm {
-				st.lastColdIters = res.NewtonIters
-			}
-		}
-		return dec, nil
+		commit = p2Commit{iters: res.NewtonIters, warm: warm}
+		return dec, res.NewtonIters, nil
 	}
 
 	rungs := []resilience.Rung[*model.Decision]{
-		{Name: RungWarm, Run: func() (*model.Decision, error) {
+		{Name: RungWarm, Run: func() (*model.Decision, int, error) {
+			spent := 0
 			if warmX0 != nil {
 				wopts := warmOptions(len(p2.Prob.H), opts.Solver)
-				dec, werr := attempt(wopts, warmX0, true)
+				dec, iters, werr := attempt(wopts, warmX0, true)
 				if werr == nil {
 					opts.Obs.Count(obs.MetricWarmHits, 1)
-					return dec, nil
+					return dec, iters, nil
 				}
 				if resilience.IsCanceled(werr) {
-					return nil, werr
+					return nil, iters, werr
 				}
 				// Safeguarded fallback: the carried point stalled — retry
 				// the structured cold start inside the same rung, so the
 				// ladder above is untouched by warm-start failures.
 				opts.Obs.Count(obs.MetricWarmFallbacks, 1)
+				spent = iters
 			}
-			return attempt(opts.Solver, x0, false)
+			dec, iters, err := attempt(opts.Solver, x0, false)
+			return dec, spent + iters, err
 		}},
 	}
 	if x0 != nil {
 		rungs = append(rungs, resilience.Rung[*model.Decision]{
-			Name: RungRestartCenter, Run: func() (*model.Decision, error) {
+			Name: RungRestartCenter, Run: func() (*model.Decision, int, error) {
 				return attempt(opts.Solver, nil, false)
 			}})
 	}
@@ -189,11 +184,14 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 		loose.MaxNewton *= 2
 	}
 	rungs = append(rungs, resilience.Rung[*model.Decision]{
-		Name: RungLooseTol, Run: func() (*model.Decision, error) {
+		Name: RungLooseTol, Run: func() (*model.Decision, int, error) {
 			return attempt(loose, nil, false)
 		}})
 	dec, ladder, err := resilience.ClimbObs(fmt.Sprintf("core.p2[t=%d]", t), opts.Obs, rungs)
-	return dec, ladder, iters, err
+	if err == nil && st != nil && !commit.warm {
+		st.lastColdIters = commit.iters
+	}
+	return dec, ladder, commit, err
 }
 
 // carryForward implements graceful degradation for one slot: reuse the
@@ -202,7 +200,7 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 // the previous decision as lower bounds (the same machinery as the
 // controllers' repair step), an unconstrained one-shot LP, and finally the
 // solver-free greedy spread. It returns the applied decision and the tactic
-// name, and the iterations the repair LPs reported (lpIters). lpWork
+// name, and the iterations the repair LPs' ladder attempts ran. lpWork
 // supplies the repair LPs' reusable buffers.
 func carryForward(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, lpWork *lp.Workspace) (*model.Decision, string, int, error) {
 	if ok, _ := prev.FeasibleAt(n, in.Workload[t], 1e-7); ok {
@@ -219,14 +217,14 @@ func carryForward(n *model.Network, in *model.Inputs, t int, prev *model.Decisio
 	if l, err := model.BuildP1(n, in.Window(t, 1), prev, nil); err == nil {
 		l.LowerBoundPlan(prev)
 		sol, rep, err := lp.SolveResilient(l.Prob, lpOpts)
-		iters += lpIters(sol, rep)
+		iters += rep.Iterations()
 		if err == nil {
 			return l.ExtractDecisions(sol.X)[0], DegradeProject, iters, nil
 		}
 	}
 	if l, err := model.BuildP1(n, in.Window(t, 1), prev, nil); err == nil {
 		sol, rep, err := lp.SolveResilient(l.Prob, lpOpts)
-		iters += lpIters(sol, rep)
+		iters += rep.Iterations()
 		if err == nil {
 			return l.ExtractDecisions(sol.X)[0], DegradeOneShot, iters, nil
 		}
@@ -236,21 +234,4 @@ func carryForward(n *model.Network, in *model.Inputs, t int, prev *model.Decisio
 		return nil, "", iters, fmt.Errorf("core: emergency spread allocation still infeasible by %g at slot %d", v, t)
 	}
 	return d, DegradeSpread, iters, nil
-}
-
-// lpIters counts the iterations one resilient LP solve reported: each failed
-// rung's SolveError.Iters and the returned solution's Iters.
-func lpIters(sol *lp.GeneralSolution, rep *resilience.LadderReport) int {
-	n := 0
-	if sol != nil {
-		n = sol.Iters
-	}
-	if rep != nil {
-		for _, a := range rep.Attempts {
-			if se, ok := resilience.AsSolveError(a.Err); ok {
-				n += se.Iters
-			}
-		}
-	}
-	return n
 }

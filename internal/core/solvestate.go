@@ -50,12 +50,6 @@ type solveState struct {
 	// cold (structured-start) solve: the per-slot reference the journal's
 	// warm-vs-cold iteration delta is measured against.
 	lastColdIters int
-
-	// Per-slot scratch, reset at the top of every solveP2 call:
-	// whether the committing attempt started from the carried warm point,
-	// and how many Newton iterations it took.
-	lastWarm       bool
-	lastSolveIters int
 }
 
 // cacheKey is the decision-cache key of one slot: the journal's inputs

@@ -116,14 +116,18 @@ func TestColdSolveLineSearchNoStall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink := obs.NewBufferSink()
+		sink := obs.NewRingSink(0)
 		so.Obs = obs.NewScope(nil, sink)
 		res, err := convex.Solve(p2.Prob, p2.warmStart(in, tt), so)
 		if err != nil {
 			t.Fatalf("slot %d: %v", tt, err)
 		}
+		events := sink.Events()
+		if int64(len(events)) != sink.Total() {
+			t.Fatalf("slot %d: ring sink kept %d of %d events", tt, len(events), sink.Total())
+		}
 		perStage := map[int]int{}
-		for _, e := range sink.Events() {
+		for _, e := range events {
 			if e.Kind == obs.KindIter && e.Name == "convex.newton" {
 				perStage[e.Stage]++
 				steps++

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"soral/internal/core"
-	"soral/internal/obs"
 	"soral/internal/obs/journal"
 )
 
@@ -191,16 +190,14 @@ func TestReplayRejectsConfiglessJournal(t *testing.T) {
 // TestRecordInstanceHeader pins the journal of an external-instance run
 // (soral -instance): the same header and footer as Record, naming the
 // solver and carrying the iteration total and wall time, but with no
-// embedded config, so it is auditable and not replayable.
+// embedded config, so it is auditable and not replayable. The run records
+// no telemetry, and every slot record still carries its wall time and
+// iteration count.
 func TestRecordInstanceHeader(t *testing.T) {
 	scen, err := Build(replaySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per-slot iteration counts come from the telemetry scope, which soral
-	// installs the same way whenever it records telemetry.
-	SetDefaultObs(obs.NewScope(obs.NewRegistry(), nil))
-	defer SetDefaultObs(nil)
 	var buf bytes.Buffer
 	run, err := RecordInstance(context.Background(), &Scenario{Net: scen.Net, In: scen.In},
 		RunConfig{Algorithm: "online"}, journal.NewWriter(&buf))
@@ -220,6 +217,11 @@ func TestRecordInstanceHeader(t *testing.T) {
 	}
 	if len(j.Slots) != scen.In.T {
 		t.Fatalf("journal has %d slots, want %d", len(j.Slots), scen.In.T)
+	}
+	for _, rec := range j.Slots {
+		if rec.DurNS <= 0 || rec.Iters <= 0 {
+			t.Fatalf("slot %d journals dur_ns %d and iters %d, want both > 0", rec.Slot, rec.DurNS, rec.Iters)
+		}
 	}
 	f := j.Footer
 	if f == nil || f.TotalCost != run.Cost.Total() || f.DurNS <= 0 ||

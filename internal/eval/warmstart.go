@@ -6,7 +6,7 @@ import (
 	"math"
 	"sort"
 
-	"soral/internal/obs"
+	"soral/internal/core"
 	"soral/internal/obs/journal"
 )
 
@@ -28,8 +28,9 @@ type warmEntry struct {
 	// warmSlots counts steady-state slots committed warm (carried iterate
 	// accepted, or decision-cache hit), summed over repeats.
 	warmSlots int
-	// cacheHits is the decision-cache hit count summed over repeats.
-	cacheHits int64
+	// cacheHits counts the slots the decision cache committed, summed over
+	// repeats.
+	cacheHits int
 	// bitIdentical reports that every repeat reproduced the first repeat's
 	// per-slot decision digests exactly (the determinism contract; -compare
 	// fails unconditionally when this flips true → false).
@@ -91,12 +92,9 @@ func warmstartRun(cfg RunConfig, entry string, warm bool, log Logger) (*warmMeas
 	var iterSum int64
 	for r := 0; r < warmstartRepeats; r++ {
 		log.printf("warmstart %s run %d/%d (T=%d)...", entry, r+1, warmstartRepeats, scen.In.T)
-		// A private registry per repeat isolates the counters (cache hits,
-		// per-slot iteration deltas) from the process default scope and from
-		// the other repeats.
-		reg := obs.NewRegistry()
-		scope := obs.NewScope(reg, nil)
-		suite := NewSuite(scen, cfg.Eps).WithObs(scope).WithJournal(nil).WithHealth(nil)
+		// The per-slot report carries everything measured here, so the run
+		// records no telemetry, not even into a process default scope.
+		suite := NewSuite(scen, cfg.Eps).WithObs(nil).WithJournal(nil).WithHealth(nil)
 		run, err := suite.RunConfigured(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("eval: warmstart %s run %d: %w", entry, r, err)
@@ -120,6 +118,9 @@ func warmstartRun(cfg RunConfig, entry string, warm bool, log Logger) (*warmMeas
 			m.entry.bitIdentical = false
 		}
 		for _, sr := range run.Report.Slots {
+			if sr.Rung == core.RungCache {
+				m.entry.cacheHits++
+			}
 			if sr.Slot <= warmstartSteadyAfter {
 				continue
 			}
@@ -129,7 +130,6 @@ func warmstartRun(cfg RunConfig, entry string, warm bool, log Logger) (*warmMeas
 				m.entry.warmSlots++
 			}
 		}
-		m.entry.cacheHits += scope.CounterValue(obs.MetricWarmCacheHits)
 	}
 	m.entry.samples = len(m.durs)
 	m.entry.p50Ns = quantileNs(m.durs, 0.50)

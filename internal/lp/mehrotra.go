@@ -100,7 +100,7 @@ type Solution struct {
 	Y      []float64 // dual multipliers of Ax=b
 	S      []float64 // reduced costs
 	Obj    float64   // cᵀx in standard form
-	Iters  int
+	Iters  int       // iterations run: one per lp.mehrotra iter event
 
 	// Residuals holds the normalized primal/dual infeasibilities and the
 	// complementarity gap at the final iterate. On an IterationLimit exit
@@ -302,7 +302,6 @@ func SolveStandard(std *Standard, normal NormalSolver, opts Options) (sol *Solut
 	sol = &Solution{X: x, Y: y, S: s}
 	maxIter := opts.Fault.Budget(opts.MaxIter)
 	for iter := 0; iter < maxIter; iter++ {
-		sol.Iters = iter
 		if cerr := resilience.Interrupted(opts.Ctx, "lp.mehrotra", iter); cerr != nil {
 			sol.Status = NumericalFailure
 			sol.Residuals = residualsAt()
@@ -325,6 +324,8 @@ func SolveStandard(std *Standard, normal NormalSolver, opts Options) (sol *Solut
 		opts.Obs.Iteration("lp.mehrotra", iter, obs.IterStats{
 			Primal: rres.Primal, Dual: rres.Dual, Gap: rres.Gap,
 		})
+		// Iteration iter has run from here on, whichever exit it takes.
+		sol.Iters = iter + 1
 		mu := linalg.Dot(x, s) / float64(n)
 		pinf, dinf, gap := rres.Primal, rres.Dual, rres.Gap
 		if pinf < opts.Tol && dinf < opts.Tol && gap < opts.Tol {
@@ -359,7 +360,7 @@ func SolveStandard(std *Standard, normal NormalSolver, opts Options) (sol *Solut
 			sol.Status = NumericalFailure
 			sol.Obj = linalg.Dot(c, x)
 			return sol, &resilience.SolveError{
-				Stage: "lp.mehrotra", Class: resilience.ClassFactorization, Iters: iter,
+				Stage: "lp.mehrotra", Class: resilience.ClassFactorization, Iters: sol.Iters,
 				Residuals: rres, CondEst: condEstOf(normal),
 				Err: ferr,
 			}
@@ -420,7 +421,7 @@ func SolveStandard(std *Standard, normal NormalSolver, opts Options) (sol *Solut
 			sol.Status = NumericalFailure
 			sol.Obj = linalg.Dot(c, x)
 			return sol, &resilience.SolveError{
-				Stage: "lp.mehrotra", Class: resilience.ClassStepCollapse, Iters: iter,
+				Stage: "lp.mehrotra", Class: resilience.ClassStepCollapse, Iters: sol.Iters,
 				Residuals: rres, CondEst: condEstOf(normal),
 				Err: errors.New("step size collapsed"),
 			}
@@ -437,7 +438,6 @@ func SolveStandard(std *Standard, normal NormalSolver, opts Options) (sol *Solut
 	// can distinguish "nearly converged — acceptable" from "nowhere near".
 	sol.Status = IterationLimit
 	sol.Obj = linalg.Dot(c, x)
-	sol.Iters = maxIter
 	if linalg.AllFinite(x) && linalg.AllFinite(s) && linalg.AllFinite(y) {
 		sol.Residuals = residualsAt()
 	}

@@ -5,6 +5,7 @@ import (
 
 	"soral/internal/obs"
 	"soral/internal/obs/obstest"
+	"soral/internal/resilience"
 )
 
 // TestMehrotraEmitsIterations checks the iteration instrumentation: one iter
@@ -33,15 +34,31 @@ func TestMehrotraEmitsIterations(t *testing.T) {
 		}
 	}
 	// Mehrotra records the iteration event before a possible optimal exit,
-	// so the event count matches the counters exactly; Solution.Iters is the
-	// 0-based index of the converging iteration.
+	// so the event count matches the counters and Solution.Iters exactly:
+	// the converging iteration counts as one that ran.
 	if got := rec.Counter("lp.mehrotra.iterations"); got != int64(len(iters)) {
 		t.Fatalf("lp.mehrotra.iterations = %d, %d events", got, len(iters))
 	}
 	if got := rec.Counter(obs.MetricSolverIters); got != int64(len(iters)) {
 		t.Fatalf("%s = %d, %d events", obs.MetricSolverIters, got, len(iters))
 	}
-	if len(iters) != sol.Iters+1 {
+	if sol.Iters != len(iters) {
 		t.Fatalf("%d iter events, solution reports %d iterations", len(iters), sol.Iters)
+	}
+}
+
+// TestMehrotraFailureItersMatchEvents checks a failure exit that comes after
+// the iteration event: a factorization failure at iteration k reports k+1
+// iterations, one per iter event emitted.
+func TestMehrotraFailureItersMatchEvents(t *testing.T) {
+	sc, rec := obstest.NewScope()
+	fault := &resilience.FaultPlan{FailFactorization: true, FailFactorizationAt: 2}
+	_, err := Solve(transport(), Options{Obs: sc, Fault: fault})
+	se, ok := resilience.AsSolveError(err)
+	if !ok || se.Class != resilience.ClassFactorization {
+		t.Fatalf("err = %v, want a factorization failure", err)
+	}
+	if events := len(rec.Kind(obs.KindIter)); se.Iters != events || events != 3 {
+		t.Fatalf("failure reports %d iterations after %d iter events, want 3", se.Iters, events)
 	}
 }

@@ -51,67 +51,68 @@ func SolveResilient(p *Problem, opts Options) (*GeneralSolution, *resilience.Lad
 		}
 	}
 	var lastIPM *GeneralSolution
-	ipmRung := func(rung string, o Options) (*GeneralSolution, error) {
+	ipmRung := func(rung string, o Options) (*GeneralSolution, int, error) {
 		sol, err := Solve(p, o)
 		if err != nil {
-			return nil, err
+			return nil, resilience.IterationsOf(err), err
 		}
 		lastIPM = sol
 		if sol.Status != Optimal {
-			return nil, statusErr(rung, sol)
+			return nil, sol.Iters, statusErr(rung, sol)
 		}
-		return sol, nil
+		return sol, sol.Iters, nil
 	}
 
 	rungs := []resilience.Rung[*GeneralSolution]{
-		{Name: RungIPM, Run: func() (*GeneralSolution, error) {
+		{Name: RungIPM, Run: func() (*GeneralSolution, int, error) {
 			return ipmRung(RungIPM, opts)
 		}},
-		{Name: RungRescale, Run: func() (*GeneralSolution, error) {
+		{Name: RungRescale, Run: func() (*GeneralSolution, int, error) {
 			eq, err := equilibrate(p)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			sol, err := Solve(eq.prob, opts)
 			if err != nil {
-				return nil, err
+				return nil, resilience.IterationsOf(err), err
 			}
 			if sol.Status != Optimal {
-				return nil, statusErr(RungRescale, sol)
+				return nil, sol.Iters, statusErr(RungRescale, sol)
 			}
-			return eq.recover(p, sol), nil
+			return eq.recover(p, sol), sol.Iters, nil
 		}},
-		{Name: RungLooseTol, Run: func() (*GeneralSolution, error) {
+		{Name: RungLooseTol, Run: func() (*GeneralSolution, int, error) {
 			loose, err := opts.withDefaults()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			loose.Tol = math.Max(loose.Tol*1e3, 1e-6)
 			return ipmRung(RungLooseTol, loose)
 		}},
-		{Name: RungAcceptLimit, Run: func() (*GeneralSolution, error) {
+		// Accepting an earlier rung's iterate runs no iteration.
+		{Name: RungAcceptLimit, Run: func() (*GeneralSolution, int, error) {
 			if lastIPM != nil && lastIPM.Status == IterationLimit && lastIPM.Residuals.Below(acceptResidual) {
 				accepted := *lastIPM
 				accepted.Status = Optimal
-				return &accepted, nil
+				return &accepted, 0, nil
 			}
-			return nil, fmt.Errorf("lp: no acceptable iteration-limited iterate")
+			return nil, 0, fmt.Errorf("lp: no acceptable iteration-limited iterate")
 		}},
-		{Name: RungSimplex, Run: func() (*GeneralSolution, error) {
+		{Name: RungSimplex, Run: func() (*GeneralSolution, int, error) {
 			if p.NumVars() > simplexSizeLimit {
-				return nil, fmt.Errorf("lp: %d variables exceed the simplex rung limit %d", p.NumVars(), simplexSizeLimit)
+				return nil, 0, fmt.Errorf("lp: %d variables exceed the simplex rung limit %d", p.NumVars(), simplexSizeLimit)
 			}
 			if err := resilience.Interrupted(opts.Ctx, "lp.simplex", 0); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			sol, err := SolveSimplex(p, Options{Ctx: opts.Ctx})
 			if err != nil {
-				return nil, err
+				return nil, resilience.IterationsOf(err), err
 			}
 			if sol.Status != Optimal {
-				return nil, statusErr(RungSimplex, sol)
+				return nil, sol.Iters, statusErr(RungSimplex, sol)
 			}
-			return sol, nil
+			return sol, sol.Iters, nil
 		}},
 	}
 	return resilience.ClimbObs("lp.solve", opts.Obs, rungs)

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"soral/internal/obs"
+	"soral/internal/obs/obstest"
 	"soral/internal/resilience"
 )
 
@@ -148,14 +150,7 @@ func TestResilientAcceptsNearOptimalIterationLimit(t *testing.T) {
 	// MaxIter exactly there with a tighter Tol: every IPM rung exhausts its
 	// budget, but the final iterate is already below 1e-6 on all residuals,
 	// so the accept-iteration-limit rung adopts it.
-	ref, err := Solve(transport(), Options{Tol: 1e-6})
-	if err != nil || ref.Status != Optimal {
-		t.Fatalf("reference solve: status %v err %v", ref.Status, err)
-	}
-	k := ref.Iters
-	if k < 2 {
-		t.Fatalf("reference converged suspiciously fast (%d iters)", k)
-	}
+	k := acceptLimitBudget(t)
 	sol, rep, err := SolveResilient(transport(), Options{Tol: 1e-9, MaxIter: k})
 	if err != nil {
 		t.Fatalf("SolveResilient: %v", err)
@@ -168,6 +163,52 @@ func TestResilientAcceptsNearOptimalIterationLimit(t *testing.T) {
 	}
 	if math.Abs(sol.Obj-8) > 1e-4 {
 		t.Fatalf("accepted obj = %v, want 8", sol.Obj)
+	}
+}
+
+// acceptLimitBudget returns the iteration budget at which the transport
+// LP's final iterate is below 1e-6 on every residual: ref.Iters counts the
+// converging iteration of a 1e-6 solve, whose residual check reads the
+// iterate the ref.Iters-1 iterations before it left.
+func acceptLimitBudget(t *testing.T) int {
+	t.Helper()
+	ref, err := Solve(transport(), Options{Tol: 1e-6})
+	if err != nil || ref.Status != Optimal {
+		t.Fatalf("reference solve: status %v err %v", ref.Status, err)
+	}
+	k := ref.Iters - 1
+	if k < 2 {
+		t.Fatalf("reference converged suspiciously fast (%d iters)", ref.Iters)
+	}
+	return k
+}
+
+// TestAcceptLimitAttemptIterations checks the iterations the accept-limit
+// ladder reports, with and without a scope: each attempt carries what its
+// solve ran, so the attempts sum to the solver.iterations counter, and
+// accepting an earlier rung's iterate runs none.
+func TestAcceptLimitAttemptIterations(t *testing.T) {
+	k := acceptLimitBudget(t)
+	sc, rec := obstest.NewScope()
+	var reps []*resilience.LadderReport
+	for _, o := range []*obs.Scope{nil, sc} {
+		_, rep, err := SolveResilient(transport(), Options{Tol: 1e-9, MaxIter: k, Obs: o})
+		if err != nil || rep.Rung != RungAcceptLimit {
+			t.Fatalf("rung %q err %v, want %q", rep.Rung, err, RungAcceptLimit)
+		}
+		if a := rep.Attempts[len(rep.Attempts)-1]; a.Iterations != 0 {
+			t.Fatalf("accept-limit attempt reports %d iterations, want 0", a.Iterations)
+		}
+		reps = append(reps, rep)
+	}
+	plain, scoped := reps[0], reps[1]
+	for i, a := range plain.Attempts {
+		if got := scoped.Attempts[i].Iterations; got != a.Iterations {
+			t.Fatalf("attempt %s: %d iterations with a scope, %d without", a.Rung, got, a.Iterations)
+		}
+	}
+	if sum, counter := plain.Iterations(), rec.Counter(obs.MetricSolverIters); int64(sum) != counter {
+		t.Fatalf("attempt iterations sum to %d, %s counter reads %d; report: %v", sum, obs.MetricSolverIters, counter, plain)
 	}
 }
 

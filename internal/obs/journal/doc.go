@@ -5,7 +5,10 @@
 // after the fact: each line carries enough to audit the decision (input and
 // decision digests, objective terms, the resilience outcome) and the header
 // embeds the run configuration so the whole run can be replayed and checked
-// for bit-identical decisions.
+// for bit-identical decisions. A slot line's wall time and iteration count
+// come from the run itself (the online step's own clock and the counts its
+// solvers return), so a journal written without telemetry explains its
+// slots as fully as one written with it.
 //
 // A journal is one header line, zero or more slot lines in strictly
 // increasing slot order, and (for runs that finished) one footer line. Every

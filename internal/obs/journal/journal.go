@@ -106,10 +106,10 @@ type SlotRecord struct {
 	// primary solve).
 	Status string `json:"status"`
 	Rung   string `json:"rung,omitempty"`
-	// DurNS is the slot's wall time, reconciled with the trace's core.slot
-	// span (zero when the run carried no obs scope or the record was written
-	// post-hoc), and Iters its solver-iteration consumption as the solvers
-	// reported it (zero on a decision-cache hit or a post-hoc record).
+	// DurNS is the slot's wall time, the same measurement the trace's
+	// core.slot span carries (zero only in a post-hoc record), and Iters the
+	// solver iterations it ran as the solvers reported them (zero on a
+	// decision-cache hit or a post-hoc record). Neither needs an obs scope.
 	DurNS int64 `json:"dur_ns,omitempty"`
 	Iters int   `json:"iters,omitempty"`
 	// Warm marks a slot committed by the warm-start machinery (a carried

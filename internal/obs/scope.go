@@ -9,8 +9,9 @@ import (
 const (
 	// MetricSolverIters is the cross-solver iteration counter: every
 	// Mehrotra and barrier-Newton iteration bumps it once
-	// (via Scope.Iteration). Ladder rungs and slot spans report their
-	// iteration budgets as deltas of this counter.
+	// (via Scope.Iteration). Spans report their iteration budgets as deltas
+	// of this counter; ladder attempts and slot reports carry the counts
+	// the solvers return, which the counter reconciles with.
 	MetricSolverIters = "solver.iterations"
 
 	// MetricWorkers is the gauge holding the resolved worker count of the
@@ -236,21 +237,30 @@ func (s *Scope) StartSpan(name string) Span {
 		itersBefore: s.CounterValue(MetricSolverIters)}
 }
 
-// End closes the span: it emits a KindSpanEnd event carrying the duration
-// and the solver iterations consumed inside the span, records the duration
-// into the "latency.<name>.seconds" log-bucketed histogram, and returns the
-// duration. Only a span name's first End allocates (to create the
-// histogram).
+// End closes the span on the scope's clock and returns the duration (see
+// EndWith).
 func (sp Span) End() time.Duration {
 	if sp.sc == nil {
 		return 0
 	}
 	d := sp.sc.core.now().Sub(sp.start)
+	sp.EndWith(d)
+	return d
+}
+
+// EndWith closes the span with a duration d the caller measured on its own
+// clock: it emits a KindSpanEnd event carrying d and the solver iterations
+// counted inside the span, and records d into the
+// "latency.<name>.seconds" log-bucketed histogram. Only a span name's first
+// close allocates (to create the histogram).
+func (sp Span) EndWith(d time.Duration) {
+	if sp.sc == nil {
+		return
+	}
 	iters := sp.sc.CounterValue(MetricSolverIters) - sp.itersBefore
 	sp.sc.emit(Event{Kind: KindSpanEnd, Name: sp.name,
 		DurNS: d.Nanoseconds(), Iters: int(iters)})
 	if reg := sp.sc.core.reg; reg != nil {
 		reg.spanHist(sp.name).Record(d.Seconds())
 	}
-	return d
 }

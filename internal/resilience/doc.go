@@ -11,12 +11,14 @@
 //     error instead of killing a whole online run;
 //   - a generic fallback ladder (ClimbObs) that tries escalating recovery
 //     tactics in order and records, per attempt, which rung failed and which
-//     one finally produced a solution;
+//     one finally produced a solution, with its wall time and the solver
+//     iterations the rung reported running;
 //   - a deterministic fault-injection plan (FaultPlan) hooked into the
 //     solver Options, so tests can force factorization failures, NaN
 //     iterates, iteration-budget exhaustion, mid-solve panics and verify
 //     every rung of the ladder — with no build tags and no nondeterminism.
 //
-// The package depends only on the standard library so every other internal
-// package may import it freely.
+// The package depends only on the standard library and internal/obs (for the
+// ladder's rung events), so every other internal package may import it
+// freely.
 package resilience

@@ -77,7 +77,7 @@ func (r Residuals) String() string {
 type SolveError struct {
 	Stage     string       // e.g. "lp.mehrotra", "convex.barrier"
 	Class     FailureClass // what kind of failure
-	Iters     int          // iterations completed before the failure
+	Iters     int          // iterations the solve ran, the failing one included
 	Residuals Residuals    // convergence state at the failure point
 	CondEst   float64      // condition estimate of the last factorized system (0 = unknown)
 	Err       error        // underlying cause (may be nil)
@@ -107,6 +107,16 @@ func AsSolveError(err error) (*SolveError, bool) {
 		return se, true
 	}
 	return nil, false
+}
+
+// IterationsOf returns the iterations a failed solve ran: the Iters of the
+// SolveError in err's chain, 0 when there is none (a build or validation
+// error runs no iteration).
+func IterationsOf(err error) int {
+	if se, ok := AsSolveError(err); ok {
+		return se.Iters
+	}
+	return 0
 }
 
 // IsSolveFailure reports whether err is (or wraps) a SolveError — a numeric

@@ -9,11 +9,13 @@ import (
 )
 
 // Rung is one recovery tactic of a fallback ladder: a name for reporting and
-// a closure that attempts the solve. A rung succeeds when it returns a nil
-// error; the ladder stops at the first success.
+// a closure that attempts the solve. Run returns the solver iterations it
+// ran, failed or not: its solvers' returned counts, or SolveError.Iters on
+// a failure (IterationsOf). A rung succeeds when it returns a nil error; the
+// ladder stops at the first success.
 type Rung[T any] struct {
 	Name string
-	Run  func() (T, error)
+	Run  func() (T, int, error)
 }
 
 // Attempt records the outcome of one rung.
@@ -21,7 +23,7 @@ type Attempt struct {
 	Rung string
 	Err  error // nil when the rung succeeded
 	// Duration is the rung's wall time; Iterations the solver iterations it
-	// consumed (a delta of obs.MetricSolverIters, 0 without a scope).
+	// ran, as the rung's Run returned them.
 	Duration   time.Duration
 	Iterations int
 }
@@ -32,6 +34,19 @@ type LadderReport struct {
 	Stage    string
 	Attempts []Attempt
 	Rung     string // name of the succeeding rung; "" when the whole ladder failed
+}
+
+// Iterations sums the solver iterations of every attempt (0 on a nil
+// report).
+func (r *LadderReport) Iterations() int {
+	if r == nil {
+		return 0
+	}
+	n := 0
+	for _, a := range r.Attempts {
+		n += a.Iterations
+	}
+	return n
 }
 
 // Failed reports whether every rung failed.
@@ -68,8 +83,8 @@ func (r *LadderReport) String() string {
 // aborts the ladder immediately: retrying after a deadline has expired is
 // pointless and would only delay the caller further.
 //
-// Each attempt's wall time and solver iteration consumption are recorded on
-// the report and emitted as rung events through sc; a nil scope records
+// Each attempt's wall time and the iterations its rung reported are recorded
+// on the report and emitted as rung events through sc; a nil scope records
 // only the report.
 func ClimbObs[T any](stage string, sc *obs.Scope, rungs []Rung[T]) (T, *LadderReport, error) {
 	rep := &LadderReport{Stage: stage}
@@ -77,14 +92,8 @@ func ClimbObs[T any](stage string, sc *obs.Scope, rungs []Rung[T]) (T, *LadderRe
 	var lastErr error
 	for _, rung := range rungs {
 		start := time.Now()
-		itersBefore := sc.CounterValue(obs.MetricSolverIters)
-		v, err := rung.Run()
-		a := Attempt{
-			Rung:       rung.Name,
-			Err:        err,
-			Duration:   time.Since(start),
-			Iterations: int(sc.CounterValue(obs.MetricSolverIters) - itersBefore),
-		}
+		v, iters, err := rung.Run()
+		a := Attempt{Rung: rung.Name, Err: err, Duration: time.Since(start), Iterations: iters}
 		rep.Attempts = append(rep.Attempts, a)
 		status := "ok"
 		if err != nil {

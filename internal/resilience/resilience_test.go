@@ -57,9 +57,9 @@ func TestResidualsBelow(t *testing.T) {
 func TestClimbStopsAtFirstSuccess(t *testing.T) {
 	calls := 0
 	v, rep, err := ClimbObs("test", nil, []Rung[int]{
-		{Name: "a", Run: func() (int, error) { calls++; return 0, errors.New("a failed") }},
-		{Name: "b", Run: func() (int, error) { calls++; return 42, nil }},
-		{Name: "c", Run: func() (int, error) { calls++; return 0, errors.New("never reached") }},
+		{Name: "a", Run: func() (int, int, error) { calls++; return 0, 3, errors.New("a failed") }},
+		{Name: "b", Run: func() (int, int, error) { calls++; return 42, 5, nil }},
+		{Name: "c", Run: func() (int, int, error) { calls++; return 0, 7, errors.New("never reached") }},
 	})
 	if err != nil || v != 42 || calls != 2 {
 		t.Fatalf("v=%d calls=%d err=%v", v, calls, err)
@@ -70,13 +70,18 @@ func TestClimbStopsAtFirstSuccess(t *testing.T) {
 	if len(rep.Attempts) != 2 || rep.Attempts[0].Err == nil || rep.Attempts[1].Err != nil {
 		t.Fatalf("attempts: %+v", rep.Attempts)
 	}
+	// Each attempt carries the iterations its rung returned, with no scope.
+	if rep.Attempts[0].Iterations != 3 || rep.Attempts[1].Iterations != 5 || rep.Iterations() != 8 {
+		t.Fatalf("attempt iterations %d+%d = %d, want 3+5 = 8",
+			rep.Attempts[0].Iterations, rep.Attempts[1].Iterations, rep.Iterations())
+	}
 }
 
 func TestClimbTotalFailure(t *testing.T) {
 	last := errors.New("terminal")
 	_, rep, err := ClimbObs("test", nil, []Rung[int]{
-		{Name: "a", Run: func() (int, error) { return 0, errors.New("first") }},
-		{Name: "b", Run: func() (int, error) { return 0, last }},
+		{Name: "a", Run: func() (int, int, error) { return 0, 0, errors.New("first") }},
+		{Name: "b", Run: func() (int, int, error) { return 0, 0, last }},
 	})
 	if err == nil || !errors.Is(err, last) {
 		t.Fatalf("err = %v, want wrap of last cause", err)
@@ -89,11 +94,11 @@ func TestClimbTotalFailure(t *testing.T) {
 func TestClimbAbortsOnCancellation(t *testing.T) {
 	calls := 0
 	_, rep, err := ClimbObs("test", nil, []Rung[int]{
-		{Name: "a", Run: func() (int, error) {
+		{Name: "a", Run: func() (int, int, error) {
 			calls++
-			return 0, &SolveError{Stage: "x", Class: ClassCanceled, Err: context.DeadlineExceeded}
+			return 0, 0, &SolveError{Stage: "x", Class: ClassCanceled, Err: context.DeadlineExceeded}
 		}},
-		{Name: "b", Run: func() (int, error) { calls++; return 1, nil }},
+		{Name: "b", Run: func() (int, int, error) { calls++; return 1, 0, nil }},
 	})
 	if err == nil || calls != 1 || len(rep.Attempts) != 1 {
 		t.Fatalf("canceled ladder kept climbing: calls=%d err=%v", calls, err)
