@@ -88,24 +88,27 @@ warmstart:
 watch:
 	$(GO) run -race ./cmd/soralbench -exp watch -q
 
-# Time-boxed fuzzing, 10 s over five targets of 2 s each: the structured
+# Time-boxed fuzzing, 9.6 s over six targets of 1.6 s each: the structured
 # Newton step against the dense one (random block maps with in-block rows,
 # cross-block rows and cross-block entropic groups, each solved with its
 # block map and with the map cleared; both must converge to the same
-# objective), the line search's one-logarithm barrier change against a sum
-# of log1p terms on slack pairs from subnormal to huge (DESIGN.md §15), the
-# journal's hand-written slot and state encoders against json.Marshal, byte
-# for byte, its reflection-free slot and state decoders against
-# json.Unmarshal, and Recover on arbitrary bytes (never a panic; an accepted
-# prefix re-reads to the same journal; DESIGN.md §10). Plain `go test`
-# replays the committed seed corpora under internal/convex/testdata/fuzz and
+# objective), the primal–dual loop against the barrier on the same random
+# problems (both converge, to the same objective), the line search's
+# one-logarithm barrier change against a sum of log1p terms on slack pairs
+# from subnormal to huge (DESIGN.md §15), the journal's hand-written slot
+# and state encoders against json.Marshal, byte for byte, its
+# reflection-free slot and state decoders against json.Unmarshal, and
+# Recover on arbitrary bytes (never a panic; an accepted prefix re-reads to
+# the same journal; DESIGN.md §10). Plain `go test` replays the committed
+# seed corpora under internal/convex/testdata/fuzz and
 # internal/obs/journal/testdata/fuzz; this target searches beyond them.
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzNewtonBlockVsDense$$' -fuzztime=2s ./internal/convex
-	$(GO) test -run='^$$' -fuzz='^FuzzBarrierLog$$' -fuzztime=2s ./internal/convex
-	$(GO) test -run='^$$' -fuzz='^FuzzJournalRecordEncoding$$' -fuzztime=2s ./internal/obs/journal
-	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalDecode$$' -fuzztime=2s ./internal/obs/journal
-	$(GO) test -run='^$$' -fuzz='^FuzzJournalRecover$$' -fuzztime=2s ./internal/obs/journal
+	$(GO) test -run='^$$' -fuzz='^FuzzNewtonBlockVsDense$$' -fuzztime=1600ms ./internal/convex
+	$(GO) test -run='^$$' -fuzz='^FuzzPrimalDualVsBarrier$$' -fuzztime=1600ms ./internal/convex
+	$(GO) test -run='^$$' -fuzz='^FuzzBarrierLog$$' -fuzztime=1600ms ./internal/convex
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalRecordEncoding$$' -fuzztime=1600ms ./internal/obs/journal
+	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalDecode$$' -fuzztime=1600ms ./internal/obs/journal
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalRecover$$' -fuzztime=1600ms ./internal/obs/journal
 
 # The benchmark harness is a nested module (perfbench/go.mod) that imports
 # core, eval and journal, so `go build ./...` here never compiles it. Vetting
@@ -118,7 +121,7 @@ perfbench-check:
 # invariants) and the full suite under the race detector (the parallel
 # kernels and the fault-injection trip counter are the concurrency-sensitive
 # paths), plus the focused telemetry and parallel-kernel race passes and the
-# crash/recovery chaos schedules, the five fuzz targets, and the nested
+# crash/recovery chaos schedules, the six fuzz targets, and the nested
 # benchmark module's build and tests.
 check: vet lint lint-self race obs-serve kernels-race chaos latency warmstart fuzz perfbench-check
 

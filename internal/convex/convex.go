@@ -1,5 +1,7 @@
-// Package convex implements a log-barrier interior-point solver for smooth
-// convex objectives under sparse linear inequality constraints G·x ≤ h.
+// Package convex implements two interior-point solvers for smooth convex
+// objectives under sparse linear inequality constraints G·x ≤ h: a
+// log-barrier method (Solve) and Mehrotra's primal–dual predictor–corrector
+// (SolvePrimalDual), which share one Newton system.
 //
 // This is the engine behind the paper's regularized subproblem P2(t), whose
 // objective mixes linear allocation costs with the entropic regularizer
@@ -8,8 +10,9 @@
 // also solves quadratic programs and plain LPs (used for cross-checks
 // against package lp).
 //
-// A strictly feasible starting point is computed with a phase-I linear
-// program when the caller does not supply one.
+// The barrier computes a strictly feasible starting point with a phase-I
+// linear program when the caller does not supply one; the primal–dual loop
+// needs the caller's.
 package convex
 
 import (
@@ -61,11 +64,13 @@ const Mu = 20
 // maxOuter bounds the barrier stages of one solve.
 const maxOuter = 60
 
-// Options tunes the barrier method.
+// Options tunes the two solve loops, Solve's barrier method and
+// SolvePrimalDual.
 type Options struct {
-	Tol       float64 // duality-gap tolerance (default 1e-7)
-	TInit     float64 // initial barrier weight (default 1)
-	MaxNewton int     // Newton iterations per centering step (default 80)
+	Tol float64 // duality-gap tolerance (default 1e-7)
+	// MaxNewton bounds the Newton steps of one barrier centering, and of a
+	// whole primal–dual solve (default 80).
+	MaxNewton int
 
 	// Ctx, when non-nil, is checked at every Newton iteration; an expired
 	// deadline or cancellation aborts the solve with a typed
@@ -76,8 +81,9 @@ type Options struct {
 	// testing (see resilience.FaultPlan). Production callers leave it nil.
 	Fault *resilience.FaultPlan
 
-	// Obs, when non-nil, receives one iteration event per Newton step (barrier
-	// stage, squared decrement, accepted step size). A nil scope costs one
+	// Obs, when non-nil, receives one iteration event per Newton step: the
+	// barrier's stage, squared decrement and accepted step size, or the
+	// primal–dual loop's residuals, gap and step. A nil scope costs one
 	// branch per iteration.
 	Obs *obs.Scope
 
@@ -96,9 +102,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Tol <= 0 {
 		o.Tol = 1e-7
-	}
-	if o.TInit <= 0 {
-		o.TInit = 1
 	}
 	if o.MaxNewton <= 0 {
 		o.MaxNewton = 80
@@ -164,10 +167,11 @@ func FindStrictlyFeasible(g *lp.SparseMatrix, h []float64) ([]float64, error) {
 // strictly feasible, phase I is run first. Runtime panics from the linear
 // algebra are converted into typed resilience.SolveError values.
 func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
+	iters := 0 // Newton steps run, one per convex.newton iteration event
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
-			err = resilience.FromPanic("convex.barrier", r)
+			err = resilience.FromPanic("convex.barrier", iters, r)
 		}
 	}()
 	opts = opts.withDefaults()
@@ -211,7 +215,7 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 	budget := opts.Fault.Budget(maxOuter * opts.MaxNewton)
 	budgetInjected := budget < maxOuter*opts.MaxNewton
 	condEst := 0.0
-	t := opts.TInit
+	t := 1.0 // barrier weight
 	// An accepted line-search trial's slack carries into the next Newton
 	// step (haveSlack); a new barrier stage or an exhausted line search
 	// drops it, and the slack is then recomputed exactly as h − G·x.
@@ -220,6 +224,7 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 		// Centering: Newton on t·f(x) − Σ ln(h − Gx).
 		for newton := 0; newton < opts.MaxNewton; newton++ {
 			iter := res.NewtonIters
+			iters = iter
 			res.NewtonIters++
 			if cerr := resilience.Interrupted(opts.Ctx, "convex.barrier", iter); cerr != nil {
 				return nil, cerr
@@ -317,6 +322,7 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 		}
 		t *= Mu
 	}
+	iters = res.NewtonIters
 	exactSlack(p.G, p.H, x, slack)
 	duals := make([]float64, m)
 	for r := range duals {

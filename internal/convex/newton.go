@@ -10,9 +10,10 @@ import (
 	"soral/internal/lp"
 )
 
-// NewtonSystem is the barrier method's Newton matrix
+// NewtonSystem is the Newton matrix of the two solve loops,
 //
-//	t·∇²f(x) + Gᵀ·diag(1/s²)·G
+//	t·∇²f(x) + Gᵀ·diag(1/s²)·G   (the barrier, at weight t)
+//	∇²f(x) + Gᵀ·diag(z/s)·G      (the primal–dual loop)
 //
 // held in the structure Problem.Blocks declares (DESIGN.md §15): one small
 // dense matrix per variable block, plus a border of rank-one columns for
@@ -672,6 +673,35 @@ func (ns *NewtonSystem) solve(dx, g []float64) {
 	}
 	for p, k := range ns.perm[:n] {
 		dx[k] = -y[p]
+	}
+}
+
+// mulVec writes the assembled matrix times v into dst: every block's
+// symmetric matrix, read off its stored lower triangle, plus the border's
+// own weighted columns. It is the matrix before the block shifts and the
+// fold, which solve applies only approximately.
+func (ns *NewtonSystem) mulVec(dst, v []float64) {
+	clear(dst[:ns.n])
+	for b, m := range ns.mats {
+		vars := ns.perm[ns.off[b]:ns.off[b+1]]
+		for i, ki := range vars {
+			row := m.Row(i)
+			for j, kj := range vars[:i] {
+				dst[ki] += row[j] * v[kj]
+				dst[kj] += row[j] * v[ki]
+			}
+			dst[ki] += row[i] * v[ki]
+		}
+	}
+	for k, w := range ns.bw {
+		col := ns.column(k)
+		var d float64
+		for _, e := range col {
+			d += e.Val * v[e.Index]
+		}
+		for _, e := range col {
+			dst[e.Index] += w * d * e.Val
+		}
 	}
 }
 

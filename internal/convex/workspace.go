@@ -5,18 +5,24 @@ import (
 	"fmt"
 )
 
-// Workspace owns the barrier solver's per-iteration buffers: gradient and
-// search-direction vectors, the constraint slacks at the iterate and at a
-// line-search trial, G·dx, and the Newton system with its block factors and
-// border updates. A solve that carries a Workspace (Options.Work) performs
-// no per-Newton-iteration allocation, and repeated solves of same-shaped
-// problems — the online algorithm's slot-after-slot P2 solves — reuse every
-// buffer. A Workspace must not be shared by concurrent solves.
+// Workspace owns the interior-point solvers' per-iteration buffers:
+// gradient and search-direction vectors, the constraint slacks at the
+// iterate and at a line-search trial, G·dx, the primal–dual loop's
+// multipliers, residuals, directions and trial point, and the Newton
+// system with its block factors and border updates. A solve that carries a Workspace
+// (Options.Work) performs no per-Newton-iteration allocation, and repeated
+// solves of same-shaped problems — the online algorithm's slot-after-slot P2
+// solves — reuse every buffer. A Workspace must not be shared by concurrent
+// solves.
 type Workspace struct {
 	n, m int
 
 	grad, fullGrad, dx     []float64 // n-sized
 	slack, slackTrial, gdx []float64 // m-sized
+
+	// pd is the primal–dual loop's view: its own buffers, sized by
+	// ensurePrimalDual, and the ones above it shares.
+	pd pdBuffers
 
 	ns NewtonSystem
 }
@@ -38,6 +44,22 @@ func (w *Workspace) ensure(n, m int) {
 		w.gdx = make([]float64, m)
 	}
 	w.n, w.m = n, m
+}
+
+// ensurePrimalDual sizes the primal–dual loop's buffers for n variables and
+// m rows, after ensure, reusing existing allocations whenever they are
+// already big enough, and returns them.
+func (w *Workspace) ensurePrimalDual(n, m int) *pdBuffers {
+	b := &w.pd
+	for _, v := range []*[]float64{&b.rd, &b.xt, &b.rdt, &b.rq, &b.corr} {
+		*v = growFloats(*v, n)
+	}
+	for _, v := range []*[]float64{&b.z, &b.rp, &b.rc, &b.ds, &b.dz, &b.dsAff, &b.dzAff, &b.zt} {
+		*v = growFloats(*v, m)
+	}
+	b.grad, b.g, b.dx = w.grad[:n], w.fullGrad[:n], w.dx[:n]
+	b.s, b.st, b.u = w.slack[:m], w.slackTrial[:m], w.gdx[:m]
+	return b
 }
 
 // NewtonStep writes into dx the Newton direction Solve takes for p at the

@@ -40,7 +40,9 @@ const feasTol = 1e-4
 // SolveP2Resilient solves the regularized subproblem for one slot through a
 // fallback ladder:
 //
-//  1. warm — the barrier solve from the structured warm start;
+//  1. warm — the barrier solve from the structured warm start (Online.Step,
+//     on a warm-start run, first solves the carried point with the
+//     primal–dual loop);
 //  2. restart-center — discard the warm start and restart the barrier from
 //     the phase-I strictly feasible point (the fresh centering path pulls
 //     through the analytic center, stepping around whatever corner of the
@@ -61,7 +63,7 @@ func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Dec
 	return dec, ladder, err
 }
 
-// p2Commit describes the barrier attempt that produced a slot's decision:
+// p2Commit describes the solve attempt that produced a slot's decision:
 // its Newton iterations and whether it started from the carried warm point.
 type p2Commit struct {
 	iters int
@@ -70,11 +72,12 @@ type p2Commit struct {
 
 // solveP2 is SolveP2Resilient with the warm-start layer's per-run state st
 // (nil runs stateless). With st, P2 is patched from the cached skeleton
-// when its topology repeats, and the warm rung first tries the carried
-// previous-decision point at a late-path barrier weight, falling back to
-// the structured start inside the same rung on any failure, so the rungs
+// when its topology repeats, and the warm rung first solves from the
+// carried previous-decision point with the primal–dual loop
+// (convex.SolvePrimalDual), falling back to the barrier from the
+// structured start inside the same rung on any failure, so the rungs
 // below never see a warm-start artifact. Every attempt on the ladder
-// reports the Newton iterations its barrier solves ran, failed ones
+// reports the Newton iterations its solves ran, failed ones
 // included, as the solver returned them (Result.NewtonIters or
 // SolveError.Iters). solveP2 also returns the committing attempt.
 func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, st *solveState) (*model.Decision, *resilience.LadderReport, p2Commit, error) {
@@ -109,27 +112,32 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 	}
 	asm.End()
 
-	// attempt runs one barrier solve from start and returns its decision
-	// and the Newton iterations it ran, failed or not. A success is the
+	// attempt runs one solve from start and returns its decision and the
+	// Newton iterations it ran, failed or not: the primal–dual loop from
+	// the carried warm point, the barrier otherwise. A success is the
 	// slot's commit, so it is noted in commit.
 	var commit p2Commit
 	attempt := func(solverOpts convex.Options, start []float64, warm bool) (*model.Decision, int, error) {
 		if solverOpts.Obs == nil {
 			solverOpts.Obs = opts.Obs
 		}
+		solve, stage, phase := convex.Solve, "convex.barrier", "p2-barrier"
+		if warm {
+			solve, stage, phase = convex.SolvePrimalDual, "convex.primaldual", "p2-primaldual"
+		}
 		var res *convex.Result
 		var serr error
-		opts.Obs.Phase(solverOpts.Ctx, "p2-barrier", func() {
-			res, serr = convex.Solve(p2.Prob, start, solverOpts)
+		opts.Obs.Phase(solverOpts.Ctx, phase, func() {
+			res, serr = solve(p2.Prob, start, solverOpts)
 		})
 		if serr != nil {
 			return nil, resilience.IterationsOf(serr), serr
 		}
 		if !res.Converged {
 			return nil, res.NewtonIters, &resilience.SolveError{
-				Stage: "convex.barrier", Class: resilience.ClassIterationLimit,
+				Stage: stage, Class: resilience.ClassIterationLimit,
 				Iters: res.NewtonIters,
-				Err:   fmt.Errorf("barrier stopped before reaching tol %g", solverOpts.Tol),
+				Err:   fmt.Errorf("solve stopped before reaching tol %g", solverOpts.Tol),
 			}
 		}
 		dec := p2.Extract(res.X)
@@ -148,8 +156,7 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 		{Name: RungWarm, Run: func() (*model.Decision, int, error) {
 			spent := 0
 			if warmX0 != nil {
-				wopts := warmOptions(len(p2.Prob.H), opts.Solver)
-				dec, iters, werr := attempt(wopts, warmX0, true)
+				dec, iters, werr := attempt(warmOptions(opts.Solver), warmX0, true)
 				if werr == nil {
 					opts.Obs.Count(obs.MetricWarmHits, 1)
 					return dec, iters, nil

@@ -347,22 +347,21 @@ func snapToPrev(dec, prev *model.Decision) bool {
 	return true
 }
 
-// warmGap is the absolute duality-gap target for warm-carried solves. The
-// cold path's 1e-7 gap forces the barrier out to weights where centering a
-// point that drifted with the workload is pathologically stiff (the Newton
-// budget saturates); the carried point is already within the demand drift of
-// the new optimum, so a 1e-5 gap — still two orders below the certification
-// tolerance — keeps the whole solve inside two cheap centerings. Warm
-// decisions therefore agree with cold to the certification tolerance rather
-// than to ulps, which is why WarmStart lives in the replay/resume config.
+// warmGap is the absolute duality-gap target sᵀz of the warm rung's
+// primal–dual solve, two orders below the certification tolerance. The
+// carried point already sits within the demand drift of the new optimum,
+// and from it Mehrotra's loop closes this gap in about six Newton steps;
+// the cold path's tighter 1e-7 would add steps for digits nothing reads.
+// Warm decisions therefore agree with cold to the certification tolerance
+// rather than to ulps, which is why WarmStart lives in the replay/resume
+// config.
 const warmGap = 1e-5
 
-// warmOptions derives the warm-rung solver options: the warm duality gap
-// (never tighter than the configured tolerance) and the matching late-path
-// initial barrier weight. A pure function of the base options and the
-// constraint count, never of solve history, so warm runs replay and resume
+// warmOptions derives the warm rung's solver options: the warm duality gap,
+// never tighter than the configured tolerance. A pure function of the base
+// options, never of solve history, so warm runs replay and resume
 // deterministically.
-func warmOptions(m int, solver convex.Options) convex.Options {
+func warmOptions(solver convex.Options) convex.Options {
 	w := solver
 	if w.Tol <= 0 {
 		w.Tol = 1e-7
@@ -370,8 +369,5 @@ func warmOptions(m int, solver convex.Options) convex.Options {
 	if w.Tol < warmGap {
 		w.Tol = warmGap
 	}
-	// Start a couple of growth stages from the termination weight m/Tol
-	// instead of walking the whole central path up from TInit=1.
-	w.TInit = 1.1 * float64(m) / (w.Tol * convex.Mu)
 	return w
 }

@@ -254,6 +254,49 @@ func TestBlockMappedP2SolveZeroAllocPerNewtonStep(t *testing.T) {
 	}
 }
 
+// TestPrimalDualZeroAllocPerNewtonStep pins the primal–dual loop's
+// allocation budget as TestBlockMappedP2SolveZeroAllocPerNewtonStep pins
+// the barrier's: with a warmed workspace, a block-mapped P2 solve from the
+// structured cold start allocates the same fixed per-solve amount (the
+// iterate copy, the result and its duals) at a loose and at a tight
+// tolerance, so each Newton step allocates nothing.
+func TestPrimalDualZeroAllocPerNewtonStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(1504))
+	n := model.RandomNetwork(rng, 4, 12, 2, 10)
+	in := model.RandomInputs(rng, n, 2)
+	opts := DefaultOptions()
+	p2, err := BuildP2(n, in, 0, model.NewZeroDecision(n), opts.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := p2.warmStart(in, 0)
+	solveAllocs := func(tol float64) (float64, int) {
+		so := opts.Solver
+		so.Tol = tol
+		so.Work = convex.NewWorkspace()
+		res, err := convex.SolvePrimalDual(p2.Prob, x0, so)
+		if err != nil || !res.Converged {
+			t.Fatalf("tol %g: converged %v, err %v", tol, res != nil && res.Converged, err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := convex.SolvePrimalDual(p2.Prob, x0, so); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, res.NewtonIters
+	}
+	shortAllocs, shortIters := solveAllocs(1e-2)
+	longAllocs, longIters := solveAllocs(1e-9)
+	if longIters <= shortIters {
+		t.Fatalf("tolerances did not change the Newton step count (%d vs %d)", shortIters, longIters)
+	}
+	t.Logf("%.0f allocs over %d Newton steps, %.0f over %d", shortAllocs, shortIters, longAllocs, longIters)
+	if shortAllocs != longAllocs {
+		t.Errorf("%.0f allocs over %d Newton steps but %.0f over %d: Newton steps allocate",
+			shortAllocs, shortIters, longAllocs, longIters)
+	}
+}
+
 // TestBorderFoldRank checks the cell fold of P2's Newton border (DESIGN.md
 // §15). P2's cross-cloud rows and groups, the tier-2 groups and capacity
 // rows and the (3d) rows, are each constant on the pairs of one tier-2

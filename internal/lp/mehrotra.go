@@ -203,8 +203,14 @@ var ErrEmptyProblem = errors.New("lp: empty problem")
 func SolveStandard(std *Standard, normal NormalSolver, opts Options) (sol *Solution, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			// sol, once set, counts the iterations run (one per iteration
+			// event); a panic before the loop has run none.
+			iters := 0
+			if sol != nil {
+				iters = sol.Iters
+			}
 			sol = &Solution{Status: NumericalFailure}
-			err = resilience.FromPanic("lp.mehrotra", r)
+			err = resilience.FromPanic("lp.mehrotra", iters, r)
 		}
 	}()
 	opts, err = opts.withDefaults()

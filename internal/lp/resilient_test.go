@@ -212,6 +212,29 @@ func TestAcceptLimitAttemptIterations(t *testing.T) {
 	}
 }
 
+// TestPanicAttemptIterations checks that a panicking solve still reports
+// the iterations it ran: with the panic at iteration 3, the first attempt
+// ran iterations 0–2, so it reports 3, and the attempts sum to the
+// solver.iterations counter, which counts every iteration event.
+func TestPanicAttemptIterations(t *testing.T) {
+	sc, rec := obstest.NewScope()
+	fault := &resilience.FaultPlan{Panic: true, PanicAt: 3, MaxTrips: 1}
+	_, rep, err := SolveResilient(transport(), Options{Fault: fault, Obs: sc})
+	if err != nil {
+		t.Fatalf("SolveResilient: %v", err)
+	}
+	first := rep.Attempts[0]
+	if se, ok := resilience.AsSolveError(first.Err); !ok || se.Class != resilience.ClassPanic {
+		t.Fatalf("first attempt error: %v", first.Err)
+	}
+	if first.Iterations != 3 {
+		t.Fatalf("panicking attempt reports %d iterations, want 3", first.Iterations)
+	}
+	if sum, counter := rep.Iterations(), rec.Counter(obs.MetricSolverIters); int64(sum) != counter {
+		t.Fatalf("attempt iterations sum to %d, %s counter reads %d; report: %v", sum, obs.MetricSolverIters, counter, rep)
+	}
+}
+
 func TestSolveCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

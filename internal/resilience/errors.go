@@ -136,15 +136,17 @@ func IsCanceled(err error) bool {
 	return ok && se.Class == ClassCanceled
 }
 
-// FromPanic converts a recovered panic value into a typed SolveError. The
+// FromPanic converts a recovered panic value into a typed SolveError that
+// carries iters, the iterations the solve ran before it panicked. The
 // solvers install it in a deferred recover so that index/dimension panics in
-// internal/linalg surface as errors.
-func FromPanic(stage string, v any) *SolveError {
+// internal/linalg surface as errors, and a panicking attempt still reports
+// the iterations its iteration events already counted.
+func FromPanic(stage string, iters int, v any) *SolveError {
 	err, ok := v.(error)
 	if !ok {
 		err = fmt.Errorf("panic: %v", v)
 	}
-	return &SolveError{Stage: stage, Class: ClassPanic, Err: err}
+	return &SolveError{Stage: stage, Class: ClassPanic, Iters: iters, Err: err}
 }
 
 // Interrupted returns a typed cancellation error when ctx is done, nil

@@ -176,12 +176,12 @@ func TestInterrupted(t *testing.T) {
 }
 
 func TestFromPanic(t *testing.T) {
-	se := FromPanic("convex.barrier", "index out of range")
-	if se.Class != ClassPanic || se.Stage != "convex.barrier" || se.Err == nil {
+	se := FromPanic("convex.barrier", 3, "index out of range")
+	if se.Class != ClassPanic || se.Stage != "convex.barrier" || se.Iters != 3 || se.Err == nil {
 		t.Fatalf("FromPanic: %+v", se)
 	}
 	cause := errors.New("boom")
-	if !errors.Is(FromPanic("s", cause), cause) {
+	if !errors.Is(FromPanic("s", 0, cause), cause) {
 		t.Fatal("FromPanic lost an error-typed panic value")
 	}
 }
