@@ -78,10 +78,11 @@ warmstart:
 # the race detector: seeded fault traces (a latency spike for the SLO
 # burn-rate detector, an adversarial thrashing trace for the
 # competitive-ratio detector) must fire and journal reproducibly while the
-# tsdb record path stays allocation-free and the sampler tick inside 1% of
-# the slot p50. The race detector matters because the store's mutex-guarded
-# Series rings are written by the sampler goroutine while queries read them, and
-# the engine's Status is served concurrently with Eval. See DESIGN.md §14.
+# runtime collector stays allocation-free and the watchdog tick (runtime
+# collection plus one evaluation of soral's rules) inside 1% of the slot
+# p50. The race detector matters because the rules read registry metrics
+# that the solve path writes, and the engine's Status is served
+# concurrently with Eval. See DESIGN.md §14.
 # It is not part of check: TestWatchExperiment runs the same eval.Watch,
 # with stricter assertions, under -race in both the race and obs-serve
 # passes.

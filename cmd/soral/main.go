@@ -12,7 +12,7 @@
 //	soral -replay run.jsonl                  # verify it replays bit-identically
 //	soral -resume run.jsonl                  # recover a crashed run and finish it
 //	soral -serve 127.0.0.1:9090              # live /metrics /healthz /runs
-//	soral -serve 127.0.0.1:9090 -watch -slo 5ms   # ... plus /alerts /timeseries
+//	soral -serve 127.0.0.1:9090 -watch -slo 5ms   # ... plus /alerts
 //	soral -metrics m.prom                    # Prometheus text dump at exit
 //
 // A config file looks like:
@@ -34,7 +34,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime/metrics"
 	"runtime/pprof"
+	"time"
 
 	"soral/internal/core"
 	"soral/internal/eval"
@@ -42,7 +44,6 @@ import (
 	"soral/internal/obs"
 	"soral/internal/obs/attr"
 	"soral/internal/obs/journal"
-	"soral/internal/obs/tsdb"
 	"soral/internal/obs/watch"
 	"soral/internal/resilience"
 	"soral/internal/workload"
@@ -87,7 +88,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "print a one-line resilience summary (ok/recovered/degraded, solver iterations)")
 		warm       = flag.Bool("warm", false, "warm-start each slot's solve from the previous decision (incremental re-solve)")
 
-		watchFlag = flag.Bool("watch", false, "run the self-monitoring watchdog: sample telemetry into an in-process time-series store and evaluate alert rules each tick")
+		watchFlag = flag.Bool("watch", false, "run the self-monitoring watchdog: evaluate alert rules against the live metrics once a second")
 		sloFlag   = flag.Duration("slo", 0, "per-slot latency objective for the watchdog's SLO burn-rate alert (implies -watch)")
 
 		journalOut = flag.String("journal", "", "write a flight-recorder journal (JSONL) to this file")
@@ -198,33 +199,21 @@ func main() {
 		})
 	}
 
-	// Watchdog: a sampler goroutine copies the registry into an in-process
-	// time-series store every second and evaluates the alert rules against
-	// each fresh column. Critical alerts flip /healthz to 503 via Health.Fail;
-	// every transition goes to stderr and (when journaling) the journal.
-	var db *tsdb.DB
+	// Watchdog: a ticker goroutine evaluates the alert rules against the
+	// registry every second. Critical alerts flip /healthz to 503 via
+	// Health.Fail; every transition goes to stderr and (when journaling) the
+	// journal.
 	var eng *watch.Engine
 	if watching {
-		db = tsdb.New(tsdb.Options{})
-		eng = watch.New().Metrics(reg).Journal(jw)
-		if *sloFlag > 0 {
-			eng.AddRule(watch.SLOBurnRate(reg.LatencyHist("latency.core.slot.seconds"),
-				watch.SLOConfig{Objective: *sloFlag}))
-		}
-		approach, exceeded := watch.CompetitiveRatioRules(reg, attr.Certificate(cfg.Eps), 0, 3)
-		collapse, blowup := watch.WarmStartRules(reg, watch.WarmConfig{})
-		eng.AddRule(approach, exceeded, collapse, blowup, watch.DegradationBurst(health, 0))
-		if feed != nil {
-			eng.AddRule(watch.FeedDropRate(feed, 0, 0))
-		}
+		eng = watch.New().Metrics(reg).Journal(jw).
+			AddRule(watch.Standard(reg, attr.Certificate(cfg.Eps), *sloFlag, health, feed)...)
 		eng.OnAlert(func(a watch.Alert) {
 			fmt.Fprintln(os.Stderr, "watch:", a)
 			if a.Severity == watch.SeverityCritical && a.State == watch.StateFiring {
 				health.Fail("watch", errors.New(a.String()))
 			}
 		})
-		sampler := &tsdb.Sampler{DB: db, Reg: reg, Runtime: true, AfterSample: eng.Eval}
-		go sampler.Run(ctx, 0)
+		go runWatch(ctx, reg, eng, watchEvery)
 	}
 
 	var srv *obs.Server
@@ -239,7 +228,6 @@ func main() {
 		}
 		if eng != nil {
 			e := eng
-			opts.Timeseries = db
 			opts.Alerts = func() any { return e.Status() }
 		}
 		var err error
@@ -249,7 +237,7 @@ func main() {
 		}
 		endpoints := "/metrics /healthz /runs"
 		if eng != nil {
-			endpoints += " /alerts /timeseries"
+			endpoints += " /alerts"
 		}
 		fmt.Fprintf(os.Stderr, "serving:          http://%s %s\n", srv.Addr(), endpoints)
 	}
@@ -399,6 +387,32 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serving:          run finished; Ctrl-C to exit\n")
 		<-ctx.Done()
 		<-srv.Done()
+	}
+}
+
+// watchEvery is the watchdog's tick period.
+const watchEvery = time.Second
+
+// runWatch ticks the watchdog every period until ctx is canceled. Each tick
+// collects the Go runtime gauges into reg, so /metrics carries them, and then
+// evaluates eng's rules. The first tick is immediate, so a short run still
+// arms the warm-start baselines and evaluates its rules.
+func runWatch(ctx context.Context, reg *obs.Registry, eng *watch.Engine, every time.Duration) {
+	var buf []metrics.Sample
+	tick := func(now time.Time) {
+		buf = obs.CollectRuntime(reg, buf)
+		eng.Eval(now.UnixNano())
+	}
+	tick(time.Now())
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case now := <-t.C:
+			tick(now)
+		}
 	}
 }
 

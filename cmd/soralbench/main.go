@@ -29,7 +29,7 @@
 // determinism verdicts; written as BENCH_warmstart.json), and watch (the
 // self-monitoring watchdog against seeded fault traces — a latency spike
 // firing the SLO burn-rate alert and an adversarial trace firing the
-// competitive-ratio alert — plus the tsdb record/tick overhead budget;
+// competitive-ratio alert — plus the watchdog tick's overhead budget;
 // written as BENCH_watch.json).
 // Scales: small (seconds), medium (minutes), paper (the full 18×48×500-hour
 // setting; the offline baselines then take tens of minutes each).

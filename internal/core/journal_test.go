@@ -211,6 +211,63 @@ func TestSlotIterationsIndependentOfScope(t *testing.T) {
 	}
 }
 
+// TestPanickedAttemptIterationsMatchCounter runs a slot whose first P2
+// attempt panics mid-solve, at Newton step 2, with a scope: the barrier on
+// a cold run's slot 0, the primal–dual loop on a warm run's slot 2. Every
+// slot's SlotReport.Iterations must equal its delta of the solver.iterations
+// counter, so the steps run before the panic are counted once in each.
+func TestPanickedAttemptIterationsMatchCounter(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := model.RandomNetwork(rng, 2, 3, 2, 20)
+	in := model.RandomInputs(rng, n, 5)
+	for _, tc := range []struct {
+		name      string
+		warm      bool
+		faultSlot int
+	}{
+		{"barrier", false, 0},
+		{"primal-dual", true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.WarmStart = tc.warm
+			var rec *obstest.Recorder
+			opts.Obs, rec = obstest.NewScope()
+			o, err := NewOnline(n, in, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for slot := 0; slot < in.T; slot++ {
+				if slot == tc.faultSlot {
+					o.Opts.Solver.Fault = &resilience.FaultPlan{Panic: true, PanicAt: 2, MaxTrips: 1}
+				}
+				before := rec.Counter(obs.MetricSolverIters)
+				fallbacks := rec.Counter(obs.MetricWarmFallbacks)
+				if _, err := o.Step(); err != nil {
+					t.Fatal(err)
+				}
+				sr := o.Report().Slots[slot]
+				if delta := rec.Counter(obs.MetricSolverIters) - before; int64(sr.Iterations) != delta {
+					t.Fatalf("slot %d: report %d iterations, %s counter delta %d", slot, sr.Iterations, obs.MetricSolverIters, delta)
+				}
+				if slot != tc.faultSlot {
+					continue
+				}
+				if tc.warm {
+					if rec.Counter(obs.MetricWarmFallbacks) != fallbacks+1 {
+						t.Fatalf("slot %d: the warm attempt did not fall back", slot)
+					}
+				} else if se, ok := resilience.AsSolveError(sr.Ladder.Attempts[0].Err); !ok || se.Class != resilience.ClassPanic {
+					t.Fatalf("slot %d first attempt: %v, want a panic", slot, sr.Ladder.Attempts[0].Err)
+				}
+				if sr.Iterations <= sr.SolveIters {
+					t.Fatalf("slot %d: %d iterations, no more than the committing attempt's %d", slot, sr.Iterations, sr.SolveIters)
+				}
+			}
+		})
+	}
+}
+
 // slotRecordKeys returns, per slot record of a raw journal, its sorted
 // top-level JSON keys joined by commas.
 func slotRecordKeys(t *testing.T, raw []byte) []string {

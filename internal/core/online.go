@@ -66,8 +66,8 @@ type Online struct {
 
 	// Per-run solver workspaces, carried across slots so the slot loop
 	// allocates no solver buffers after the first decision. work serves the
-	// P2 barrier solves unless Opts.Solver carries its own; lpWork serves
-	// the degradation path's repair LPs.
+	// P2 solves, barrier and primal–dual, unless Opts.Solver carries its
+	// own; lpWork serves the degradation path's repair LPs.
 	work   *convex.Workspace
 	lpWork *lp.Workspace
 

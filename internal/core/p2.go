@@ -19,7 +19,8 @@ import (
 const SolverID = "convex-barrier+warm-pd/p2-cells-raychange"
 
 // P2 is the regularized subproblem for one time slot, ready to be solved by
-// the convex barrier engine.
+// the convex engine: the barrier method from the structured start, or the
+// primal–dual loop from the warm rung's carried point.
 type P2 struct {
 	Net *model.Network
 	// Variable layout: x (per pair), y (per pair), optional z (per pair),

@@ -55,19 +55,21 @@ type SlotReport struct {
 	Duration time.Duration
 	// Iterations counts the solver iterations (Newton + LP) the slot ran:
 	// the sum of the P2 ladder's and the repair ladders' attempts, each as
-	// its solver returned it. It does not depend on an obs scope. With one,
-	// it equals the slot's delta of the obs.MetricSolverIters counter unless
-	// a solve panicked: a panicking solve reports none of the iterations it
-	// ran before the panic. The simplex rung's pivots are in neither count.
+	// its solver returned it, failed and panicked attempts included (a
+	// panicking solve reports the iterations it ran before the panic). It
+	// does not depend on an obs scope. With one, it equals the slot's delta
+	// of the obs.MetricSolverIters counter. The simplex rung's pivots are in
+	// neither count.
 	Iterations int
 	// Warm marks a slot committed by the warm-start layer: the carried
 	// previous-decision point was accepted by the primary rung, or the
 	// decision cache short-circuited the solve (Rung == RungCache). Always
 	// false when Options.WarmStart is off.
 	Warm bool
-	// SolveIters counts the Newton iterations of the barrier attempt that
-	// produced the committed decision. Zero on cache hits (no solve ran) and
-	// on degraded slots.
+	// SolveIters counts the Newton steps of the attempt that produced the
+	// committed decision: the primal–dual loop's on a warm commit, the
+	// barrier's otherwise. Zero on cache hits (no solve ran) and on degraded
+	// slots.
 	SolveIters int
 }
 

@@ -19,7 +19,8 @@ const decisionCacheCap = 64
 //   - the structural skeleton of P2 (rows, sparsity, group membership),
 //     refreshed numerically via P2.Patch instead of rebuilt;
 //   - a warm interior point derived from the previously committed decision,
-//     handed to the barrier solve in place of the structured cold start;
+//     which the warm rung solves from with the primal–dual loop
+//     (convex.SolvePrimalDual) before the barrier's structured cold start;
 //   - a digest-keyed decision cache short-circuiting slots whose
 //     (inputs, previous decision) pair already committed — the key reuses
 //     the journal's SHA-256 digests, so a hit is bit-identical to re-solving.
@@ -110,8 +111,9 @@ func (st *solveState) size() int { return len(st.cache) }
 
 // warmCapMargin is the relative interior margin the warm point keeps from
 // every capacity. The previous optimum routinely sits ON a capacity boundary
-// (the cheapest tier-2 cloud saturates), and a boundary point cannot seed a
-// barrier solve — so saturated resources are shifted this fraction inside.
+// (the cheapest tier-2 cloud saturates), and a boundary point cannot seed
+// the primal–dual loop, which rejects a start that is not comfortably
+// feasible — so saturated resources are shifted this fraction inside.
 const warmCapMargin = 1e-6
 
 // warmPoint derives a strictly feasible interior point for P2(t) from the

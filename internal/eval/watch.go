@@ -6,14 +6,15 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"soral/internal/linalg"
 	"soral/internal/obs"
 	"soral/internal/obs/attr"
 	"soral/internal/obs/journal"
-	"soral/internal/obs/tsdb"
 	"soral/internal/obs/watch"
+	"soral/internal/resilience"
 )
 
 // watchEpochNS anchors the deterministic journal clock: repeats stamp the
@@ -30,8 +31,8 @@ func watchClock() func() time.Time {
 }
 
 // watchSLOTrial drives the SLO burn-rate detector through a seeded latency
-// trace — healthy slots, a sustained spike, recovery — with the sampler and
-// engine ticking on a manual clock. It returns the raw journal bytes (for
+// trace — healthy slots, a sustained spike, recovery — with the engine
+// ticking on a manual clock. It returns the raw journal bytes (for
 // the bit-identity check), the parsed journal, and the fire/resolve ticks.
 func watchSLOTrial() ([]byte, *journal.Journal, int, int, error) {
 	reg := obs.NewRegistry()
@@ -47,8 +48,6 @@ func watchSLOTrial() ([]byte, *journal.Journal, int, int, error) {
 			ShortWindow: 3, LongWindow: 9, MaxBurn: 10,
 		})).
 		Metrics(reg).Journal(jw)
-	db := tsdb.New(tsdb.Options{Resolution: time.Second, Retention: time.Hour})
-	sampler := &tsdb.Sampler{DB: db, Reg: reg, AfterSample: eng.Eval}
 
 	// The seeded trace: per tick, 20 slots whose latency jitters ±10% around
 	// the phase mean. Healthy phase 1ms (under the 5ms objective), spike
@@ -62,7 +61,7 @@ func watchSLOTrial() ([]byte, *journal.Journal, int, int, error) {
 			for k := 0; k < 20; k++ {
 				h.Record(meanSeconds * (0.9 + 0.2*rng.Float64()))
 			}
-			sampler.Tick(base.Add(time.Duration(tick) * time.Second))
+			eng.Eval(base.Add(time.Duration(tick) * time.Second).UnixNano())
 			st := eng.Status()
 			if firedTick < 0 && len(st.Firing) > 0 {
 				firedTick = tick
@@ -107,9 +106,9 @@ func watchRatioSpec() RunConfig {
 	}
 }
 
-// watchRatioTrial records the adversarial run to a journal, then feeds the
-// post-run registry through the sampler so the competitive-ratio rules
-// evaluate against the live attr.competitive_ratio gauge. The journal
+// watchRatioTrial records the adversarial run to a journal, then ticks the
+// engine once so the competitive-ratio rules evaluate against the post-run
+// registry's attr.competitive_ratio gauge. The journal
 // carries the run's config, slots, and the alert records, so Replay can
 // reconcile all of it.
 func watchRatioTrial(log Logger) (*journal.Journal, []journal.AlertRecord, float64, float64, *obs.Registry, error) {
@@ -144,9 +143,7 @@ func watchRatioTrial(log Logger) (*journal.Journal, []journal.AlertRecord, float
 	cert := attr.Certificate(cfg.Eps)
 	approach, exceeded := watch.CompetitiveRatioRules(reg, cert, 0.9, 1)
 	eng := watch.New().AddRule(approach, exceeded).Metrics(reg).Journal(jw)
-	db := tsdb.New(tsdb.Options{Resolution: time.Second, Retention: time.Hour})
-	sampler := &tsdb.Sampler{DB: db, Reg: reg, AfterSample: eng.Eval}
-	sampler.Tick(time.Unix(0, watchEpochNS))
+	eng.Eval(watchEpochNS)
 	jw.End(journal.Footer{TotalCost: run.Cost.Total()})
 	if err := jw.Err(); err != nil {
 		return nil, nil, 0, 0, nil, fmt.Errorf("eval: watch ratio journal: %w", err)
@@ -160,49 +157,41 @@ func watchRatioTrial(log Logger) (*journal.Journal, []journal.AlertRecord, float
 	return j, j.Alerts, reg.Gauge("attr.competitive_ratio"), cert, reg, nil
 }
 
-// watchRecordCost measures the tsdb record hot path: ns/op over a large
-// batch and the allocation count (taken as the minimum Mallocs delta over a
-// few attempts, so a stray background allocation cannot fail the gate — the
-// path itself must be allocation-free).
-func watchRecordCost() (nsPerOp float64, allocs float64) {
-	db := tsdb.New(tsdb.Options{Resolution: time.Second, Retention: time.Minute})
-	s := db.Series("watch.bench.record")
-	const n = 1 << 17
+// collectRuntimeAllocs counts the allocations of one obs.CollectRuntime
+// call after its first, as the minimum over a few 1000-call windows: a stray
+// background allocation can land in any one window, while the call itself
+// must allocate nothing.
+func collectRuntimeAllocs(reg *obs.Registry) float64 {
+	buf := obs.CollectRuntime(reg, nil)
+	const n = 1000
 	minAllocs := ^uint64(0)
-	var best time.Duration
 	for attempt := 0; attempt < 3; attempt++ {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		start := time.Now()
 		for i := 0; i < n; i++ {
-			s.Record(int64(i), float64(i))
+			buf = obs.CollectRuntime(reg, buf)
 		}
-		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
-		if d := after.Mallocs - before.Mallocs; d < minAllocs {
-			minAllocs = d
-		}
-		if attempt == 0 || elapsed < best {
-			best = elapsed
-		}
+		minAllocs = min(minAllocs, after.Mallocs-before.Mallocs)
 	}
-	return float64(best.Nanoseconds()) / float64(n), float64(minAllocs) / float64(n)
+	return float64(minAllocs) / n
 }
 
-// watchTickCost measures one full Sampler.Tick (registry snapshot plus one
-// column of series writes) over the post-run registry, as the median of a
-// few batches.
-func watchTickCost(reg *obs.Registry) int64 {
-	db := tsdb.New(tsdb.Options{Resolution: time.Second, Retention: 15 * time.Minute})
-	sampler := &tsdb.Sampler{DB: db, Reg: reg, Runtime: true}
+// watchTickCost measures one tick of soral -serve -watch -slo 5ms over the
+// post-run registry: obs.CollectRuntime, then Engine.Eval of the rules that
+// command installs. It returns the median of a few batches.
+func watchTickCost(reg *obs.Registry, cert float64) int64 {
+	eng := watch.New().Metrics(reg).
+		AddRule(watch.Standard(reg, cert, 5*time.Millisecond, resilience.NewHealth(), journal.NewFeed(0))...)
+	var buf []metrics.Sample
 	const perBatch = 64
-	base := time.Unix(0, watchEpochNS)
 	var batches []int64
 	for b := 0; b < 5; b++ {
 		start := time.Now()
 		for i := 0; i < perBatch; i++ {
-			sampler.Tick(base.Add(time.Duration(b*perBatch+i) * time.Second))
+			buf = obs.CollectRuntime(reg, buf)
+			eng.Eval(watchEpochNS + int64(b*perBatch+i)*int64(time.Second))
 		}
 		batches = append(batches, time.Since(start).Nanoseconds()/perBatch)
 	}
@@ -229,20 +218,20 @@ func alertRecordsEqual(a, b []journal.AlertRecord) bool {
 // competitive-ratio alert, both alert trails are journaled and reproduce
 // bit-identically across repeats (the adversarial journal additionally
 // replays clean with the alerts surfaced as advisories), and monitoring
-// costs stay under 1% of the slot p50 with an allocation-free tsdb record
-// path. The report is written as BENCH_watch.json by cmd/soralbench -exp
+// costs stay under 1% of the slot p50 with an allocation-free runtime
+// collector. The report is written as BENCH_watch.json by cmd/soralbench -exp
 // watch -json and diffed by -compare, one "watch/<scenario>" entry each:
 //
-//   - slo-spike: the sample ticks at which the burn-rate alert fired and
+//   - slo-spike: the watchdog ticks at which the burn-rate alert fired and
 //     resolved, and the journaled alert count; bit-identical when the
 //     journal bytes repeat exactly.
 //   - ratio-adversarial: the journaled alert count and the final CumCost/
 //     CumLB ratio against its 1+2/ε certificate; bit-identical when the
 //     alert records repeat and the journal replays clean.
-//   - overhead: the tsdb Series.Record cost (record_ns_per_op,
-//     record_allocs), one Sampler.Tick over a post-run registry (tick_ns),
-//     the slot p50 and their ratio (overhead_frac); bit-identical when the
-//     record path allocates nothing.
+//   - overhead: one watchdog tick over a post-run registry (tick_ns), the
+//     slot p50 and their ratio (overhead_frac), and the allocations of one
+//     obs.CollectRuntime call after its first (collect_allocs);
+//     bit-identical when the collector allocates nothing.
 func Watch(log Logger) (*Table, *Bench, error) {
 	// --- SLO burn rate on the seeded spike trace, twice for bit-identity.
 	log.printf("watch slo: seeded latency-spike trace (2 repeats)...")
@@ -279,12 +268,12 @@ func Watch(log Logger) (*Table, *Bench, error) {
 	ratioIdentical := alertRecordsEqual(alerts1, alerts2) && rep.Clean()
 
 	// --- Monitoring overhead against the adversarial run's slot p50.
-	log.printf("watch overhead: tsdb record path and sampler tick...")
-	recordNs, recordAllocs := watchRecordCost()
-	tickNs := watchTickCost(ratioReg)
+	log.printf("watch overhead: runtime collector and watchdog tick...")
+	collectAllocs := collectRuntimeAllocs(ratioReg)
+	tickNs := watchTickCost(ratioReg, cert)
 	slotP50 := int64(ratioReg.Snapshot().Latencies["latency.core.slot.seconds"].P50 * 1e9)
-	//sorallint:ignore floatcmp allocs/op is a mallocs-delta ratio; the zero-allocation verdict is exact by construction
-	allocFree := recordAllocs == 0
+	//sorallint:ignore floatcmp allocs/call is a mallocs-delta ratio; the zero-allocation verdict is exact by construction
+	allocFree := collectAllocs == 0
 	var overheadFrac float64
 	if slotP50 > 0 {
 		overheadFrac = float64(tickNs) / float64(slotP50)
@@ -300,10 +289,8 @@ func Watch(log Logger) (*Table, *Bench, error) {
 			Info:         map[string]float64{"certificate": cert},
 			BitIdentical: &ratioIdentical},
 		{Name: "watch/overhead",
-			Metrics: map[string]float64{
-				"record_ns_per_op": recordNs, "tick_ns": float64(tickNs), "overhead_frac": overheadFrac,
-			},
-			Info:         map[string]float64{"record_allocs": recordAllocs, "slot_p50_ns": float64(slotP50)},
+			Metrics:      map[string]float64{"tick_ns": float64(tickNs), "overhead_frac": overheadFrac},
+			Info:         map[string]float64{"collect_allocs": collectAllocs, "slot_p50_ns": float64(slotP50)},
 			BitIdentical: &allocFree},
 	}}
 	tbl := &Table{
@@ -350,10 +337,10 @@ func Watch(log Logger) (*Table, *Bench, error) {
 		return tbl, report, fmt.Errorf("eval: watch: adversarial alert records differ across repeats")
 	}
 	if !allocFree {
-		return tbl, report, fmt.Errorf("eval: watch: tsdb record path allocates (%.3g allocs/op)", recordAllocs)
+		return tbl, report, fmt.Errorf("eval: watch: obs.CollectRuntime allocates (%.3g allocs/call)", collectAllocs)
 	}
 	if slotP50 > 0 && overheadFrac >= 0.01 {
-		return tbl, report, fmt.Errorf("eval: watch: sampler tick %.0fns is %.2f%% of slot p50 %.0fns (budget 1%%)",
+		return tbl, report, fmt.Errorf("eval: watch: watchdog tick %.0fns is %.2f%% of slot p50 %.0fns (budget 1%%)",
 			float64(tickNs), 100*overheadFrac, float64(slotP50))
 	}
 	return tbl, report, nil

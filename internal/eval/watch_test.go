@@ -31,7 +31,7 @@ func TestWatchExperiment(t *testing.T) {
 	if ratio.Name != "watch/ratio-adversarial" || rm["ratio"] <= ratio.Info["certificate"] || !*ratio.BitIdentical {
 		t.Fatalf("ratio entry = %+v", ratio)
 	}
-	if overhead.Name != "watch/overhead" || overhead.Info["record_allocs"] != 0 || om["overhead_frac"] >= 0.01 {
+	if overhead.Name != "watch/overhead" || overhead.Info["collect_allocs"] != 0 || !*overhead.BitIdentical || om["overhead_frac"] >= 0.01 {
 		t.Fatalf("overhead entry = %+v", overhead)
 	}
 }

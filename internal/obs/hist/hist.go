@@ -201,8 +201,8 @@ func (h *Hist) Quantile(q float64) float64 {
 	v := math.Inf(1)
 	// Every bucket below the minimum's is empty, so the walk starts there.
 	// A latency histogram's minimum sits a hundred or more buckets up, and
-	// the watchdog's sampler takes two quantiles of every histogram per
-	// tick.
+	// every /metrics scrape takes three quantiles of every histogram
+	// (Snapshot).
 	for i := bucketIndex(h.Min()); i < NumBuckets; i++ {
 		cum += int64(h.counts[i].Load())
 		if cum >= rank {
@@ -225,13 +225,17 @@ func (h *Hist) Quantile(q float64) float64 {
 // when its whole bucket's upper bound clears the objective, so the estimate
 // errs conservatively (toward "bad") by at most one bucket's relative width
 // (~12.5%). Allocation-free and lock-free, so the watchdog can call it every
-// sample tick.
+// tick.
 func (h *Hist) CountAtOrBelow(v float64) int64 {
+	// Every bucket below v's own ends at or below v, and v's own bucket ends
+	// above it, so the count stops at v's bucket with no bound computed. Only
+	// +Inf (and NaN, which no bound exceeds) take the overflow bucket too.
+	end := bucketIndex(v)
+	if !(v < math.Inf(1)) {
+		end = NumBuckets
+	}
 	var cum int64
-	for i := 0; i < NumBuckets; i++ {
-		if bucketUpper(i) > v {
-			break
-		}
+	for i := 0; i < end; i++ {
 		cum += int64(h.counts[i].Load())
 	}
 	return cum

@@ -269,3 +269,34 @@ func TestCountAtOrBelow(t *testing.T) {
 		t.Fatalf("CountAtOrBelow allocated %v allocs/op, want 0", n)
 	}
 }
+
+// TestCountAtOrBelowMatchesBucketWalk pins CountAtOrBelow to its definition,
+// the sum over the buckets whose upper bound is ≤ v, with every bucket
+// occupied and v on each bound, one ulp either side of it, and at 0, a
+// negative, a subnormal, a huge finite value, +Inf and NaN.
+func TestCountAtOrBelowMatchesBucketWalk(t *testing.T) {
+	h := New()
+	h.Record(0)
+	for i := 0; i < NumBuckets-1; i++ {
+		for k := 0; k <= i%3; k++ {
+			h.Record(bucketUpper(i)) // the lower edge of bucket i+1
+		}
+	}
+	walk := func(v float64) int64 {
+		var cum int64
+		for i := 0; i < NumBuckets && !(bucketUpper(i) > v); i++ {
+			cum += int64(h.counts[i].Load())
+		}
+		return cum
+	}
+	probes := []float64{0, -1, 5e-324, 1e300, math.Inf(1), math.NaN()}
+	for i := 0; i < NumBuckets-1; i++ {
+		u := bucketUpper(i)
+		probes = append(probes, u, math.Nextafter(u, 0), math.Nextafter(u, math.Inf(1)))
+	}
+	for _, v := range probes {
+		if got, want := h.CountAtOrBelow(v), walk(v); got != want {
+			t.Fatalf("CountAtOrBelow(%g) = %d, want %d", v, got, want)
+		}
+	}
+}

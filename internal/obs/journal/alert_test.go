@@ -171,7 +171,7 @@ func TestFeedDropOldestUnderConcurrentCommits(t *testing.T) {
 
 // TestAlertOutsideWindowDropped pins the watchdog contract: an Alert before
 // Begin or after End is a counted drop, never a latched writer error — the
-// sampler ticks on its own clock and legitimately straddles the run window.
+// watchdog ticks on its own clock and legitimately straddles the run window.
 func TestAlertOutsideWindowDropped(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)

@@ -18,16 +18,6 @@ type Registry struct {
 	lats     map[string]*hist.Hist
 	spans    map[string]*hist.Hist    // span name -> its lats entry
 	iters    map[string]*atomic.Int64 // solver name -> its counters entry
-
-	// Each kind's metrics in creation order, for the Each* walks.
-	counterList []named[*atomic.Int64]
-	gaugeList   []named[*atomic.Uint64]
-	latList     []named[*hist.Hist]
-}
-
-type named[T any] struct {
-	name string
-	m    T
 }
 
 // NewRegistry returns an empty registry.
@@ -53,7 +43,6 @@ func (r *Registry) counter(name string) *atomic.Int64 {
 	if c = r.counters[name]; c == nil {
 		c = new(atomic.Int64)
 		r.counters[name] = c
-		r.counterList = append(r.counterList, named[*atomic.Int64]{name, c})
 	}
 	return c
 }
@@ -89,7 +78,6 @@ func (r *Registry) gauge(name string) *atomic.Uint64 {
 	if g = r.gauges[name]; g == nil {
 		g = new(atomic.Uint64)
 		r.gauges[name] = g
-		r.gaugeList = append(r.gaugeList, named[*atomic.Uint64]{name, g})
 	}
 	return g
 }
@@ -125,7 +113,6 @@ func (r *Registry) LatencyHist(name string) *hist.Hist {
 	if h = r.lats[name]; h == nil {
 		h = hist.New()
 		r.lats[name] = h
-		r.latList = append(r.latList, named[*hist.Hist]{name, h})
 	}
 	return h
 }
@@ -212,39 +199,4 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Latencies[k] = v.Snapshot()
 	}
 	return snap
-}
-
-// EachCounter calls fn for every counter under the registry's read lock,
-// in the order the counters were created. Metrics are never removed, so
-// the i-th call is the same counter on every walk. With EachGauge and
-// EachLatency it forms the sampling path: a tsdb sampler tick reads every
-// metric without building the Snapshot maps, so sampling cadence is not
-// bounded by scrape cost. fn must not call back into the registry.
-func (r *Registry) EachCounter(fn func(name string, v int64)) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, e := range r.counterList {
-		fn(e.name, e.m.Load())
-	}
-}
-
-// EachGauge calls fn for every gauge under the registry's read lock, in
-// creation order.
-func (r *Registry) EachGauge(fn func(name string, v float64)) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, e := range r.gaugeList {
-		fn(e.name, math.Float64frombits(e.m.Load()))
-	}
-}
-
-// EachLatency calls fn for every log-bucketed latency histogram under the
-// registry's read lock, in creation order. The handle's readers (Count,
-// Quantile, CountAtOrBelow) are lock-free, so fn can summarize in place.
-func (r *Registry) EachLatency(fn func(name string, h *hist.Hist)) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, e := range r.latList {
-		fn(e.name, e.m)
-	}
 }

@@ -23,7 +23,7 @@ const (
 // runtimeSamples are the runtime/metrics series backing the collectors. The
 // batch is read in one call; runtime/metrics reads are cheap (no
 // stop-the-world, unlike ReadMemStats), which is what lets the collectors
-// run at sampling cadence without denting the slot latency budget.
+// run on every watchdog tick without denting the slot latency budget.
 var runtimeSamples = []metrics.Sample{
 	{Name: "/sched/goroutines:goroutines"},
 	{Name: "/memory/classes/heap/objects:bytes"},
@@ -32,10 +32,12 @@ var runtimeSamples = []metrics.Sample{
 }
 
 // CollectRuntime samples the Go runtime into reg: goroutine count, live heap
-// bytes, GC pause p99, and the GC cycle counter. Call it per sample tick
-// (the tsdb sampler does). buf is the sample buffer CollectRuntime returned
+// bytes, GC pause p99, and the GC cycle counter. soral -watch calls it on
+// every watchdog tick, just before the alert rules evaluate, so /metrics
+// carries the gauges. buf is the sample buffer CollectRuntime returned
 // on the previous call, or nil; it is reused together with the runtime's
-// pause histogram inside it, so a call after the first allocates nothing.
+// pause histogram inside it, so a call after the first allocates nothing
+// (the watch experiment re-checks this every run: collect_allocs).
 func CollectRuntime(reg *Registry, buf []metrics.Sample) []metrics.Sample {
 	if reg == nil {
 		return buf

@@ -7,9 +7,9 @@ import (
 
 // Well-known metric names shared across the solver stack.
 const (
-	// MetricSolverIters is the cross-solver iteration counter: every
-	// Mehrotra and barrier-Newton iteration bumps it once
-	// (via Scope.Iteration). Spans report their iteration budgets as deltas
+	// MetricSolverIters is the cross-solver iteration counter: every LP
+	// Mehrotra iteration, barrier Newton step and primal–dual step bumps it
+	// once (via Scope.Iteration). Spans report their iteration budgets as deltas
 	// of this counter; ladder attempts and slot reports carry the counts
 	// the solvers return, which the counter reconciles with.
 	MetricSolverIters = "solver.iterations"

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 
 	"soral/internal/obs/journal"
@@ -30,10 +29,6 @@ type ServeOptions struct {
 	// so subscribers can tell a quiet run from a stalled connection. Zero
 	// selects the 5s default; negative disables heartbeats.
 	HeartbeatEvery time.Duration
-	// Timeseries backs /timeseries?metric=&since=: range queries over the
-	// in-process store (an obs/tsdb.DB). Without the metric parameter the
-	// endpoint lists the stored series names.
-	Timeseries TimeseriesSource
 	// Alerts backs /alerts: a snapshot function returning the JSON body
 	// (e.g. a watch.Engine's Status, current firing alerts plus history).
 	Alerts func() any
@@ -150,37 +145,6 @@ func Serve(ctx context.Context, addr string, opts ServeOptions) (*Server, error)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(opts.Alerts())
-	})
-	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, r *http.Request) {
-		if opts.Timeseries == nil {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		metric := r.URL.Query().Get("metric")
-		if metric == "" {
-			_ = json.NewEncoder(w).Encode(struct {
-				Metrics []string `json:"metrics"`
-			}{opts.Timeseries.MetricNames()})
-			return
-		}
-		var since int64
-		if s := r.URL.Query().Get("since"); s != "" {
-			v, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				http.Error(w, "since must be Unix nanoseconds", http.StatusBadRequest)
-				return
-			}
-			since = v
-		}
-		pts := opts.Timeseries.QuerySince(metric, since)
-		if pts == nil {
-			pts = []TSPoint{}
-		}
-		_ = json.NewEncoder(w).Encode(struct {
-			Metric string    `json:"metric"`
-			Points []TSPoint `json:"points"`
-		}{metric, pts})
 	})
 
 	s := &Server{

@@ -376,9 +376,10 @@ func TestServeRunsHeartbeat(t *testing.T) {
 	}
 }
 
-// TestServeAlertsAndTimeseries covers the watchdog surfaces: /alerts
-// serializes the snapshot function's value, /timeseries lists names and
-// answers range queries, and both 404 when unconfigured.
+// TestServeAlertsAndTimeseries covers the watchdog surface: /alerts
+// serializes the snapshot function's value and 404s when unconfigured, and
+// /timeseries answers 404 whatever is configured, because /metrics is the
+// registry's one way out.
 func TestServeAlertsAndTimeseries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -386,15 +387,9 @@ func TestServeAlertsAndTimeseries(t *testing.T) {
 	type alertBody struct {
 		Firing []string `json:"firing"`
 	}
-	ts := &fakeTimeseries{
-		names: []string{"latency.slot.seconds.p99", "solver.iterations"},
-		points: map[string][]TSPoint{
-			"solver.iterations": {{TNS: 100, V: 7}, {TNS: 200, V: 9}, {TNS: 300, V: 11}},
-		},
-	}
 	srv, err := Serve(ctx, "127.0.0.1:0", ServeOptions{
-		Timeseries: ts,
-		Alerts:     func() any { return alertBody{Firing: []string{"slo-burn-rate"}} },
+		Registry: NewRegistry(),
+		Alerts:   func() any { return alertBody{Firing: []string{"slo-burn-rate"}} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -410,47 +405,13 @@ func TestServeAlertsAndTimeseries(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &ab); err != nil || len(ab.Firing) != 1 || ab.Firing[0] != "slo-burn-rate" {
 		t.Fatalf("/alerts body = %q (%v)", body, err)
 	}
-
-	// No metric parameter: the names listing.
-	code, body, _ = get(t, base+"/timeseries")
-	if code != http.StatusOK {
-		t.Fatalf("/timeseries listing status %d", code)
-	}
-	var listing struct {
-		Metrics []string `json:"metrics"`
-	}
-	if err := json.Unmarshal([]byte(body), &listing); err != nil || len(listing.Metrics) != 2 {
-		t.Fatalf("/timeseries listing = %q (%v)", body, err)
+	for _, path := range []string{"/timeseries", "/timeseries?metric=solver.iterations&since=150"} {
+		if code, _, _ = get(t, base+path); code != http.StatusNotFound {
+			t.Fatalf("%s = %d, want 404", path, code)
+		}
 	}
 
-	// Range query honors since.
-	code, body, _ = get(t, base+"/timeseries?metric=solver.iterations&since=150")
-	if code != http.StatusOK {
-		t.Fatalf("/timeseries query status %d", code)
-	}
-	var q struct {
-		Metric string    `json:"metric"`
-		Points []TSPoint `json:"points"`
-	}
-	if err := json.Unmarshal([]byte(body), &q); err != nil {
-		t.Fatalf("/timeseries query body = %q (%v)", body, err)
-	}
-	if q.Metric != "solver.iterations" || len(q.Points) != 2 || q.Points[0].TNS != 200 || q.Points[1].V != 11 {
-		t.Fatalf("/timeseries query = %+v", q)
-	}
-
-	// Unknown metric: empty points array, not null and not an error.
-	code, body, _ = get(t, base+"/timeseries?metric=no.such.metric")
-	if code != http.StatusOK || !strings.Contains(body, `"points":[]`) {
-		t.Fatalf("/timeseries unknown metric = %d %q", code, body)
-	}
-
-	// Malformed since: 400.
-	if code, _, _ = get(t, base+"/timeseries?metric=solver.iterations&since=yesterday"); code != http.StatusBadRequest {
-		t.Fatalf("/timeseries bad since = %d, want 400", code)
-	}
-
-	// Unconfigured endpoints 404.
+	// Unconfigured /alerts 404s.
 	bare, err := Serve(ctx, "127.0.0.1:0", ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -459,24 +420,4 @@ func TestServeAlertsAndTimeseries(t *testing.T) {
 	if code, _, _ = get(t, "http://"+bare.Addr()+"/alerts"); code != http.StatusNotFound {
 		t.Fatalf("unconfigured /alerts = %d", code)
 	}
-	if code, _, _ = get(t, "http://"+bare.Addr()+"/timeseries"); code != http.StatusNotFound {
-		t.Fatalf("unconfigured /timeseries = %d", code)
-	}
-}
-
-// fakeTimeseries is a canned TimeseriesSource for handler tests.
-type fakeTimeseries struct {
-	names  []string
-	points map[string][]TSPoint
-}
-
-func (f *fakeTimeseries) MetricNames() []string { return f.names }
-func (f *fakeTimeseries) QuerySince(metric string, sinceNS int64) []TSPoint {
-	var out []TSPoint
-	for _, p := range f.points[metric] {
-		if p.TNS >= sinceNS {
-			out = append(out, p)
-		}
-	}
-	return out
 }

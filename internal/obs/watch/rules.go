@@ -22,6 +22,24 @@ const (
 	RuleFeedDrops        = "journal-feed-drops"
 )
 
+// Standard returns the rules soral -watch installs: the SLO burn rate of
+// latency.core.slot.seconds against slo when slo > 0, the competitive-ratio
+// pair against cert with a 3-tick hold, the warm-start pair, the
+// degradation burst on h, and the drop rate of feed when there is one.
+func Standard(reg *obs.Registry, cert float64, slo time.Duration, h *resilience.Health, feed *journal.Feed) []Rule {
+	var rules []Rule
+	if slo > 0 {
+		rules = append(rules, SLOBurnRate(reg.LatencyHist("latency.core.slot.seconds"), SLOConfig{Objective: slo}))
+	}
+	approach, exceeded := CompetitiveRatioRules(reg, cert, 0, 3)
+	collapse, blowup := WarmStartRules(reg, WarmConfig{})
+	rules = append(rules, approach, exceeded, collapse, blowup, DegradationBurst(h, 0))
+	if feed != nil {
+		rules = append(rules, FeedDropRate(feed, 0, 0))
+	}
+	return rules
+}
+
 // ---------------------------------------------------------------------------
 // 1. SLO burn rate (multi-window, Google SRE style, scaled to slot time)
 
@@ -33,7 +51,7 @@ type SLOConfig struct {
 	// Target is the SLO target fraction of good slots (default 0.99, i.e. a
 	// 1% error budget).
 	Target float64
-	// ShortWindow and LongWindow are the two burn windows in sample ticks
+	// ShortWindow and LongWindow are the two burn windows in watchdog ticks
 	// (defaults 5 and 60 — the 5m/1h pairing scaled to slot time). The alert
 	// fires only when BOTH windows burn faster than MaxBurn: the short
 	// window makes it fast, the long window keeps a single spiky tick from
@@ -64,9 +82,10 @@ type sloRule struct {
 	h   *hist.Hist
 	cfg SLOConfig
 
-	ticks  int64
-	totals []int64 // ring of cumulative observation counts, one per tick
-	goods  []int64 // ring of cumulative good (≤ objective) counts
+	ticks       int64
+	totals      []int64 // ring of cumulative observation counts, one per tick
+	goods       []int64 // ring of cumulative good (≤ objective) counts
+	short, long float64 // the latest tick's burn rates
 }
 
 // SLOBurnRate watches a latency histogram (canonically the
@@ -92,16 +111,18 @@ func (r *sloRule) Eval(tns int64) Verdict {
 	r.totals[k%n], r.goods[k%n] = total, good
 	r.ticks++
 
-	burnShort := r.burn(k, int64(r.cfg.ShortWindow))
-	burnLong := r.burn(k, int64(r.cfg.LongWindow))
-	binding := math.Min(burnShort, burnLong)
+	r.short = r.burn(k, int64(r.cfg.ShortWindow))
+	r.long = r.burn(k, int64(r.cfg.LongWindow))
 	return Verdict{
-		Firing:    burnShort >= r.cfg.MaxBurn && burnLong >= r.cfg.MaxBurn,
-		Value:     binding,
+		Firing:    r.short >= r.cfg.MaxBurn && r.long >= r.cfg.MaxBurn,
+		Value:     math.Min(r.short, r.long),
 		Threshold: r.cfg.MaxBurn,
-		Reason: fmt.Sprintf("burn %.3g×/%.3g× budget (short/long) against objective %v",
-			burnShort, burnLong, r.cfg.Objective),
 	}
+}
+
+func (r *sloRule) Reason() string {
+	return fmt.Sprintf("burn %.3g×/%.3g× budget (short/long) against objective %v",
+		r.short, r.long, r.cfg.Objective)
 }
 
 // burn computes the burn rate of the window ending at tick k.
@@ -142,13 +163,12 @@ func (r *ratioRule) Eval(tns int64) Verdict {
 	} else {
 		r.above = 0
 	}
-	return Verdict{
-		Firing:    r.above >= r.hold,
-		Value:     ratio,
-		Threshold: r.threshold,
-		Reason: fmt.Sprintf("live CumCost/CumLB ratio vs certificate share %.6g (held %d ticks, need %d)",
-			r.threshold, r.above, r.hold),
-	}
+	return Verdict{Firing: r.above >= r.hold, Value: ratio, Threshold: r.threshold}
+}
+
+func (r *ratioRule) Reason() string {
+	return fmt.Sprintf("live CumCost/CumLB ratio vs certificate share %.6g (held %d ticks, need %d)",
+		r.threshold, r.above, r.hold)
 }
 
 // CompetitiveRatioRules watches the live attr.competitive_ratio gauge (set
@@ -183,7 +203,7 @@ func CompetitiveRatioRules(reg *obs.Registry, certificate, approachFrac float64,
 
 // WarmConfig tunes the warm-start regression detectors.
 type WarmConfig struct {
-	// Window is the judgment granularity in sample ticks (default 10): the
+	// Window is the judgment granularity in watchdog ticks (default 10): the
 	// detectors compare each completed window against the rolling baseline.
 	Window int
 	// MinAttempts is the minimum warm-start attempts a window must carry
@@ -226,6 +246,7 @@ type warmCollapseRule struct {
 	baseline               float64
 	windows                int // healthy windows folded into baseline
 	last                   Verdict
+	judged                 float64 // the baseline last judged against
 }
 
 // WarmStartRules watches the warmstart.* counter family (DESIGN.md §13).
@@ -257,16 +278,18 @@ func (r *warmCollapseRule) Eval(tns int64) Verdict {
 	rate := float64(dHits) / float64(dAttempts)
 	threshold := r.cfg.CollapseFrac * r.baseline
 	firing := r.windows >= 2 && rate < threshold
-	r.last = Verdict{
-		Firing: firing, Value: rate, Threshold: threshold,
-		Reason: fmt.Sprintf("window hit rate %.3g vs %.3g (%.3g× baseline %.3g)",
-			rate, threshold, r.cfg.CollapseFrac, r.baseline),
-	}
+	r.last = Verdict{Firing: firing, Value: rate, Threshold: threshold}
+	r.judged = r.baseline
 	if !firing {
 		r.baseline = ewma(r.baseline, rate, r.windows)
 		r.windows++
 	}
 	return r.last
+}
+
+func (r *warmCollapseRule) Reason() string {
+	return fmt.Sprintf("window hit rate %.3g vs %.3g (%.3g× baseline %.3g)",
+		r.last.Value, r.last.Threshold, r.cfg.CollapseFrac, r.judged)
 }
 
 type iterBlowupRule struct {
@@ -278,6 +301,8 @@ type iterBlowupRule struct {
 	baseline  float64
 	windows   int
 	last      Verdict
+	dIters    int64   // the iterations of the last judged window
+	judged    float64 // the baseline last judged against
 }
 
 func (r *iterBlowupRule) Name() string     { return RuleIterBlowup }
@@ -296,15 +321,17 @@ func (r *iterBlowupRule) Eval(tns int64) Verdict {
 	}
 	threshold := r.cfg.BlowupFactor * r.baseline
 	firing := r.windows >= 2 && float64(dIters) > threshold
-	r.last = Verdict{
-		Firing: firing, Value: float64(dIters), Threshold: threshold,
-		Reason: fmt.Sprintf("window consumed %d iterations vs baseline %.6g", dIters, r.baseline),
-	}
+	r.last = Verdict{Firing: firing, Value: float64(dIters), Threshold: threshold}
+	r.dIters, r.judged = dIters, r.baseline
 	if !firing {
 		r.baseline = ewma(r.baseline, float64(dIters), r.windows)
 		r.windows++
 	}
 	return r.last
+}
+
+func (r *iterBlowupRule) Reason() string {
+	return fmt.Sprintf("window consumed %d iterations vs baseline %.6g", r.dIters, r.judged)
 }
 
 // ewma folds sample into the rolling baseline; the first sample seeds it.
@@ -321,6 +348,8 @@ func ewma(baseline, sample float64, seen int) float64 {
 type degradeRule struct {
 	health *resilience.Health
 	max    int
+	// consec and lastSlot are the latest tick's streak and slot.
+	consec, lastSlot int
 }
 
 // DegradationBurst fires while the health tracker reports maxConsecutive or
@@ -338,12 +367,12 @@ func (r *degradeRule) Severity() string { return SeverityWarn }
 
 func (r *degradeRule) Eval(tns int64) Verdict {
 	s := r.health.Snapshot()
-	return Verdict{
-		Firing:    s.ConsecutiveDegraded >= r.max,
-		Value:     float64(s.ConsecutiveDegraded),
-		Threshold: float64(r.max),
-		Reason:    fmt.Sprintf("%d consecutive carried-forward slots (last slot %d)", s.ConsecutiveDegraded, s.LastSlot),
-	}
+	r.consec, r.lastSlot = s.ConsecutiveDegraded, s.LastSlot
+	return Verdict{Firing: r.consec >= r.max, Value: float64(r.consec), Threshold: float64(r.max)}
+}
+
+func (r *degradeRule) Reason() string {
+	return fmt.Sprintf("%d consecutive carried-forward slots (last slot %d)", r.consec, r.lastSlot)
 }
 
 // ---------------------------------------------------------------------------
@@ -356,6 +385,7 @@ type feedRule struct {
 
 	ticks int64
 	ring  []int64 // cumulative dropped-lines counter, one per tick
+	delta int64   // lines dropped in the latest tick's window
 }
 
 // FeedDropRate fires when the journal feed dropped more than maxDrops lines
@@ -385,11 +415,14 @@ func (r *feedRule) Eval(tns int64) Verdict {
 	if j < 0 {
 		j = 0
 	}
-	delta := dropped - r.ring[j%n]
+	r.delta = dropped - r.ring[j%n]
 	return Verdict{
-		Firing:    delta > r.maxDrops,
-		Value:     float64(delta),
+		Firing:    r.delta > r.maxDrops,
+		Value:     float64(r.delta),
 		Threshold: float64(r.maxDrops),
-		Reason:    fmt.Sprintf("%d lines dropped to slow subscribers in the last %d ticks", delta, r.window),
 	}
+}
+
+func (r *feedRule) Reason() string {
+	return fmt.Sprintf("%d lines dropped to slow subscribers in the last %d ticks", r.delta, r.window)
 }

@@ -1,8 +1,9 @@
 // Package watch is the self-monitoring rule engine: a fixed set of
-// detectors evaluated once per tsdb sample tick, each grounded in an
-// invariant the repo can certify (the 1+2/ε competitive-ratio certificate,
-// the SLO error budget, the warm-start baseline, the resilience budget, the
-// feed's drop accounting) rather than in free-floating thresholds.
+// detectors evaluated once per watchdog tick against the live registry and
+// the sources it mirrors, each grounded in an invariant the repo can certify
+// (the 1+2/ε competitive-ratio certificate, the SLO error budget, the
+// warm-start baseline, the resilience budget, the feed's drop accounting)
+// rather than in free-floating thresholds.
 //
 // Alerts are first-class run artifacts: every firing/resolved transition is
 // appended to the soral-journal as a CRC'd alert record, mirrored into the
@@ -68,16 +69,18 @@ func reasonSuffix(r string) string {
 type Verdict struct {
 	Firing           bool
 	Value, Threshold float64
-	Reason           string
 }
 
-// Rule is one detector. Eval runs on the sampler goroutine once per tick
+// Rule is one detector. Eval runs on the watchdog's goroutine once per tick
 // with the tick's Unix-nanosecond timestamp; implementations keep their own
 // windows and baselines and must be deterministic given their inputs.
+// Reason explains the latest Eval's verdict in a sentence; the engine asks
+// for it only on a transition, so a steady tick formats nothing.
 type Rule interface {
 	Name() string
 	Severity() string
 	Eval(tns int64) Verdict
+	Reason() string
 }
 
 // historyCap bounds the retained alert history served by /alerts.
@@ -137,8 +140,8 @@ func (e *Engine) Metrics(reg *obs.Registry) *Engine {
 // Rules returns the number of installed detectors.
 func (e *Engine) Rules() int { return len(e.rules) }
 
-// Eval runs every rule against the tick at tns. It is the sampler's
-// AfterSample hook: by the time it runs, the tick's tsdb column is written.
+// Eval runs every rule against the tick at tns: soral -watch calls it once a
+// second, right after collecting the Go runtime gauges into the registry.
 func (e *Engine) Eval(tns int64) {
 	e.mu.Lock()
 	var out []Alert
@@ -150,7 +153,7 @@ func (e *Engine) Eval(tns int64) {
 		case v.Firing && !firing:
 			a := Alert{
 				Rule: name, Severity: r.Severity(), State: StateFiring,
-				Value: v.Value, Threshold: v.Threshold, Reason: v.Reason, TNS: tns,
+				Value: v.Value, Threshold: v.Threshold, Reason: r.Reason(), TNS: tns,
 			}
 			e.active[name] = a
 			e.record(a)
@@ -161,7 +164,7 @@ func (e *Engine) Eval(tns int64) {
 		case !v.Firing && firing:
 			a := Alert{
 				Rule: name, Severity: r.Severity(), State: StateResolved,
-				Value: v.Value, Threshold: v.Threshold, Reason: v.Reason, TNS: tns,
+				Value: v.Value, Threshold: v.Threshold, Reason: r.Reason(), TNS: tns,
 			}
 			delete(e.active, name)
 			e.record(a)
@@ -178,7 +181,7 @@ func (e *Engine) Eval(tns int64) {
 	e.mu.Unlock()
 	// Journal writes and the hook can block (fsync, stderr); emit them
 	// outside the lock so Status readers never wait on I/O. Eval runs on the
-	// single sampler goroutine, so transition order is still the rule order.
+	// single watchdog goroutine, so transition order is still the rule order.
 	for _, a := range out {
 		jw.Alert(journal.AlertRecord{
 			Rule: a.Rule, Severity: a.Severity, State: a.State,

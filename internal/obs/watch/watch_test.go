@@ -3,6 +3,7 @@ package watch
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,6 +24,7 @@ func (r *boolRule) Severity() string { return r.sev }
 func (r *boolRule) Eval(tns int64) Verdict {
 	return Verdict{Firing: r.firing, Value: 2, Threshold: 1}
 }
+func (r *boolRule) Reason() string { return "" }
 
 // TestEngineLifecycle pins the alert state machine: one firing alert per
 // transition (not per tick), one resolved alert on recovery, history and
@@ -258,4 +260,24 @@ func TestFeedDropRate(t *testing.T) {
 		}
 	}
 	_ = ch
+}
+
+// TestStandardRules pins the rule set soral -watch installs: the SLO rule
+// only with an objective, the feed rule only with a feed.
+func TestStandardRules(t *testing.T) {
+	reg := obs.NewRegistry()
+	names := func(rules []Rule) (out []string) {
+		for _, r := range rules {
+			out = append(out, r.Name())
+		}
+		return out
+	}
+	base := []string{RuleRatioApproach, RuleRatioExceeded, RuleWarmCollapse, RuleIterBlowup, RuleDegradationBurst}
+	if got := names(Standard(reg, 5, 0, resilience.NewHealth(), nil)); !slices.Equal(got, base) {
+		t.Fatalf("Standard without objective or feed = %v, want %v", got, base)
+	}
+	all := append(append([]string{RuleSLOBurnRate}, base...), RuleFeedDrops)
+	if got := names(Standard(reg, 5, 5*time.Millisecond, resilience.NewHealth(), journal.NewFeed(0))); !slices.Equal(got, all) {
+		t.Fatalf("Standard with both = %v, want %v", got, all)
+	}
 }
