@@ -36,13 +36,14 @@ type Options struct {
 	// /healthz exposition endpoint. Nil disables tracking.
 	Health *resilience.Health
 
-	// WarmStart enables the incremental re-solve layer (DESIGN.md §13):
-	// P2-skeleton reuse with numeric-only refresh, a warm interior point
-	// carried from the previous slot's committed decision (with safeguarded
-	// fallback to the cold start), and a digest-keyed decision cache. Off
-	// (the default) the pipeline is bit-identical to a build without the
-	// flag. Decisions stay a pure function of (previous decision, inputs,
-	// config) either way; only latency changes.
+	// WarmStart enables the incremental re-solve layer (DESIGN.md §13): a
+	// warm interior point carried from the previous slot's committed
+	// decision (with safeguarded fallback to the cold start), a
+	// digest-keyed decision cache, and the fixed-point snap. Off (the
+	// default) every slot is a cold solve from the structured start. The
+	// P2 skeleton is reused either way, since a patched P2 is
+	// bit-identical to a fresh build. Decisions stay a pure function of
+	// (previous decision, inputs, config) either way.
 	WarmStart bool
 }
 
@@ -75,6 +76,11 @@ type Online struct {
 	// cloud) and accumulates the run's regret and competitive-ratio
 	// estimates; lazily created at the first commit that records anywhere.
 	tracker *attr.Tracker
+
+	// p2 is the run's P2 skeleton (nil until the first build): each slot
+	// patches its numbers in place when the constraint topology repeats,
+	// bit-identical to a fresh BuildP2, and rebuilds it otherwise.
+	p2 *P2
 
 	// state is the warm-start layer's per-run state (nil unless
 	// Opts.WarmStart); Restore replaces it with a fresh one, which is the
@@ -122,11 +128,12 @@ func (o *Online) Restore(t int, prev *model.Decision) error {
 	}
 	o.t = t
 	o.prev = prev
-	// The warm-start state is an accelerator over run history, not part of
-	// the restartable state, and the journal does not checkpoint it. Discard
-	// it deterministically: the resumed run re-solves its first slots cold
-	// (and rebuilds the skeleton/cache as it goes), producing bit-identical
-	// decisions either way.
+	// The P2 skeleton and the warm-start state are accelerators over run
+	// history, not part of the restartable state, and the journal does not
+	// checkpoint them. Discard them deterministically: the resumed run
+	// rebuilds the skeleton and re-solves its first slots cold (refilling
+	// the cache as it goes), producing bit-identical decisions either way.
+	o.p2 = nil
 	if o.state != nil {
 		o.state = newSolveState()
 	}
@@ -183,7 +190,7 @@ func (o *Online) Step() (*model.Decision, error) {
 		stepOpts.Solver.Work = o.work
 	}
 	solveSpan := slotScope.StartSpan("core.solve")
-	dec, ladder, commit, err := solveP2(o.Net, o.In, o.t, o.prev, stepOpts, o.state)
+	dec, ladder, commit, err := solveP2(o.Net, o.In, o.t, o.prev, stepOpts, &o.p2, o.state)
 	solveSpan.End()
 	sr := SlotReport{Slot: o.t, Ladder: ladder, Iterations: ladder.Iterations(),
 		Warm: commit.warm, SolveIters: commit.iters}

@@ -57,9 +57,9 @@ const feasTol = 1e-4
 //
 // SolveP2Resilient is stateless: it builds P2 afresh and never carries a
 // warm point, whatever opts.WarmStart says. Online.Step runs the same
-// ladder with its per-run warm-start state (DESIGN.md §13).
+// ladder with its P2 skeleton and per-run warm-start state (DESIGN.md §13).
 func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options) (*model.Decision, *resilience.LadderReport, error) {
-	dec, ladder, _, err := solveP2(n, in, t, prev, opts, nil)
+	dec, ladder, _, err := solveP2(n, in, t, prev, opts, nil, nil)
 	return dec, ladder, err
 }
 
@@ -70,23 +70,24 @@ type p2Commit struct {
 	warm  bool
 }
 
-// solveP2 is SolveP2Resilient with the warm-start layer's per-run state st
-// (nil runs stateless). With st, P2 is patched from the cached skeleton
-// when its topology repeats, and the warm rung first solves from the
-// carried previous-decision point with the primal–dual loop
+// solveP2 is SolveP2Resilient with the run's P2 skeleton and the warm-start
+// layer's per-run state st (nil for either runs stateless). With skel, P2
+// is patched from the cached skeleton *skel when its topology repeats and
+// a fresh build replaces it otherwise. With st, the warm rung first solves
+// from the carried previous-decision point with the primal–dual loop
 // (convex.SolvePrimalDual), falling back to the barrier from the
 // structured start inside the same rung on any failure, so the rungs
 // below never see a warm-start artifact. Every attempt on the ladder
 // reports the Newton iterations its solves ran, failed ones
 // included, as the solver returned them (Result.NewtonIters or
 // SolveError.Iters). solveP2 also returns the committing attempt.
-func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, st *solveState) (*model.Decision, *resilience.LadderReport, p2Commit, error) {
+func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, skel **P2, st *solveState) (*model.Decision, *resilience.LadderReport, p2Commit, error) {
 	asm := opts.Obs.StartSpan("core.assemble")
 	var p2 *P2
-	if st != nil && st.p2 != nil && st.p2.Patch(in, t, prev) {
+	if skel != nil && *skel != nil && (*skel).Patch(in, t, prev) {
 		// Same constraint topology as the cached skeleton: numerics were
 		// refreshed in place, bit-identical to a fresh build.
-		p2 = st.p2
+		p2 = *skel
 		opts.Obs.Count(obs.MetricWarmSkeletonHits, 1)
 	} else {
 		var err error
@@ -95,8 +96,8 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 			asm.End()
 			return nil, nil, p2Commit{}, err
 		}
-		if st != nil {
-			st.p2 = p2
+		if skel != nil {
+			*skel = p2
 		}
 	}
 	x0 := p2.warmStart(in, t)

@@ -14,10 +14,9 @@ import (
 const decisionCacheCap = 64
 
 // solveState is the per-run incremental re-solve state of the warm-start
-// layer (DESIGN.md §13). It carries three kinds of reuse across slots:
+// layer (DESIGN.md §13). It carries two kinds of reuse across slots (the
+// P2 skeleton, which every run reuses, lives on Online):
 //
-//   - the structural skeleton of P2 (rows, sparsity, group membership),
-//     refreshed numerically via P2.Patch instead of rebuilt;
 //   - a warm interior point derived from the previously committed decision,
 //     which the warm rung solves from with the primal–dual loop
 //     (convex.SolvePrimalDual) before the barrier's structured cold start;
@@ -32,8 +31,6 @@ const decisionCacheCap = 64
 //
 // A solveState must not be shared by concurrent solves.
 type solveState struct {
-	p2 *P2 // cached subproblem skeleton (nil until the first build)
-
 	x0 []float64 // warm-point buffer, reused across slots
 
 	// Capacity-headroom scratch for warmPoint's shift-and-repair passes,

@@ -299,7 +299,8 @@ func Chaos(ctx context.Context, log Logger) (*Table, *Bench, error) {
 	)
 
 	// Warm-start crash schedule: with the warm-start layer on, its state
-	// (P2 skeleton, carried iterate, decision cache) lives only in memory —
+	// (carried iterate, decision cache) lives only in memory, as does the
+	// P2 skeleton —
 	// a kill that lands between reusing that state and commit must resume
 	// from the journal alone, re-solve the lost slot with a fresh state,
 	// and still land digest-for-digest on the uninterrupted warm run.

@@ -37,7 +37,8 @@ const (
 	MetricWarmCacheHits = "warmstart.cache_hits"
 	MetricWarmCacheSize = "warmstart.cache_size"
 	// MetricWarmSkeletonHits counts slots whose P2 assembly reused the cached
-	// structural skeleton (rows and sparsity) with a numeric-only refresh.
+	// structural skeleton (rows and sparsity) with a numeric-only refresh,
+	// on every Online run, WarmStart on or off.
 	MetricWarmSkeletonHits = "warmstart.skeleton_hits"
 
 	// MetricWarmStairHits counts staircase backends reused from a
