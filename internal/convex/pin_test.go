@@ -48,8 +48,9 @@ func quadPinSolve(t *testing.T) (*Problem, *Result) {
 // TestQuadObjectiveNilBlockMapPinned pins one full-Q QuadObjective solve to
 // the bit patterns of its Result.X (testdata/quad_x.json). The pin was
 // recorded before the structured Newton step landed and re-recorded when
-// the line search began carrying the slack along the search ray (DESIGN.md
-// §15); TestQuadObjectiveMatchesRecorded is the accuracy gate for any such
+// the line search began carrying the slack along the search ray and when
+// the barrier began following the central path (DESIGN.md §15);
+// TestQuadObjectiveMatchesRecorded is the accuracy gate for any such
 // re-recording.
 func TestQuadObjectiveNilBlockMapPinned(t *testing.T) {
 	_, res := quadPinSolve(t)

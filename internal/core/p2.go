@@ -12,11 +12,13 @@ import (
 // SolverID names the P2 solver the online pipeline's decisions come from:
 // the barrier method with the per-cloud block map and a product-form border
 // folded into its cells, whose line search carries the slack along the
-// search ray and tests the merit's change along it, and on the warm rung's
-// carried point the Mehrotra primal–dual loop on the same Newton system
-// (DESIGN.md §13, §15). Journals record it (journal.Header.Solver), so a
-// change to P2's arithmetic must change it too.
-const SolverID = "convex-barrier+warm-pd/p2-cells-raychange"
+// search ray and tests the merit's change along it, and which follows the
+// central path (loose centering before the final stage, a tangent
+// predictor between stages), and on the warm rung's carried point the
+// Mehrotra primal–dual loop on the same Newton system (DESIGN.md §13,
+// §15). Journals record it (journal.Header.Solver), so a change to P2's
+// arithmetic must change it too.
+const SolverID = "convex-barrier-pathfollow+warm-pd/p2-cells-raychange"
 
 // P2 is the regularized subproblem for one time slot, ready to be solved by
 // the convex engine: the barrier method from the structured start, or the
