@@ -283,3 +283,77 @@ func TestQuadObjectiveFullMatrix(t *testing.T) {
 		t.Fatalf("obj = %v, want −3", res.Obj)
 	}
 }
+
+// TestBarrierZeroAllocPerNewtonStep pins the barrier's allocation budget as
+// core's TestPrimalDualZeroAllocPerNewtonStep pins the primal–dual loop's:
+// with a warmed workspace, a solve allocates the same fixed per-solve amount
+// (the iterate copy, the result and its duals) at a loose and at a tight
+// tolerance, so neither a Newton step nor the tangent predictor between
+// stages allocates. It runs on random problems from blockProblem, with
+// their block map and with the map cleared (the dense step). The predictor
+// is also checked on its own, from the exact center of the loose solve's
+// last weight, where it must move x and allocate nothing.
+func TestBarrierZeroAllocPerNewtonStep(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		blocked, x0 := blockProblem(seed, 9, 3, 0x2d, 0x1b)
+		dense := *blocked
+		dense.Blocks = nil
+		for _, c := range []struct {
+			name string
+			p    *Problem
+		}{{"blocks", blocked}, {"dense", &dense}} {
+			p := c.p
+			solveAllocs := func(tol float64) (float64, *Result) {
+				opts := Options{Tol: tol, Work: NewWorkspace()}
+				res, err := Solve(p, x0, opts)
+				if err != nil || !res.Converged {
+					t.Fatalf("seed %d %s tol %g: converged %v, err %v", seed, c.name, tol, res != nil && res.Converged, err)
+				}
+				allocs := testing.AllocsPerRun(5, func() {
+					if _, err := Solve(p, x0, opts); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return allocs, res
+			}
+			shortAllocs, short := solveAllocs(1e-2)
+			longAllocs, long := solveAllocs(1e-9)
+			if long.NewtonIters <= short.NewtonIters {
+				t.Fatalf("seed %d %s: tolerances did not change the Newton step count (%d vs %d)",
+					seed, c.name, short.NewtonIters, long.NewtonIters)
+			}
+			if shortAllocs != longAllocs {
+				t.Errorf("seed %d %s: %.0f allocs over %d Newton steps but %.0f over %d: the loop allocates",
+					seed, c.name, shortAllocs, short.NewtonIters, longAllocs, long.NewtonIters)
+			}
+
+			// The loose solve's last stage centered exactly at the first
+			// weight t = Mu^k with m/t < 1e-2.
+			n, m := p.G.N, p.G.M
+			tw := 1.0
+			for float64(m)/tw >= 1e-2 {
+				tw *= Mu
+			}
+			ws := NewWorkspace()
+			dx := make([]float64, n)
+			if _, _, err := ws.NewtonStep(p, short.X, tw, dx); err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, n)
+			moved := false
+			allocs := testing.AllocsPerRun(5, func() {
+				copy(x, short.X)
+				predict(p, &ws.ns, x, ws.slack[:m], ws.slackTrial[:m], ws.grad[:n], ws.dx[:n], ws.gdx[:m], tw)
+				for i := range x {
+					moved = moved || x[i] != short.X[i]
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("seed %d %s: the predictor allocates %.0f times", seed, c.name, allocs)
+			}
+			if !moved {
+				t.Errorf("seed %d %s: the predictor took no step from the center", seed, c.name)
+			}
+		}
+	}
+}

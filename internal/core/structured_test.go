@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"soral/internal/convex"
+	"soral/internal/linalg"
 	"soral/internal/model"
 	"soral/internal/obs"
 )
@@ -208,6 +209,63 @@ func TestCarriedSlackExitStrictlyFeasible(t *testing.T) {
 			if warm == 0 {
 				t.Fatal("no slot had a warm-carried start")
 			}
+		})
+	}
+}
+
+// TestBarrierExitCertificate checks the barrier's exit certificate on every
+// cold slot of the structured gate's networks, solved from the structured
+// start. Only the final barrier stage centers exactly (DESIGN.md §15), and
+// the certificate is what that keeps: the exit point is strictly feasible
+// by the exact slack h − G·x, the exit duals μ = 1/(t·s) close the duality
+// gap (h − G·x)ᵀμ to within Tol, and the stationarity residual
+// ‖∇f + Gᵀμ‖∞ is at most 1e-4 of 1 + ‖∇f‖∞.
+func TestBarrierExitCertificate(t *testing.T) {
+	opts := DefaultOptions()
+	for _, c := range structuredCases() {
+		t.Run(c.name, func(t *testing.T) {
+			n, in := c.build(t)
+			prev := model.NewZeroDecision(n)
+			worst := 0.0
+			for tt := 0; tt < in.T; tt++ {
+				p2, err := BuildP2(n, in, tt, prev, opts.Params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := convex.Solve(p2.Prob, p2.warmStart(in, tt), opts.Solver)
+				if err != nil || !res.Converged {
+					t.Fatalf("slot %d: converged %v, err %v", tt, res != nil && res.Converged, err)
+				}
+				g, h := p2.Prob.G, p2.Prob.H
+				gx := make([]float64, g.M)
+				g.MulVec(gx, res.X)
+				var gap float64
+				for r := range gx {
+					s := h[r] - gx[r]
+					if !(s > 0) {
+						t.Errorf("slot %d: exit slack of row %d is %g", tt, r, s)
+					}
+					gap += s * res.Duals[r]
+				}
+				if !(gap <= opts.Solver.Tol) {
+					t.Errorf("slot %d: duality gap (h − G·x)ᵀμ = %g, want ≤ %g", tt, gap, opts.Solver.Tol)
+				}
+				grad := make([]float64, g.N)
+				p2.Prob.Obj.Gradient(grad, res.X)
+				resid := append([]float64(nil), grad...)
+				for r, row := range g.Rows {
+					for _, e := range row {
+						resid[e.Index] += e.Val * res.Duals[r]
+					}
+				}
+				rel := linalg.NormInf(resid) / (1 + linalg.NormInf(grad))
+				if !(rel <= 1e-4) {
+					t.Errorf("slot %d: ‖∇f + Gᵀμ‖∞ / (1 + ‖∇f‖∞) = %g, want ≤ 1e-4", tt, rel)
+				}
+				worst = math.Max(worst, rel)
+				prev = p2.Extract(res.X)
+			}
+			t.Logf("worst relative stationarity %.2g", worst)
 		})
 	}
 }
