@@ -106,16 +106,27 @@ func watchRatioSpec() RunConfig {
 	}
 }
 
+// ratioTrial is one recorded adversarial run: its read-back journal (whose
+// Alerts are the trial's alert records), the final CumCost/CumLB ratio and
+// its 1+2/ε certificate, the post-run registry, and every slot's exact
+// SlotReport.Duration in nanoseconds.
+type ratioTrial struct {
+	j           *journal.Journal
+	ratio, cert float64
+	reg         *obs.Registry
+	durs        []int64
+}
+
 // watchRatioTrial records the adversarial run to a journal, then ticks the
 // engine once so the competitive-ratio rules evaluate against the post-run
 // registry's attr.competitive_ratio gauge. The journal
 // carries the run's config, slots, and the alert records, so Replay can
 // reconcile all of it.
-func watchRatioTrial(log Logger) (*journal.Journal, []journal.AlertRecord, float64, float64, *obs.Registry, error) {
+func watchRatioTrial(log Logger) (*ratioTrial, error) {
 	cfg := watchRatioSpec().canonical()
 	scen, err := Build(cfg.Spec)
 	if err != nil {
-		return nil, nil, 0, 0, nil, fmt.Errorf("eval: watch ratio scenario: %w", err)
+		return nil, fmt.Errorf("eval: watch ratio scenario: %w", err)
 	}
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
@@ -124,7 +135,7 @@ func watchRatioTrial(log Logger) (*journal.Journal, []journal.AlertRecord, float
 	suite := NewSuite(scen, cfg.Eps).WithObs(obs.NewScope(reg, nil)).WithJournal(jw).WithHealth(nil)
 	raw, err := json.Marshal(cfg)
 	if err != nil {
-		return nil, nil, 0, 0, nil, fmt.Errorf("eval: watch ratio config: %w", err)
+		return nil, fmt.Errorf("eval: watch ratio config: %w", err)
 	}
 	jw.Begin(journal.Header{
 		Algorithm:    cfg.Algorithm,
@@ -137,7 +148,14 @@ func watchRatioTrial(log Logger) (*journal.Journal, []journal.AlertRecord, float
 	})
 	run, err := suite.RunConfigured(cfg)
 	if err != nil {
-		return nil, nil, 0, 0, nil, fmt.Errorf("eval: watch ratio run: %w", err)
+		return nil, fmt.Errorf("eval: watch ratio run: %w", err)
+	}
+	if run.Report == nil {
+		return nil, fmt.Errorf("eval: watch ratio run: missing per-slot report")
+	}
+	durs := make([]int64, len(run.Report.Slots))
+	for i, sr := range run.Report.Slots {
+		durs[i] = sr.Duration.Nanoseconds()
 	}
 
 	cert := attr.Certificate(cfg.Eps)
@@ -146,15 +164,16 @@ func watchRatioTrial(log Logger) (*journal.Journal, []journal.AlertRecord, float
 	eng.Eval(watchEpochNS)
 	jw.End(journal.Footer{TotalCost: run.Cost.Total()})
 	if err := jw.Err(); err != nil {
-		return nil, nil, 0, 0, nil, fmt.Errorf("eval: watch ratio journal: %w", err)
+		return nil, fmt.Errorf("eval: watch ratio journal: %w", err)
 	}
 	j, err := journal.Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		return nil, nil, 0, 0, nil, fmt.Errorf("eval: watch ratio journal read-back: %w", err)
+		return nil, fmt.Errorf("eval: watch ratio journal read-back: %w", err)
 	}
+	ratio := reg.Gauge("attr.competitive_ratio")
 	log.printf("watch ratio run: CumCost/CumLB %.4f vs certificate %.4f, %d alert records",
-		reg.Gauge("attr.competitive_ratio"), cert, len(j.Alerts))
-	return j, j.Alerts, reg.Gauge("attr.competitive_ratio"), cert, reg, nil
+		ratio, cert, len(j.Alerts))
+	return &ratioTrial{j: j, ratio: ratio, cert: cert, reg: reg, durs: durs}, nil
 }
 
 // collectRuntimeAllocs counts the allocations of one obs.CollectRuntime
@@ -231,7 +250,9 @@ func alertRecordsEqual(a, b []journal.AlertRecord) bool {
 //   - overhead: one watchdog tick over a post-run registry (tick_ns), the
 //     slot p50 and their ratio (overhead_frac), and the allocations of one
 //     obs.CollectRuntime call after its first (collect_allocs);
-//     bit-identical when the collector allocates nothing.
+//     bit-identical when the collector allocates nothing. The slot p50 is
+//     the nearest-rank median of the exact slot durations of both
+//     adversarial runs (48 slots), not a log-bucketed histogram quantile.
 func Watch(log Logger) (*Table, *Bench, error) {
 	// --- SLO burn rate on the seeded spike trace, twice for bit-identity.
 	log.printf("watch slo: seeded latency-spike trace (2 repeats)...")
@@ -247,14 +268,16 @@ func Watch(log Logger) (*Table, *Bench, error) {
 
 	// --- Competitive ratio on the adversarial run, twice for bit-identity.
 	log.printf("watch ratio: adversarial thrashing trace (2 repeats)...")
-	j, alerts1, ratio, cert, ratioReg, err := watchRatioTrial(log)
+	trial1, err := watchRatioTrial(log)
 	if err != nil {
 		return nil, nil, err
 	}
-	_, alerts2, _, _, _, err := watchRatioTrial(log)
+	trial2, err := watchRatioTrial(log)
 	if err != nil {
 		return nil, nil, err
 	}
+	j, alerts1, alerts2 := trial1.j, trial1.j.Alerts, trial2.j.Alerts
+	ratio, cert := trial1.ratio, trial1.cert
 	rep, err := Replay(DefaultContext(), j)
 	if err != nil {
 		return nil, nil, fmt.Errorf("eval: watch ratio replay: %w", err)
@@ -267,11 +290,11 @@ func Watch(log Logger) (*Table, *Bench, error) {
 	}
 	ratioIdentical := alertRecordsEqual(alerts1, alerts2) && rep.Clean()
 
-	// --- Monitoring overhead against the adversarial run's slot p50.
+	// --- Monitoring overhead against the adversarial runs' slot p50.
 	log.printf("watch overhead: runtime collector and watchdog tick...")
-	collectAllocs := collectRuntimeAllocs(ratioReg)
-	tickNs := watchTickCost(ratioReg, cert)
-	slotP50 := int64(ratioReg.Snapshot().Latencies["latency.core.slot.seconds"].P50 * 1e9)
+	collectAllocs := collectRuntimeAllocs(trial1.reg)
+	tickNs := watchTickCost(trial1.reg, cert)
+	slotP50 := quantileNs(append(trial1.durs, trial2.durs...), 0.5)
 	//sorallint:ignore floatcmp allocs/call is a mallocs-delta ratio; the zero-allocation verdict is exact by construction
 	allocFree := collectAllocs == 0
 	var overheadFrac float64

@@ -40,10 +40,11 @@ func TestWatchExperiment(t *testing.T) {
 // alert records replays clean, and each recorded transition surfaces as one
 // advisory.
 func TestWatchReplayAdvisories(t *testing.T) {
-	j, alerts, _, _, _, err := watchRatioTrial(nil)
+	trial, err := watchRatioTrial(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	j, alerts := trial.j, trial.j.Alerts
 	if len(alerts) == 0 {
 		t.Fatal("trial journaled no alerts")
 	}
