@@ -93,23 +93,31 @@ watch:
 # Newton step against the dense one (random block maps with in-block rows,
 # cross-block rows and cross-block entropic groups, each solved with its
 # block map and with the map cleared; both must converge to the same
-# objective), the primal–dual loop against the barrier on the same random
-# problems (both converge, to the same objective), the line search's
-# one-logarithm barrier change against a sum of log1p terms on slack pairs
-# from subnormal to huge (DESIGN.md §15), the journal's hand-written slot
-# and state encoders against json.Marshal, byte for byte, its
-# reflection-free slot and state decoders against json.Unmarshal, and
-# Recover on arbitrary bytes (never a panic; an accepted prefix re-reads to
-# the same journal; DESIGN.md §10). Plain `go test` replays the committed
-# seed corpora under internal/convex/testdata/fuzz and
-# internal/obs/journal/testdata/fuzz; this target searches beyond them.
+# objective), the primal–dual loop from a start outside G·x ≤ h against
+# the barrier from a strictly feasible one on the same random problems (both
+# converge, to the same objective), the line search's one-logarithm barrier
+# change against a sum of log1p terms on slack pairs from subnormal to huge
+# (DESIGN.md §15), the journal's hand-written slot and state encoders
+# against json.Marshal, byte for byte, its reflection-free slot and state
+# decoders against json.Unmarshal, and Recover on arbitrary bytes (never a
+# panic; an accepted prefix re-reads to the same journal; DESIGN.md §10).
+# Plain `go test` replays the committed seed corpora under
+# internal/convex/testdata/fuzz and internal/obs/journal/testdata/fuzz; this
+# target searches beyond them. Each target gets a fresh, deleted-afterwards
+# fuzz cache, so its 1.6 s are not spent re-running the inputs earlier runs
+# cached, and a target whose output never reaches "now fuzzing" fails.
+FUZZ_TARGETS = \
+	convex:FuzzNewtonBlockVsDense convex:FuzzPrimalDualVsBarrier convex:FuzzBarrierLog \
+	obs/journal:FuzzJournalRecordEncoding obs/journal:FuzzCanonicalDecode obs/journal:FuzzJournalRecover
+
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzNewtonBlockVsDense$$' -fuzztime=1600ms ./internal/convex
-	$(GO) test -run='^$$' -fuzz='^FuzzPrimalDualVsBarrier$$' -fuzztime=1600ms ./internal/convex
-	$(GO) test -run='^$$' -fuzz='^FuzzBarrierLog$$' -fuzztime=1600ms ./internal/convex
-	$(GO) test -run='^$$' -fuzz='^FuzzJournalRecordEncoding$$' -fuzztime=1600ms ./internal/obs/journal
-	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalDecode$$' -fuzztime=1600ms ./internal/obs/journal
-	$(GO) test -run='^$$' -fuzz='^FuzzJournalRecover$$' -fuzztime=1600ms ./internal/obs/journal
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=./internal/$${t%%:*}; name=$${t##*:}; cache=$$(mktemp -d); \
+		out=$$($(GO) test $$pkg -run='^$$' -fuzz="^$$name\$$" -fuzztime=1600ms -test.fuzzcachedir=$$cache 2>&1); status=$$?; \
+		rm -rf $$cache; echo "$$out"; \
+		[ $$status -eq 0 ] || exit $$status; \
+		echo "$$out" | grep -q 'now fuzzing' || { echo "$$name: never reached 'now fuzzing'"; exit 1; }; \
+	done
 
 # The benchmark harness is a nested module (perfbench/go.mod) that imports
 # core, eval and journal, so `go build ./...` here never compiles it. Vetting

@@ -226,10 +226,7 @@ func BenchmarkP2NewtonStep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		x0, err := convex.FindStrictlyFeasible(p2.Prob.G, p2.Prob.H)
-		if err != nil {
-			b.Fatal(err)
-		}
+		x0 := p2.ColdStart(scen.In, 0)
 		dense := *p2.Prob
 		dense.Blocks = nil
 		for _, v := range []struct {

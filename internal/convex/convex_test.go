@@ -7,6 +7,8 @@ import (
 
 	"soral/internal/linalg"
 	"soral/internal/lp"
+	"soral/internal/obs"
+	"soral/internal/obs/obstest"
 )
 
 // boxConstraints builds G,h for lo ≤ x ≤ hi.
@@ -23,35 +25,11 @@ func boxConstraints(lo, hi []float64) (*lp.SparseMatrix, []float64) {
 	return g, h
 }
 
-func TestFindStrictlyFeasible(t *testing.T) {
-	g := lp.NewSparseMatrix(2, 1)
-	g.Append(0, 0, 1)  // x ≤ 4
-	g.Append(1, 0, -1) // −x ≤ −1, i.e., x ≥ 1
-	h := []float64{4, -1}
-	x, err := FindStrictlyFeasible(g, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x[0] <= 1 || x[0] >= 4 {
-		t.Fatalf("x = %v not strictly inside [1,4]", x[0])
-	}
-}
-
-func TestFindStrictlyFeasibleInfeasible(t *testing.T) {
-	g := lp.NewSparseMatrix(2, 1)
-	g.Append(0, 0, 1)  // x ≤ 0
-	g.Append(1, 0, -1) // x ≥ 1
-	h := []float64{0, -1}
-	if _, err := FindStrictlyFeasible(g, h); err == nil {
-		t.Fatal("expected infeasibility")
-	}
-}
-
 func TestBarrierQuadraticBoxMin(t *testing.T) {
 	// min (x−3)² over [0,10] → x=3. f = ½·2x² −6x + const.
 	g, h := boxConstraints([]float64{0}, []float64{10})
 	obj := &QuadObjective{DiagQ: []float64{2}, C: []float64{-6}}
-	res, err := Solve(&Problem{Obj: obj, G: g, H: h}, nil, Options{})
+	res, err := Solve(&Problem{Obj: obj, G: g, H: h}, []float64{9}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +45,7 @@ func TestBarrierQuadraticActiveBound(t *testing.T) {
 	// min (x−12)² over [0,10] → x=10 (bound active).
 	g, h := boxConstraints([]float64{0}, []float64{10})
 	obj := &QuadObjective{DiagQ: []float64{2}, C: []float64{-24}}
-	res, err := Solve(&Problem{Obj: obj, G: g, H: h}, nil, Options{})
+	res, err := Solve(&Problem{Obj: obj, G: g, H: h}, []float64{5}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +97,13 @@ func TestBarrierLPMatchesSimplex(t *testing.T) {
 			h2 = append(h2, -rhs)
 			gp.AddConstraint(es, lp.GE, rhs, "")
 		}
-		res, err := Solve(&Problem{Obj: &LinearObjective{C: c}, G: g2, H: h2}, nil, Options{Tol: 1e-8})
+		// 0.9·hi is strictly inside the box and covers every row, whose
+		// right-hand side is at most 0.7 of Σ a_i·hi_i.
+		x0 := make([]float64, n)
+		for i := range x0 {
+			x0[i] = 0.9 * hi[i]
+		}
+		res, err := Solve(&Problem{Obj: &LinearObjective{C: c}, G: g2, H: h2}, x0, Options{Tol: 1e-8})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -174,7 +158,7 @@ func TestBarrierEntropicObjective(t *testing.T) {
 	p := []float64{1, 2, 0.5}
 	g, h := boxConstraints([]float64{0, 0, 0}, []float64{10, 10, 10})
 	obj := &entropyObjective{p: p, eps: 0.01}
-	res, err := Solve(&Problem{Obj: obj, G: g, H: h}, nil, Options{Tol: 1e-9})
+	res, err := Solve(&Problem{Obj: obj, G: g, H: h}, []float64{5, 5, 5}, Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +179,7 @@ func TestBarrierEntropicWithCovering(t *testing.T) {
 	g.Append(0, 0, 1) // x ≤ cap
 	g.Append(1, 0, -1)
 	h := []float64{cap, -lam}
-	res, err := Solve(&Problem{Obj: obj, G: g, H: h}, nil, Options{Tol: 1e-9})
+	res, err := Solve(&Problem{Obj: obj, G: g, H: h}, []float64{6.5}, Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +216,7 @@ func TestBarrierDualsSignAndComplementarity(t *testing.T) {
 	// Active constraint gets a positive dual; inactive ones vanish.
 	g, h := boxConstraints([]float64{0}, []float64{10})
 	obj := &QuadObjective{DiagQ: []float64{2}, C: []float64{-24}} // min at 12, clipped at 10
-	res, err := Solve(&Problem{Obj: obj, G: g, H: h}, nil, Options{Tol: 1e-9})
+	res, err := Solve(&Problem{Obj: obj, G: g, H: h}, []float64{5}, Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +232,49 @@ func TestSolveRejectsBadDims(t *testing.T) {
 	g := lp.NewSparseMatrix(2, 1)
 	if _, err := Solve(&Problem{Obj: &LinearObjective{C: []float64{1}}, G: g, H: []float64{1}}, nil, Options{}); err == nil {
 		t.Fatal("expected dimension error")
+	}
+}
+
+// TestSolveRejectsNilStart: there is no phase I, so the barrier has no
+// start to invent.
+func TestSolveRejectsNilStart(t *testing.T) {
+	g, h := boxConstraints([]float64{0}, []float64{10})
+	if _, err := Solve(&Problem{Obj: &QuadObjective{DiagQ: []float64{2}, C: []float64{-6}}, G: g, H: h}, nil, Options{}); err == nil {
+		t.Fatal("Solve accepted a nil start")
+	}
+}
+
+// TestSolveInfeasibleStartRunsPrimalDual: a start outside G·x ≤ h, and one
+// on its boundary, go to the primal–dual loop, which converges to the
+// optimum with its certificate's gap and an exit inside the box.
+func TestSolveInfeasibleStartRunsPrimalDual(t *testing.T) {
+	g, h := boxConstraints([]float64{0, 0}, []float64{10, 10})
+	p := &Problem{Obj: &QuadObjective{DiagQ: []float64{2, 2}, C: []float64{-6, -24}}, G: g, H: h}
+	for _, x0 := range [][]float64{{-7, 15}, {10, 0}, {1e6, -1e6}} {
+		sc, rec := obstest.NewScope()
+		res, err := Solve(p, x0, Options{Tol: 1e-9, Obs: sc})
+		if err != nil || !res.Converged {
+			t.Fatalf("x0 %v: converged %v, err %v", x0, res != nil && res.Converged, err)
+		}
+		if math.Abs(res.X[0]-3) > 1e-6 || math.Abs(res.X[1]-10) > 1e-6 {
+			t.Errorf("x0 %v: x = %v, want [3 10]", x0, res.X)
+		}
+		gx := make([]float64, g.M)
+		g.MulVec(gx, res.X)
+		var gap float64
+		for r := range gx {
+			if gx[r] > h[r]+1e-8 {
+				t.Errorf("x0 %v: row %d violated by %g", x0, r, gx[r]-h[r])
+			}
+			gap += (h[r] - gx[r]) * res.Duals[r]
+		}
+		if gap > 1e-9 {
+			t.Errorf("x0 %v: exit gap %g", x0, gap)
+		}
+		if rec.Counter(obs.MetricSolverIters) != int64(res.NewtonIters) || len(rec.Named("convex.linesearch")) != 0 {
+			t.Errorf("x0 %v: %d iteration events for %d steps, %d barrier line searches: not the primal–dual loop",
+				x0, rec.Counter(obs.MetricSolverIters), res.NewtonIters, len(rec.Named("convex.linesearch")))
+		}
 	}
 }
 
@@ -268,7 +295,7 @@ func TestQuadObjectiveFullMatrix(t *testing.T) {
 	q := linalg.NewDenseFrom(2, 2, []float64{2, 1, 1, 2})
 	c := []float64{-3, -3}
 	g, h := boxConstraints([]float64{-10, -10}, []float64{10, 10})
-	res, err := Solve(&Problem{Obj: &QuadObjective{Q: q, C: c}, G: g, H: h}, nil, Options{})
+	res, err := Solve(&Problem{Obj: &QuadObjective{Q: q, C: c}, G: g, H: h}, []float64{0, 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

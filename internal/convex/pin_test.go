@@ -16,7 +16,8 @@ var updatePins = flag.Bool("update", false, "rewrite the testdata pins from the 
 
 // quadPinSolve solves the pinned QuadObjective problem: a full-Q quadratic
 // over box rows plus one coupling row across all variables (Σx ≥ 0.3), with
-// no block map, so the single-block dense Newton path.
+// no block map, so the single-block dense Newton path, from an interior
+// point inside every box that covers the coupling row.
 func quadPinSolve(t *testing.T) (*Problem, *Result) {
 	t.Helper()
 	q := linalg.NewDenseFrom(4, 4, []float64{
@@ -38,7 +39,7 @@ func quadPinSolve(t *testing.T) (*Problem, *Result) {
 	}
 	h[g.M-1] = -0.3
 	p := &Problem{Obj: &QuadObjective{Q: q, C: c}, G: g, H: h}
-	res, err := Solve(p, nil, Options{Tol: 1e-9})
+	res, err := Solve(p, []float64{0.5, 0.25, 1, 0.2}, Options{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +49,9 @@ func quadPinSolve(t *testing.T) (*Problem, *Result) {
 // TestQuadObjectiveNilBlockMapPinned pins one full-Q QuadObjective solve to
 // the bit patterns of its Result.X (testdata/quad_x.json). The pin was
 // recorded before the structured Newton step landed and re-recorded when
-// the line search began carrying the slack along the search ray and when
-// the barrier began following the central path (DESIGN.md §15);
+// the line search began carrying the slack along the search ray, when
+// the barrier began following the central path (DESIGN.md §15) and when
+// the phase-I start gave way to an explicit interior point;
 // TestQuadObjectiveMatchesRecorded is the accuracy gate for any such
 // re-recording.
 func TestQuadObjectiveNilBlockMapPinned(t *testing.T) {

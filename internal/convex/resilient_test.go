@@ -19,14 +19,19 @@ func quadBox() (*Problem, []float64) {
 	return &Problem{Obj: &QuadObjective{DiagQ: []float64{2}, C: []float64{-6}}, G: g, H: h}, []float64{5}
 }
 
-// loops are the two solve loops the fault tests run, each with the stage
-// its errors carry.
+// loops are the solve loops the fault tests run, each with the stage its
+// errors carry: the barrier and the primal–dual loop from quadBox's
+// interior start, and the primal–dual loop from a start outside the box,
+// which Solve hands it.
 var loops = []struct {
 	name, stage string
 	solve       func(*Problem, []float64, Options) (*Result, error)
 }{
 	{"barrier", "convex.barrier", Solve},
 	{"primal-dual", pdStage, SolvePrimalDual},
+	{"infeasible-start", pdStage, func(p *Problem, _ []float64, opts Options) (*Result, error) {
+		return Solve(p, []float64{12}, opts)
+	}},
 }
 
 // forLoops runs test once per solve loop, as a subtest named after it.

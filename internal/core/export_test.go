@@ -27,9 +27,6 @@ func StructuredNetworks(t *testing.T) []StructuredNetwork {
 	return out
 }
 
-// ColdStart is P2's structured cold start for slot t.
-func ColdStart(p2 *P2, in *model.Inputs, t int) []float64 { return p2.warmStart(in, t) }
-
 // WarmPoint is the warm rung's carried point for slot t, nil on a warm miss.
 func WarmPoint(p2 *P2, in *model.Inputs, t int, prev *model.Decision) []float64 {
 	return newSolveState().warmPoint(p2, in, t, prev)

@@ -14,15 +14,18 @@ import (
 // folded into its cells, whose line search carries the slack along the
 // search ray and tests the merit's change along it, and which follows the
 // central path (loose centering before the final stage, a tangent
-// predictor between stages), and on the warm rung's carried point the
-// Mehrotra primal–dual loop on the same Newton system (DESIGN.md §13,
-// §15). Journals record it (journal.Header.Solver), so a change to P2's
-// arithmetic must change it too.
-const SolverID = "convex-barrier-pathfollow+warm-pd/p2-cells-raychange"
+// predictor between stages), and the Mehrotra primal–dual loop on the same
+// Newton system on the warm rung's carried point, on the rescue rungs and
+// wherever the structured start breaks a row, which it starts outside
+// G·x ≤ h with no phase I (DESIGN.md §5, §13, §15). Journals record it
+// (journal.Header.Solver), so a change to P2's arithmetic must change it
+// too.
+const SolverID = "convex-barrier-pathfollow+pd-infeasible-start/p2-cells-raychange"
 
 // P2 is the regularized subproblem for one time slot, ready to be solved by
 // the convex engine: the barrier method from the structured start, or the
-// primal–dual loop from the warm rung's carried point.
+// primal–dual loop from the warm rung's carried point and on the rescue
+// rungs.
 type P2 struct {
 	Net *model.Network
 	// Variable layout: x (per pair), y (per pair), optional z (per pair),
@@ -378,11 +381,13 @@ func sumOf(v []float64) float64 {
 	return s
 }
 
-// warmStart builds a strictly feasible interior point for P2 from the
-// current workload: route each tier-1 cloud's demand evenly over its SLA
-// pairs with safety margins. Returns nil when the margins don't hold (the
-// caller then falls back to phase I).
-func (p2 *P2) warmStart(in *model.Inputs, t int) []float64 {
+// ColdStart is P2's structured start for slot t, which every rung but the
+// warm rung's carried point solves from: each tier-1 cloud's demand routed
+// evenly over its SLA pairs with safety margins, every allocation 1% above
+// its pair's service level. It always returns the point. Where a capacity
+// cannot hold it the point breaks that row, and convex.Solve hands it to
+// the primal–dual loop, which starts outside G·x ≤ h (DESIGN.md §5).
+func (p2 *P2) ColdStart(in *model.Inputs, t int) []float64 {
 	n := p2.Net
 	v := make([]float64, p2.NumVars)
 	lam := in.Workload[t]
@@ -399,33 +404,6 @@ func (p2 *P2) warmStart(in *model.Inputs, t int) []float64 {
 			v[p2.YOff+p] = s * 1.01
 			if n.Tier1 {
 				v[p2.ZOff+p] = s * 1.01
-			}
-		}
-	}
-	// Strictness check is delegated to the solver; here only capacity
-	// margins are verified.
-	for i := 0; i < n.NumTier2; i++ {
-		var sum float64
-		for _, p := range n.PairsOfI(i) {
-			sum += v[p2.XOff+p]
-		}
-		if sum >= n.CapT2[i] {
-			return nil
-		}
-	}
-	for p := 0; p < n.NumPairs(); p++ {
-		if v[p2.YOff+p] >= n.CapNet[p] {
-			return nil
-		}
-	}
-	if n.Tier1 {
-		for j := 0; j < n.NumTier1; j++ {
-			var sum float64
-			for _, p := range n.PairsOfJ(j) {
-				sum += v[p2.ZOff+p]
-			}
-			if sum >= n.CapT1[j] {
-				return nil
 			}
 		}
 	}

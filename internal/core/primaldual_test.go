@@ -42,7 +42,7 @@ func TestPrimalDualMatchesBarrier(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cold := core.ColdStart(p2, in, tt)
+				cold := p2.ColdStart(in, tt)
 				ref, err := convex.Solve(p2.Prob, cold, so)
 				if err != nil || !ref.Converged {
 					t.Fatalf("slot %d barrier: converged %v, err %v", tt, ref != nil && ref.Converged, err)

@@ -108,20 +108,22 @@ func (st *solveState) size() int { return len(st.cache) }
 
 // warmCapMargin is the relative interior margin the warm point keeps from
 // every capacity. The previous optimum routinely sits ON a capacity boundary
-// (the cheapest tier-2 cloud saturates), and a boundary point cannot seed
-// the primal–dual loop, which rejects a start that is not comfortably
-// feasible — so saturated resources are shifted this fraction inside.
+// (the cheapest tier-2 cloud saturates). The primal–dual loop would take
+// the boundary point, but it would reset that row's slack and close the
+// residual the reset opens in extra Newton steps (EXPERIMENTS.md). So
+// saturated resources are shifted this fraction inside.
 const warmCapMargin = 1e-6
 
-// warmPoint derives a strictly feasible interior point for P2(t) from the
-// previously committed decision: the previous routing shape, rescaled per
-// tier-1 cloud to cover the realized demand λ_t with the same safety margins
-// the structured cold start uses, then shifted off any saturated capacity
-// and repaired back to demand coverage out of the remaining headroom.
-// Returns nil — a warm miss, meaning cold start, never failure — when the
-// repair runs out of headroom or the point still lands outside the
-// comfortable interior, or when P2 carries no entropic groups (then the
-// subproblem is independent of prev and there is nothing worth carrying).
+// warmPoint derives a start for P2(t) from the previously committed
+// decision: the previous routing shape, rescaled per tier-1 cloud to cover
+// the realized demand λ_t with the same safety margins the structured cold
+// start uses, then shifted off any saturated capacity and repaired back to
+// demand coverage out of the remaining headroom. A deficit the headroom
+// cannot absorb stays in the point: the primal–dual loop takes a start
+// outside G·x ≤ h as it is. Returns nil — a warm miss, meaning cold start,
+// never failure — when P2 carries no entropic groups (then the subproblem
+// is independent of prev and there is nothing worth carrying) or when a
+// non-finite previous decision leaves no shape to rescale.
 // A pure function of (p2, in, t, prev): no solve history leaks into it, so
 // warm decisions survive the resume contract of DESIGN.md §10. Once the
 // buffers have grown to the instance size it allocates nothing (pinned by
@@ -249,7 +251,7 @@ func (st *solveState) warmPoint(p2 *P2, in *model.Inputs, t int, prev *model.Dec
 	// Repair demand coverage: the shrink may have opened a deficit on (3c).
 	// Raise s — and x/y/z with it — on pairs that still have capacity
 	// headroom, consuming the trackers deterministically in pair order. A
-	// deficit the headroom cannot absorb is a warm miss.
+	// deficit the headroom cannot absorb is left to the solve.
 	for j := 0; j < n.NumTier1; j++ {
 		pairs := n.PairsOfJ(j)
 		if len(pairs) == 0 {
@@ -303,15 +305,6 @@ func (st *solveState) warmPoint(p2 *P2, in *model.Inputs, t int, prev *model.Dec
 				break
 			}
 		}
-		if deficit > 0 {
-			return nil
-		}
-	}
-
-	// The solver's own strict-interior margin over every row is the
-	// authoritative gate; failing it means cold start, not failure.
-	if !convex.ComfortablyFeasible(p2.Prob.G, p2.Prob.H, v) {
-		return nil
 	}
 	return v
 }

@@ -69,7 +69,7 @@ func TestStructuredNewtonMatchesDense(t *testing.T) {
 				if p2.Prob.Blocks == nil {
 					t.Fatal("BuildP2 supplied no block map")
 				}
-				x0 := p2.warmStart(in, tt)
+				x0 := p2.ColdStart(in, tt)
 				blocked, err := convex.Solve(p2.Prob, x0, opts.Solver)
 				if err != nil {
 					t.Fatalf("slot %d block-mapped: %v", tt, err)
@@ -119,7 +119,7 @@ func TestColdSolveLineSearchNoStall(t *testing.T) {
 		}
 		sink := obs.NewRingSink(0)
 		so.Obs = obs.NewScope(nil, sink)
-		res, err := convex.Solve(p2.Prob, p2.warmStart(in, tt), so)
+		res, err := convex.Solve(p2.Prob, p2.ColdStart(in, tt), so)
 		if err != nil {
 			t.Fatalf("slot %d: %v", tt, err)
 		}
@@ -179,7 +179,7 @@ func TestCarriedSlackExitStrictlyFeasible(t *testing.T) {
 				for _, start := range []struct {
 					kind string
 					x0   []float64
-				}{{"cold", p2.warmStart(in, tt)}, {"warm", warmX0}} {
+				}{{"cold", p2.ColdStart(in, tt)}, {"warm", warmX0}} {
 					kind := start.kind
 					if start.x0 == nil {
 						continue
@@ -232,7 +232,7 @@ func TestBarrierExitCertificate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := convex.Solve(p2.Prob, p2.warmStart(in, tt), opts.Solver)
+				res, err := convex.Solve(p2.Prob, p2.ColdStart(in, tt), opts.Solver)
 				if err != nil || !res.Converged {
 					t.Fatalf("slot %d: converged %v, err %v", tt, res != nil && res.Converged, err)
 				}
@@ -284,7 +284,7 @@ func TestBlockMappedP2SolveZeroAllocPerNewtonStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x0 := p2.warmStart(in, 0)
+	x0 := p2.ColdStart(in, 0)
 	solveAllocs := func(tol float64) (float64, int) {
 		so := opts.Solver
 		so.Tol = tol
@@ -327,7 +327,7 @@ func TestPrimalDualZeroAllocPerNewtonStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x0 := p2.warmStart(in, 0)
+	x0 := p2.ColdStart(in, 0)
 	solveAllocs := func(tol float64) (float64, int) {
 		so := opts.Solver
 		so.Tol = tol
@@ -374,7 +374,7 @@ func TestBorderFoldRank(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			x0 := p2.warmStart(in, 0)
+			x0 := p2.ColdStart(in, 0)
 			res, err := convex.Solve(p2.Prob, x0, opts.Solver)
 			if err != nil {
 				t.Fatal(err)

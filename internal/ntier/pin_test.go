@@ -40,8 +40,9 @@ func pinnedOnline(t *testing.T) (*System, *Inputs, []*Decision) {
 // TestRunOnlineNilBlockMapPinned pins the N-tier online run to per-slot
 // decision digests (testdata/online_digests.json), recorded before the
 // structured Newton step landed and re-recorded when the line search began
-// carrying the slack along the search ray and when the barrier began
-// following the central path (DESIGN.md §15). Any drift means
+// carrying the slack along the search ray, when the barrier began
+// following the central path (DESIGN.md §15) and when each slot's phase-I
+// start gave way to a structured one. Any drift means
 // the solver's arithmetic changed: TestRunOnlineMatchesRecordedCosts is
 // the accuracy gate a re-recording must pass first.
 func TestRunOnlineNilBlockMapPinned(t *testing.T) {

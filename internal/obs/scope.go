@@ -26,8 +26,9 @@ const (
 	//
 	// MetricWarmHits counts slots committed from a carried-over warm point.
 	MetricWarmHits = "warmstart.hits"
-	// MetricWarmMisses counts warm-enabled slots with no usable warm point
-	// (first slot, post-restore slot, or a point outside the strict interior).
+	// MetricWarmMisses counts warm-enabled slots after the first with no
+	// carried point: a P2 with no entropic groups has nothing to carry, and
+	// a non-finite previous decision cannot be rescaled.
 	MetricWarmMisses = "warmstart.misses"
 	// MetricWarmFallbacks counts warm attempts that stalled and fell back to
 	// the structured cold start inside the same ladder rung.
