@@ -309,3 +309,35 @@ func TestCompetitiveRatioReducesToTheorem1Form(t *testing.T) {
 		t.Fatalf("r = %v, want %v", got, want)
 	}
 }
+
+// TestSolveSlotCapacityBoundaries runs the diamond through a slot its edge
+// cloud (capacity 20) can carry only without the structured start's
+// margins, and through one it cannot carry at all. The first starts the
+// primal–dual loop outside the edge cloud's capacity row and must return
+// a feasible decision; the second must fail, in SolveSlot and in
+// RunOnline, rather than return a decision that breaks the capacity.
+func TestSolveSlotCapacityBoundaries(t *testing.T) {
+	s, err := Compile(diamond3(50), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := inputs3(s, []float64{5, 19.99, 30}, 1)
+	prev := NewZeroDecision(s)
+	for ts := 0; ts < 2; ts++ {
+		d, err := SolveSlot(s, in, ts, prev, Params{Eps: 1e-2}, convex.Options{})
+		if err != nil {
+			t.Fatalf("slot %d: %v", ts, err)
+		}
+		if ok, v := d.FeasibleAt(s, in.Workload[ts], 1e-6); !ok {
+			t.Fatalf("slot %d infeasible by %v", ts, v)
+		}
+		prev = d
+	}
+	if d, err := SolveSlot(s, in, 2, prev, Params{Eps: 1e-2}, convex.Options{}); err == nil {
+		_, v := d.FeasibleAt(s, in.Workload[2], 0)
+		t.Fatalf("slot 2 asks 30 of an edge capacity of 20, yet SolveSlot returned a decision (violation %v)", v)
+	}
+	if _, err := RunOnline(s, in, Params{Eps: 1e-2}, convex.Options{}); err == nil {
+		t.Fatal("RunOnline committed a slot no decision satisfies")
+	}
+}
