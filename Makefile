@@ -106,6 +106,11 @@ watch:
 # target searches beyond them. Each target gets a fresh, deleted-afterwards
 # fuzz cache, so its 1.6 s are not spent re-running the inputs earlier runs
 # cached, and a target whose output never reaches "now fuzzing" fails.
+# -fuzzminimizetime=0 turns off the minimization of each input that finds
+# new coverage: with it on, a worker could spend a target's whole window
+# minimizing its first such input (FuzzJournalRecover ran 14 inputs in
+# 1.6 s, and ~23k without it). A failing input is still written to
+# testdata/fuzz, unminimized.
 FUZZ_TARGETS = \
 	convex:FuzzNewtonBlockVsDense convex:FuzzPrimalDualVsBarrier convex:FuzzBarrierLog \
 	obs/journal:FuzzJournalRecordEncoding obs/journal:FuzzCanonicalDecode obs/journal:FuzzJournalRecover
@@ -113,7 +118,7 @@ FUZZ_TARGETS = \
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=./internal/$${t%%:*}; name=$${t##*:}; cache=$$(mktemp -d); \
-		out=$$($(GO) test $$pkg -run='^$$' -fuzz="^$$name\$$" -fuzztime=1600ms -test.fuzzcachedir=$$cache 2>&1); status=$$?; \
+		out=$$($(GO) test $$pkg -run='^$$' -fuzz="^$$name\$$" -fuzztime=1600ms -fuzzminimizetime=0 -test.fuzzcachedir=$$cache 2>&1); status=$$?; \
 		rm -rf $$cache; echo "$$out"; \
 		[ $$status -eq 0 ] || exit $$status; \
 		echo "$$out" | grep -q 'now fuzzing' || { echo "$$name: never reached 'now fuzzing'"; exit 1; }; \

@@ -146,7 +146,7 @@ func Solve(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
 		return nil, fmt.Errorf("convex: start of length %d for %d variables", len(x0), n)
 	}
 	if !StartsBarrier(p, x0) {
-		return SolvePrimalDual(p, x0, opts)
+		return SolvePrimalDual(p, x0, nil, opts)
 	}
 	x := linalg.Clone(x0)
 

@@ -19,6 +19,15 @@ const (
 	// is a constant, so the start is a pure function of x0.
 	pdStartGap = 10
 
+	// pdDualFloor bounds a carried multiplier below: from a given z0 a row
+	// starts at z_r = max(z0_r, pdDualFloor/s_r), so no row starts at a
+	// complementarity s_r·z_r under pdDualFloor, where a tiny exit dual
+	// would leave it. On P2's warm rung the floors from 1e-12 to 1e-4
+	// differ by at most ~0.1 steps a slot on the paper-sized network and
+	// ~1 on larger ones, each end best on one of them (EXPERIMENTS.md), so
+	// it is one constant between them, not an option.
+	pdDualFloor = 1e-6
+
 	// pdStartSlack is the relative slack a row starts at when x0 does not
 	// satisfy it comfortably: s_r = pdStartSlack·(1 + |h_r|), and the
 	// primal residual r_p = G·x + s − h carries the difference. A small
@@ -86,16 +95,18 @@ const (
 // at that slack; any other row starts at pdStartSlack·(1 + |h_r|), and the
 // primal residual r_p = G·x + s − h carries the difference until the steps
 // close it. x0 must lie inside the objective's domain (for Entropic, every
-// group's sum above −ε), which the loop does not restore. The multipliers
-// start at z_r = pdStartGap/(m·s_r), so the start is a pure function of
-// x0. The solve stops when sᵀz ≤ Tol and both the stationarity residual
-// ‖∇f + Gᵀz‖∞ and the primal residual ‖G·x + s − h‖∞ are below 1e-8
-// relative; Result.Duals is z. MaxNewton bounds the steps (a solve that
-// runs out returns Converged false, and its x may break G·x ≤ h). Ctx,
-// Fault, Obs, Workers and Work act as in Solve: every step emits one
-// convex.newton iteration event and one convex.factorize span, and with a
-// Work the steps allocate nothing.
-func SolvePrimalDual(p *Problem, x0 []float64, opts Options) (res *Result, err error) {
+// group's sum above −ε), which the loop does not restore. With a nil z0
+// the multipliers start at z_r = pdStartGap/(m·s_r), a pure function of
+// x0; a finite z0 of one entry per row (the exit duals of a neighbouring
+// problem with the same rows) starts them at max(z0_r, pdDualFloor/s_r),
+// a pure function of (x0, z0). The solve stops when sᵀz ≤ Tol and both
+// the stationarity residual ‖∇f + Gᵀz‖∞ and the primal residual
+// ‖G·x + s − h‖∞ are below 1e-8 relative; Result.Duals is z. MaxNewton
+// bounds the steps (a solve that runs out returns Converged false, and its
+// x may break G·x ≤ h). Ctx, Fault, Obs, Workers and Work act as in Solve:
+// every step emits one convex.newton iteration event and one
+// convex.factorize span, and with a Work the steps allocate nothing.
+func SolvePrimalDual(p *Problem, x0, z0 []float64, opts Options) (res *Result, err error) {
 	iters := 0 // steps run, one per convex.newton iteration event
 	defer func() {
 		if r := recover(); r != nil {
@@ -110,6 +121,9 @@ func SolvePrimalDual(p *Problem, x0 []float64, opts Options) (res *Result, err e
 	}
 	if len(x0) != n || !linalg.AllFinite(x0) {
 		return nil, fmt.Errorf("convex: primal–dual start of length %d is not a finite point of length %d", len(x0), n)
+	}
+	if z0 != nil && (len(z0) != m || !linalg.AllFinite(z0)) {
+		return nil, fmt.Errorf("convex: dual start of length %d is not a finite vector of length %d", len(z0), m)
 	}
 	x := linalg.Clone(x0)
 
@@ -132,7 +146,11 @@ func SolvePrimalDual(p *Problem, x0 []float64, opts Options) (res *Result, err e
 			s[r] = pdStartSlack * room
 		}
 		// After the reset every slack is at least comfortSlack·(1 + |h_r|) > 0.
-		z[r] = pdStartGap / (float64(m) * s[r])
+		if z0 != nil {
+			z[r] = math.Max(z0[r], pdDualFloor/s[r])
+		} else {
+			z[r] = pdStartGap / (float64(m) * s[r])
+		}
 	}
 	hTol := pdStatTol * (1 + linalg.NormInf(p.H))
 	floor := opts.Tol / (pdTargetFloor * float64(m))

@@ -28,7 +28,9 @@ var loops = []struct {
 	solve       func(*Problem, []float64, Options) (*Result, error)
 }{
 	{"barrier", "convex.barrier", Solve},
-	{"primal-dual", pdStage, SolvePrimalDual},
+	{"primal-dual", pdStage, func(p *Problem, x0 []float64, opts Options) (*Result, error) {
+		return SolvePrimalDual(p, x0, nil, opts)
+	}},
 	{"infeasible-start", pdStage, func(p *Problem, _ []float64, opts Options) (*Result, error) {
 		return Solve(p, []float64{12}, opts)
 	}},

@@ -31,3 +31,8 @@ func StructuredNetworks(t *testing.T) []StructuredNetwork {
 func WarmPoint(p2 *P2, in *model.Inputs, t int, prev *model.Decision) []float64 {
 	return newSolveState().warmPoint(p2, in, t, prev)
 }
+
+// SameCovering reports whether slots t and u give P2 the same rows.
+func SameCovering(n *model.Network, in *model.Inputs, t, u int) bool {
+	return sameCovering(n, in, t, u)
+}

@@ -38,12 +38,13 @@ type Options struct {
 
 	// WarmStart enables the incremental re-solve layer (DESIGN.md §13): a
 	// warm interior point carried from the previous slot's committed
-	// decision (with safeguarded fallback to the cold start), a
-	// digest-keyed decision cache, and the fixed-point snap. Off (the
-	// default) every slot is a cold solve from the structured start. The
-	// P2 skeleton is reused either way, since a patched P2 is
-	// bit-identical to a fresh build. Decisions stay a pure function of
-	// (previous decision, inputs, config) either way.
+	// decision, with multipliers starting from that slot's exit duals
+	// (with safeguarded fallback to the cold start), a digest-keyed
+	// decision cache, and the fixed-point snap. Off (the default) every
+	// slot is a cold solve from the structured start. The P2 skeleton is
+	// reused either way, since a patched P2 is bit-identical to a fresh
+	// build. Decisions stay a pure function of the previous checkpoint
+	// (decision, and duals when on), the inputs and the config.
 	WarmStart bool
 }
 
@@ -83,8 +84,9 @@ type Online struct {
 	p2 *P2
 
 	// state is the warm-start layer's per-run state (nil unless
-	// Opts.WarmStart); Restore replaces it with a fresh one, which is the
-	// "discard deterministically" half of the resume contract.
+	// Opts.WarmStart); Restore replaces it with a fresh one holding only
+	// the checkpointed duals, which is the "discard deterministically"
+	// half of the resume contract.
 	state *solveState
 }
 
@@ -110,13 +112,16 @@ func NewOnline(n *model.Network, in *model.Inputs, opts Options) (*Online, error
 // Prev returns the decision of the previous slot (the algorithm's state).
 func (o *Online) Prev() *model.Decision { return o.prev }
 
-// Restore primes the run mid-horizon: the next Step decides slot t and prev
-// is the committed decision of slot t-1 (recovered from a journal state
-// checkpoint). The online algorithm's whole restartable state is (t, prev) —
-// the regularized subproblem and its warm start depend only on the realized
-// inputs and the previous decision — so a restored run reproduces an
-// uninterrupted one bit-for-bit.
-func (o *Online) Restore(t int, prev *model.Decision) error {
+// Restore primes the run mid-horizon: the next Step decides slot t, prev
+// is the committed decision of slot t-1 and duals are the exit duals slot
+// t-1 carried on, solved at P2(dualsSlot) (all recovered from a journal
+// state checkpoint; nil duals for none). The online algorithm's whole
+// restartable state is (t, prev), plus the duals on a WarmStart run — the
+// regularized subproblem depends only on the realized inputs and the
+// previous decision, and its warm solve also on the duals — so a restored
+// run reproduces an uninterrupted one bit-for-bit. A run with WarmStart
+// off reads no duals and ignores them.
+func (o *Online) Restore(t int, prev *model.Decision, duals []float64, dualsSlot int) error {
 	if t < 0 || t > o.In.T {
 		return fmt.Errorf("core: restore slot %d outside horizon [0,%d]", t, o.In.T)
 	}
@@ -126,16 +131,21 @@ func (o *Online) Restore(t int, prev *model.Decision) error {
 	if err := prev.Validate(o.Net); err != nil {
 		return fmt.Errorf("core: restored state invalid: %w", err)
 	}
+	if duals != nil && (dualsSlot < 0 || dualsSlot >= t) {
+		return fmt.Errorf("core: restored duals of slot %d cannot start slot %d", dualsSlot, t)
+	}
 	o.t = t
 	o.prev = prev
-	// The P2 skeleton and the warm-start state are accelerators over run
-	// history, not part of the restartable state, and the journal does not
-	// checkpoint them. Discard them deterministically: the resumed run
-	// rebuilds the skeleton and re-solves its first slots cold (refilling
-	// the cache as it goes), producing bit-identical decisions either way.
+	// The P2 skeleton and the rest of the warm-start state are
+	// accelerators over run history, not part of the restartable state,
+	// and the journal does not checkpoint them. Discard them
+	// deterministically: the resumed run rebuilds the skeleton and
+	// re-solves its first slots (refilling the cache as it goes),
+	// producing bit-identical decisions either way.
 	o.p2 = nil
 	if o.state != nil {
 		o.state = newSolveState()
+		o.state.setDuals(duals, dualsSlot)
 	}
 	return nil
 }
@@ -155,9 +165,10 @@ func (o *Online) Report() *Report { return &o.report }
 // never aborts on a numerical breakdown. Build/validation errors and
 // context cancellation still abort. On WarmStart runs a solved decision
 // within solver jitter of the previous one commits the previous decision
-// bitwise (the fixed-point snap, DESIGN.md §13). Step reads the clock once
-// on entry and once at commit; that one measurement is the slot's Duration,
-// its journaled dur_ns and its core.slot span's duration.
+// bitwise (the fixed-point snap, DESIGN.md §13) and carries its incoming
+// duals on. Step reads the clock once on entry and once at commit; that
+// one measurement is the slot's Duration, its journaled dur_ns and its
+// core.slot span's duration.
 func (o *Online) Step() (*model.Decision, error) {
 	if o.t >= o.In.T {
 		return nil, fmt.Errorf("core: horizon exhausted at slot %d", o.t)
@@ -166,22 +177,26 @@ func (o *Online) Step() (*model.Decision, error) {
 	slotScope := o.Opts.Obs.Slot(o.t)
 	span := slotScope.StartSpan("core.slot")
 	var key cacheKey
+	var z0 []float64
 	if o.state != nil {
-		key = o.state.cacheKey(o.In, o.t, o.prev)
-		if dec, digest, ok := o.state.lookup(key); ok {
+		z0 = o.state.startDuals(o.Net, o.In, o.t)
+		key = o.state.cacheKey(o.In, o.t, o.prev, z0)
+		if e, ok := o.state.lookup(key, z0); ok {
 			// Digest-keyed cache hit: an earlier slot already solved this
-			// exact (inputs, previous decision) pair, so the committed
-			// decision is bit-identical to what a fresh solve would return.
+			// exact (inputs, previous decision, incoming duals) triple, so
+			// the committed decision and outgoing duals are bit-identical
+			// to what a fresh solve would return.
 			slotScope.Count(obs.MetricWarmCacheHits, 1)
 			slotScope.SetGauge(obs.MetricWarmCacheSize, float64(o.state.size()))
 			sr := SlotReport{Slot: o.t, Rung: RungCache, Warm: true, Duration: time.Since(start)}
 			span.EndWith(sr.Duration)
 			o.report.Slots = append(o.report.Slots, sr)
-			o.recordCommit(dec, sr, key.inputs, digest)
-			o.state.prevDigest = digest
-			o.prev = dec
+			o.state.hit(e, o.t)
+			o.recordCommit(e.dec, sr, key.inputs, e.digest)
+			o.state.prevDigest = e.digest
+			o.prev = e.dec
 			o.t++
-			return dec, nil
+			return e.dec, nil
 		}
 	}
 	stepOpts := o.Opts
@@ -190,10 +205,11 @@ func (o *Online) Step() (*model.Decision, error) {
 		stepOpts.Solver.Work = o.work
 	}
 	solveSpan := slotScope.StartSpan("core.solve")
-	dec, ladder, commit, err := solveP2(o.Net, o.In, o.t, o.prev, stepOpts, &o.p2, o.state)
+	dec, ladder, commit, err := solveP2(o.Net, o.In, o.t, o.prev, stepOpts, &o.p2, o.state, z0)
 	solveSpan.End()
 	sr := SlotReport{Slot: o.t, Ladder: ladder, Iterations: ladder.Iterations(),
 		Warm: commit.warm, SolveIters: commit.iters}
+	snapped := false
 	switch {
 	case err == nil:
 		sr.Rung = ladder.Rung
@@ -207,6 +223,7 @@ func (o *Online) Step() (*model.Decision, error) {
 			// short-circuit.
 			if ok, _ := o.prev.FeasibleAt(o.Net, o.In.Workload[o.t], feasTol); ok {
 				dec = o.prev.Clone()
+				snapped = true
 			}
 		}
 	case !resilience.IsSolveFailure(err) || resilience.IsCanceled(err):
@@ -230,6 +247,18 @@ func (o *Online) Step() (*model.Decision, error) {
 		sr.Rung = tactic
 		sr.Err = err
 	}
+	// The outgoing duals: none after a degraded slot; the incoming ones,
+	// bitwise, after a slot that started from them and snapped, so a fixed
+	// point stays fixed and its cache key repeats; the committing solve's
+	// otherwise.
+	carried := snapped && z0 != nil
+	if o.state != nil && !carried {
+		if sr.Status == SlotDegraded {
+			o.state.setDuals(nil, 0)
+		} else {
+			o.state.setDuals(commit.duals, o.t)
+		}
+	}
 	sr.Duration = time.Since(start)
 	span.EndWith(sr.Duration)
 	o.report.Slots = append(o.report.Slots, sr)
@@ -239,7 +268,7 @@ func (o *Online) Step() (*model.Decision, error) {
 			digest = journal.Digest(dec.X, dec.Y, dec.Z)
 		}
 		if sr.Status == SlotOK {
-			o.state.store(key, dec, digest)
+			o.state.store(key, z0, dec, digest, carried)
 		}
 		o.state.prevDigest = digest
 		slotScope.SetGauge(obs.MetricWarmCacheSize, float64(o.state.size()))
@@ -297,6 +326,13 @@ func (o *Online) recordCommit(dec *model.Decision, sr SlotReport, inputsDigest, 
 	// are one commit (one write, one fsync), so a crashed run resumes from
 	// here instead of re-solving its prefix (Online.Restore reverses the
 	// checkpoint).
+	state := journal.StateRecord{
+		Slot: sr.Slot, X: dec.X, Y: dec.Y, Z: dec.Z,
+		DecisionDigest: decisionDigest,
+	}
+	if o.state != nil {
+		state.Duals, state.DualsSlot = o.state.duals, o.state.dualsSlot
+	}
 	o.Opts.Journal.Commit(journal.SlotRecord{
 		Slot:           sr.Slot,
 		InputsDigest:   inputsDigest,
@@ -309,10 +345,7 @@ func (o *Online) recordCommit(dec *model.Decision, sr SlotReport, inputsDigest, 
 		Iters:          sr.Iterations,
 		Warm:           sr.Warm,
 		Attr:           ja,
-	}, journal.StateRecord{
-		Slot: sr.Slot, X: dec.X, Y: dec.Y, Z: dec.Z,
-		DecisionDigest: decisionDigest,
-	})
+	}, state)
 	return decisionDigest
 }
 

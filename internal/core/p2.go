@@ -15,12 +15,13 @@ import (
 // search ray and tests the merit's change along it, and which follows the
 // central path (loose centering before the final stage, a tangent
 // predictor between stages), and the Mehrotra primal–dual loop on the same
-// Newton system on the warm rung's carried point, on the rescue rungs and
-// wherever the structured start breaks a row, which it starts outside
-// G·x ≤ h with no phase I (DESIGN.md §5, §13, §15). Journals record it
-// (journal.Header.Solver), so a change to P2's arithmetic must change it
+// Newton system on the warm rung's carried point, whose multipliers start
+// from the previous slot's exit duals where its rows repeat, on the rescue
+// rungs and wherever the structured start breaks a row, which it starts
+// outside G·x ≤ h with no phase I (DESIGN.md §5, §13, §15). Journals record
+// it (journal.Header.Solver), so a change to P2's arithmetic must change it
 // too.
-const SolverID = "convex-barrier-pathfollow+pd-infeasible-start/p2-cells-raychange"
+const SolverID = "convex-barrier-pathfollow+pd-infeasible-start+carried-duals/p2-cells-raychange"
 
 // P2 is the regularized subproblem for one time slot, ready to be solved by
 // the convex engine: the barrier method from the structured start, or the
@@ -310,6 +311,29 @@ func (p2 *P2) Patch(in *model.Inputs, t int, prev *model.Decision) bool {
 		}
 	}
 	p2.fill(in, t, prev)
+	return true
+}
+
+// sameCovering reports whether P2 of slots t and u has the same (3d)/(3e)
+// covering-row activity, and so the same rows in the same order: the
+// condition under which the exit duals of one are a dual start for the
+// other. It reads the inputs alone, as Patch does.
+func sameCovering(n *model.Network, in *model.Inputs, t, u int) bool {
+	if t == u {
+		return true
+	}
+	lt, lu := in.Workload[t], in.Workload[u]
+	tt, tu := sumOf(lt), sumOf(lu)
+	for i := 0; i < n.NumTier2; i++ {
+		if covers(tt-n.CapT2[i]) != covers(tu-n.CapT2[i]) {
+			return false
+		}
+	}
+	for p, pr := range n.Pairs {
+		if covers(lt[pr.J]-n.CapNet[p]) != covers(lu[pr.J]-n.CapNet[p]) {
+			return false
+		}
+	}
 	return true
 }
 

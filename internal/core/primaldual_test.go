@@ -15,8 +15,9 @@ import (
 // P2: on the structured gate's networks and on the warm-bursty network (the
 // paper-sized 3×6, K=2, on the World Cup trace), every slot's P2 is solved
 // by the barrier from the structured cold start and by the primal–dual loop
-// from the same point and from the carried warm point, all at the cold
-// tolerance. The objectives must agree to 1e-7 relative, and every
+// from the same point and from the carried warm point, and from that point
+// with the previous slot's barrier exit duals as z0 where the two slots
+// have the same rows, all at the cold tolerance. The objectives must agree to 1e-7 relative, and every
 // primal–dual exit must carry its certificate: G·x ≤ h and the
 // stationarity ‖∇f + Gᵀz‖∞ within 1e-8 relative, and the gap
 // (h − G·x)ᵀz within the tolerance. The barrier's decision carries forward
@@ -36,6 +37,7 @@ func TestPrimalDualMatchesBarrier(t *testing.T) {
 		t.Run(c.Name, func(t *testing.T) {
 			n, in := c.Net, c.In
 			prev := model.NewZeroDecision(n)
+			var prevDuals []float64 // the previous slot's barrier exit duals
 			warm := 0
 			for tt := 0; tt < in.T; tt++ {
 				p2, err := core.BuildP2(n, in, tt, prev, opts.Params)
@@ -47,21 +49,22 @@ func TestPrimalDualMatchesBarrier(t *testing.T) {
 				if err != nil || !ref.Converged {
 					t.Fatalf("slot %d barrier: converged %v, err %v", tt, ref != nil && ref.Converged, err)
 				}
-				starts := []struct {
-					name string
-					x0   []float64
-				}{{"cold", cold}}
+				type start struct {
+					name   string
+					x0, z0 []float64
+				}
+				starts := []start{{name: "cold", x0: cold}}
 				if tt > 0 {
 					if x0 := core.WarmPoint(p2, in, tt, prev); x0 != nil {
-						starts = append(starts, struct {
-							name string
-							x0   []float64
-						}{"warm", x0})
+						starts = append(starts, start{name: "warm", x0: x0})
+						if core.SameCovering(n, in, tt, tt-1) {
+							starts = append(starts, start{name: "warm from carried duals", x0: x0, z0: prevDuals})
+						}
 						warm++
 					}
 				}
 				for _, st := range starts {
-					res, err := convex.SolvePrimalDual(p2.Prob, st.x0, so)
+					res, err := convex.SolvePrimalDual(p2.Prob, st.x0, st.z0, so)
 					if err != nil || !res.Converged {
 						t.Fatalf("slot %d %s primal–dual: converged %v, err %v", tt, st.name, res != nil && res.Converged, err)
 					}
@@ -70,6 +73,7 @@ func TestPrimalDualMatchesBarrier(t *testing.T) {
 					}
 					checkCertificate(t, p2.Prob, res, tol)
 				}
+				prevDuals = ref.Duals
 				prev = p2.Extract(ref.X)
 			}
 			if warm == 0 {

@@ -42,7 +42,9 @@ const feasTol = 1e-4
 //
 //  1. warm — the barrier solve from the structured start P2.ColdStart
 //     (Online.Step, on a warm-start run, first solves the carried point
-//     with the primal–dual loop); a structured start that breaks a
+//     with the primal–dual loop, its multipliers starting from the
+//     previous slot's exit duals where the rows repeat); a structured
+//     start that breaks a
 //     capacity is solved by the primal–dual loop, as convex.Solve would
 //     (convex.StartsBarrier);
 //  2. restart-center — the primal–dual loop (convex.SolvePrimalDual) from
@@ -62,15 +64,18 @@ const feasTol = 1e-4
 // warm point, whatever opts.WarmStart says. Online.Step runs the same
 // ladder with its P2 skeleton and per-run warm-start state (DESIGN.md §13).
 func SolveP2Resilient(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options) (*model.Decision, *resilience.LadderReport, error) {
-	dec, ladder, _, err := solveP2(n, in, t, prev, opts, nil, nil)
+	dec, ladder, _, err := solveP2(n, in, t, prev, opts, nil, nil, nil)
 	return dec, ladder, err
 }
 
 // p2Commit describes the solve attempt that produced a slot's decision:
-// its Newton iterations and whether it started from the carried warm point.
+// its Newton iterations, whether it started from the carried warm point,
+// and its exit duals (Result.Duals: the primal–dual loop's z, or the
+// barrier's 1/(t·s)).
 type p2Commit struct {
 	iters int
 	warm  bool
+	duals []float64
 }
 
 // solveP2 is SolveP2Resilient with the run's P2 skeleton and the warm-start
@@ -78,13 +83,14 @@ type p2Commit struct {
 // is patched from the cached skeleton *skel when its topology repeats and
 // a fresh build replaces it otherwise. With st, the warm rung first solves
 // from the carried previous-decision point with the primal–dual loop
-// (convex.SolvePrimalDual), falling back to the solve from the
+// (convex.SolvePrimalDual), its multipliers starting from z0 (the carried
+// duals, or nil for the loop's own start), falling back to the solve from the
 // structured start inside the same rung on any failure, so the rungs
 // below never see a warm-start artifact. Every attempt on the ladder
 // reports the Newton iterations its solves ran, failed ones
 // included, as the solver returned them (Result.NewtonIters or
 // SolveError.Iters). solveP2 also returns the committing attempt.
-func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, skel **P2, st *solveState) (*model.Decision, *resilience.LadderReport, p2Commit, error) {
+func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, opts Options, skel **P2, st *solveState, z0 []float64) (*model.Decision, *resilience.LadderReport, p2Commit, error) {
 	asm := opts.Obs.StartSpan("core.assemble")
 	var p2 *P2
 	if skel != nil && *skel != nil && (*skel).Patch(in, t, prev) {
@@ -120,22 +126,29 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 
 	// attempt runs one solve from start and returns its decision and the
 	// Newton iterations it ran, failed or not: the primal–dual loop when
-	// pd is set, convex.Solve otherwise. warm marks a solve from the
-	// carried warm point. A success is the slot's commit, so it is noted
-	// in commit.
+	// pd is set, convex.Solve otherwise. warm marks the solve from the
+	// carried warm point, whose multipliers start from z0. A success is
+	// the slot's commit, so it is noted in commit.
 	var commit p2Commit
 	attempt := func(solverOpts convex.Options, start []float64, pd, warm bool) (*model.Decision, int, error) {
 		if solverOpts.Obs == nil {
 			solverOpts.Obs = opts.Obs
 		}
-		solve, stage, phase := convex.Solve, "convex.barrier", "p2-barrier"
+		stage, phase := "convex.barrier", "p2-barrier"
 		if pd {
-			solve, stage, phase = convex.SolvePrimalDual, "convex.primaldual", "p2-primaldual"
+			stage, phase = "convex.primaldual", "p2-primaldual"
 		}
 		var res *convex.Result
 		var serr error
 		opts.Obs.Phase(solverOpts.Ctx, phase, func() {
-			res, serr = solve(p2.Prob, start, solverOpts)
+			switch {
+			case !pd:
+				res, serr = convex.Solve(p2.Prob, start, solverOpts)
+			case warm:
+				res, serr = convex.SolvePrimalDual(p2.Prob, start, z0, solverOpts)
+			default:
+				res, serr = convex.SolvePrimalDual(p2.Prob, start, nil, solverOpts)
+			}
 		})
 		if serr != nil {
 			return nil, resilience.IterationsOf(serr), serr
@@ -155,7 +168,7 @@ func solveP2(n *model.Network, in *model.Inputs, t int, prev *model.Decision, op
 				Err:   fmt.Errorf("extracted decision violates slot %d constraints by %g", t, v),
 			}
 		}
-		commit = p2Commit{iters: res.NewtonIters, warm: warm}
+		commit = p2Commit{iters: res.NewtonIters, warm: warm, duals: res.Duals}
 		return dec, res.NewtonIters, nil
 	}
 

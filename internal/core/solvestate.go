@@ -14,20 +14,27 @@ import (
 const decisionCacheCap = 64
 
 // solveState is the per-run incremental re-solve state of the warm-start
-// layer (DESIGN.md §13). It carries two kinds of reuse across slots (the
+// layer (DESIGN.md §13). It carries three kinds of reuse across slots (the
 // P2 skeleton, which every run reuses, lives on Online):
 //
 //   - a warm interior point derived from the previously committed decision,
 //     which the warm rung solves from with the primal–dual loop
 //     (convex.SolvePrimalDual) before the barrier's structured cold start;
+//   - the exit duals of the solve that committed the previous slot, from
+//     which that warm solve starts its multipliers;
 //   - a digest-keyed decision cache short-circuiting slots whose
-//     (inputs, previous decision) pair already committed — the key reuses
-//     the journal's SHA-256 digests, so a hit is bit-identical to re-solving.
+//     (inputs, previous decision, incoming duals) triple already committed
+//     — the key reuses the journal's SHA-256 digests for the first two and
+//     a hash of the duals, which a hit confirms bitwise, so a hit is
+//     bit-identical to re-solving.
 //
-// Everything in it is an accelerator, never an input: the committed decision
-// of every slot remains a pure function of (previous decision, slot inputs,
-// config), which is why Online.Restore can simply discard the state and a
-// resumed run still reproduces an uninterrupted one bit-for-bit.
+// The duals are part of the restartable state: the journal checkpoints
+// them with the decision (journal.StateRecord.Duals) and Online.Restore
+// hands them back. Everything else is an accelerator, never an input: the
+// committed decision and outgoing duals of every slot remain a pure
+// function of (previous decision, incoming duals, slot inputs, config),
+// which is why Restore can discard the rest and a resumed run still
+// reproduces an uninterrupted one bit-for-bit.
 //
 // A solveState must not be shared by concurrent solves.
 type solveState struct {
@@ -41,6 +48,16 @@ type solveState struct {
 	// ("" until the first commit; computed lazily from prev on first use).
 	prevDigest string
 
+	// duals are the exit duals the next slot's warm solve may start from
+	// (nil before the first commit, after a degraded slot and on a
+	// Restore without them), dualsSlot the slot whose P2 they were solved
+	// at, and dualsHash their hash (hashDuals), computed once when they
+	// are set. The slice is never written to once set: cache entries share
+	// it.
+	duals     []float64
+	dualsSlot int
+	dualsHash uint64
+
 	cache map[cacheKey]cacheEntry
 	order []cacheKey // insertion order, for deterministic FIFO eviction
 
@@ -51,14 +68,24 @@ type solveState struct {
 }
 
 // cacheKey is the decision-cache key of one slot: the journal's inputs
-// digest of the slot and the digest of the decision it starts from.
+// digest of the slot, the digest of the decision it starts from and the
+// hash of the duals its warm solve starts from (0 for none).
 type cacheKey struct {
 	inputs, prev string
+	duals        uint64
 }
 
+// cacheEntry is what one cached slot started from and committed: its
+// incoming duals (nil for none), which a hit compares bitwise, since the
+// key holds only their hash; its decision and digest; and its outgoing
+// duals. A snapped slot carried its incoming duals on (carried); any other
+// entry holds the fresh duals its solve exited with.
 type cacheEntry struct {
-	dec    *model.Decision
-	digest string
+	in      []float64
+	dec     *model.Decision
+	digest  string
+	carried bool
+	duals   []float64
 }
 
 // newSolveState returns an empty warm-start state. Online creates one per
@@ -67,30 +94,104 @@ func newSolveState() *solveState {
 	return &solveState{cache: make(map[cacheKey]cacheEntry, decisionCacheCap)}
 }
 
-// cacheKey derives the decision-cache key for slot t: the journal input
-// digest (workload row plus every operating-price row — tier-1 included on
-// tier-1 networks) paired with the previous decision's digest. Keying on the
-// full pair is what makes a hit bit-identical to a re-solve — P2(t) depends
-// on exactly those inputs and nothing else. The key's inputs digest is the
+// setDuals makes duals, solved at P2(slot), the ones the next slot starts
+// from. Nil duals clear them.
+func (st *solveState) setDuals(duals []float64, slot int) {
+	st.duals, st.dualsSlot, st.dualsHash = duals, slot, hashDuals(duals)
+}
+
+// hashDuals is FNV-1a over the bit patterns of v, one 64-bit word an
+// element: the duals' part of a decision-cache key, 0 for nil. It costs a
+// multiply an element, where a SHA-256 digest of ~70 duals cost about a
+// microsecond a slot; a hit compares the duals themselves, so a collision
+// can only cost a miss.
+func hashDuals(v []float64) uint64 {
+	if v == nil {
+		return 0
+	}
+	h := uint64(14695981039346656037)
+	for _, x := range v {
+		h ^= math.Float64bits(x)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// startDuals returns the duals P2(t)'s warm solve starts from: the
+// carried ones when the slot they were solved at has slot t's (3d)/(3e)
+// covering activity, and so the same rows, and nil otherwise. The test
+// reads the inputs alone, never whether the skeleton patched, which a
+// Restore resets.
+func (st *solveState) startDuals(n *model.Network, in *model.Inputs, t int) []float64 {
+	if st.duals == nil || !sameCovering(n, in, t, st.dualsSlot) {
+		return nil
+	}
+	return st.duals
+}
+
+// cacheKey derives the decision-cache key for slot t, whose warm solve
+// starts from z0 (startDuals; nil for none): the journal input digest
+// (workload row plus every operating-price row — tier-1 included on tier-1
+// networks), the previous decision's digest and the hash of z0. Keying on
+// the full triple, and confirming z0 on a hit (lookup), is what makes a
+// hit bit-identical to a re-solve — P2(t) and its warm solve depend on
+// exactly those inputs and nothing else. The key's inputs digest is the
 // one the slot's journal record carries.
-func (st *solveState) cacheKey(in *model.Inputs, t int, prev *model.Decision) cacheKey {
+func (st *solveState) cacheKey(in *model.Inputs, t int, prev *model.Decision, z0 []float64) cacheKey {
 	if st.prevDigest == "" {
 		st.prevDigest = journal.Digest(prev.X, prev.Y, prev.Z)
 	}
-	return cacheKey{inputs: InputsDigest(in, t), prev: st.prevDigest}
+	k := cacheKey{inputs: InputsDigest(in, t), prev: st.prevDigest}
+	if z0 != nil {
+		k.duals = st.dualsHash
+	}
+	return k
 }
 
-// lookup returns the cached decision for key, if any. The returned decision
-// is shared (it was committed once already) and must be treated as
-// immutable — committed decisions never are mutated.
-func (st *solveState) lookup(key cacheKey) (*model.Decision, string, bool) {
+// lookup returns the cache entry for key whose incoming duals are z0 bit
+// for bit, if any. The entry's decision is shared (it was committed once
+// already) and must be treated as immutable — committed decisions never
+// are mutated.
+func (st *solveState) lookup(key cacheKey, z0 []float64) (cacheEntry, bool) {
 	e, ok := st.cache[key]
-	return e.dec, e.digest, ok
+	if !ok || (e.in == nil) != (z0 == nil) || !sameBits(e.in, z0) {
+		return cacheEntry{}, false
+	}
+	return e, true
 }
 
-// store caches a cleanly committed decision under key, evicting the oldest
-// entry once the cache is full.
-func (st *solveState) store(key cacheKey, dec *model.Decision, digest string) {
+// sameBits reports whether a and b hold the same float64 bit patterns. At
+// a fixed point the entry's incoming duals are the state's own slice, which
+// the first test settles without a scan.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// hit carries a cache hit's outgoing duals into the state, as the slot's
+// re-solve would: a snapped entry keeps the incoming duals bitwise, any
+// other one hands over its fresh duals, solved at slot t.
+func (st *solveState) hit(e cacheEntry, t int) {
+	if !e.carried {
+		st.setDuals(e.duals, t)
+	}
+}
+
+// store caches a cleanly committed decision under key, with z0, the duals
+// the slot started from, and the state's current (outgoing) duals,
+// evicting the oldest entry once the cache is full. carried marks a
+// snapped slot, whose outgoing duals are its incoming ones.
+func (st *solveState) store(key cacheKey, z0 []float64, dec *model.Decision, digest string, carried bool) {
 	if _, ok := st.cache[key]; ok {
 		return
 	}
@@ -98,7 +199,7 @@ func (st *solveState) store(key cacheKey, dec *model.Decision, digest string) {
 		delete(st.cache, st.order[0])
 		st.order = st.order[1:]
 	}
-	st.cache[key] = cacheEntry{dec: dec, digest: digest}
+	st.cache[key] = cacheEntry{in: z0, dec: dec, digest: digest, carried: carried, duals: st.duals}
 	st.order = append(st.order, key)
 }
 
@@ -124,8 +225,8 @@ const warmCapMargin = 1e-6
 // never failure — when P2 carries no entropic groups (then the subproblem
 // is independent of prev and there is nothing worth carrying) or when a
 // non-finite previous decision leaves no shape to rescale.
-// A pure function of (p2, in, t, prev): no solve history leaks into it, so
-// warm decisions survive the resume contract of DESIGN.md §10. Once the
+// A pure function of (p2, in, t, prev), so the warm point survives the
+// resume contract of DESIGN.md §10. Once the
 // buffers have grown to the instance size it allocates nothing (pinned by
 // TestWarmPointZeroAlloc).
 func (st *solveState) warmPoint(p2 *P2, in *model.Inputs, t int, prev *model.Decision) []float64 {
@@ -315,7 +416,7 @@ func (st *solveState) warmPoint(p2 *P2, in *model.Inputs, t int, prev *model.Dec
 // rung produced it. Stationary instances converge to a fixed point
 // up to solver jitter (~1e-14 at unit scale, measured) but never bit-exactly,
 // so without the snap the digest-keyed decision cache could never see a
-// repeated (inputs, previous-decision) pair. 1e-9 sits far above the jitter
+// repeated (inputs, previous decision, duals) triple. 1e-9 sits far above the jitter
 // and far below any economically meaningful reallocation.
 const warmSnapEps = 1e-9
 

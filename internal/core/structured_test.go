@@ -332,12 +332,12 @@ func TestPrimalDualZeroAllocPerNewtonStep(t *testing.T) {
 		so := opts.Solver
 		so.Tol = tol
 		so.Work = convex.NewWorkspace()
-		res, err := convex.SolvePrimalDual(p2.Prob, x0, so)
+		res, err := convex.SolvePrimalDual(p2.Prob, x0, nil, so)
 		if err != nil || !res.Converged {
 			t.Fatalf("tol %g: converged %v, err %v", tol, res != nil && res.Converged, err)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := convex.SolvePrimalDual(p2.Prob, x0, so); err != nil {
+			if _, err := convex.SolvePrimalDual(p2.Prob, x0, nil, so); err != nil {
 				t.Fatal(err)
 			}
 		})

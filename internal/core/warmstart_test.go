@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"soral/internal/model"
@@ -199,8 +200,8 @@ func TestWarmCacheKeyCoversTier1Prices(t *testing.T) {
 	in.PriceT1 = [][]float64{{1}, {3}}
 	prev := model.NewZeroDecision(n)
 	st := newSolveState()
-	if k0, k1 := st.cacheKey(in, 0, prev), st.cacheKey(in, 1, prev); k0 == k1 {
-		t.Fatalf("cache key ignores tier-1 prices: slots 0 and 1 collide on %s", k0)
+	if k0, k1 := st.cacheKey(in, 0, prev, nil), st.cacheKey(in, 1, prev, nil); k0 == k1 {
+		t.Fatalf("cache key ignores tier-1 prices: slots 0 and 1 collide on %+v", k0)
 	}
 	flat := inputsFor([]float64{4}, []float64{1})
 	if got, want := InputsDigest(flat, 0), journal.Digest(flat.Workload[0], flat.PriceT2[0]); got != want {
@@ -258,13 +259,9 @@ func TestWarmCacheMissesOnTier1PriceChange(t *testing.T) {
 	}
 }
 
-// TestWarmDecisionCacheHitsOnStationaryPair drives solveState's cache
-// through Online on a stationary two-tier instance. Under reconfiguration
-// smoothing the decision approaches the stationary optimum geometrically
-// (that is the algorithm working as designed), so the horizon is long enough
-// for the trajectory to land within the fixed-point snap; from there the
-// digest-keyed cache short-circuits every remaining slot bit-identically.
-func TestWarmDecisionCacheHitsOnStationaryPair(t *testing.T) {
+// stationaryCase is a two-tier instance whose inputs repeat slot 0's on
+// all 60 slots.
+func stationaryCase() (*model.Network, *model.Inputs) {
 	rng := rand.New(rand.NewSource(904))
 	n := model.RandomNetwork(rng, 3, 4, 2, 8)
 	in := model.RandomInputs(rng, n, 60)
@@ -272,6 +269,17 @@ func TestWarmDecisionCacheHitsOnStationaryPair(t *testing.T) {
 		copy(in.Workload[tt], in.Workload[0])
 		copy(in.PriceT2[tt], in.PriceT2[0])
 	}
+	return n, in
+}
+
+// TestWarmDecisionCacheHitsOnStationaryPair drives solveState's cache
+// through Online on a stationary two-tier instance. Under reconfiguration
+// smoothing the decision approaches the stationary optimum geometrically
+// (that is the algorithm working as designed), so the horizon is long enough
+// for the trajectory to land within the fixed-point snap; from there the
+// digest-keyed cache short-circuits every remaining slot bit-identically.
+func TestWarmDecisionCacheHitsOnStationaryPair(t *testing.T) {
+	n, in := stationaryCase()
 	opts := DefaultOptions()
 	opts.WarmStart = true
 	seq, rep, err := RunOnlineReport(n, in, opts)
@@ -291,5 +299,141 @@ func TestWarmDecisionCacheHitsOnStationaryPair(t *testing.T) {
 	prev := journal.Digest(seq[in.T-2].X, seq[in.T-2].Y, seq[in.T-2].Z)
 	if last != prev {
 		t.Errorf("cached stationary decisions not bit-identical across slots")
+	}
+}
+
+// checkpoint is what a journal state record carries for one slot: the
+// committed decision and the duals the next slot starts from.
+type checkpoint struct {
+	dec       *model.Decision
+	duals     []float64
+	dualsSlot int
+}
+
+// warmCheckpoints runs a WarmStart run over the whole horizon and returns
+// each slot's checkpoint and the run report.
+func warmCheckpoints(t *testing.T, n *model.Network, in *model.Inputs) ([]checkpoint, *Report) {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.WarmStart = true
+	o, err := NewOnline(n, in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cks []checkpoint
+	for o.Slot() < in.T {
+		d, err := o.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cks = append(cks, checkpoint{d, o.state.duals, o.state.dualsSlot})
+	}
+	return cks, o.Report()
+}
+
+// restored returns a WarmStart run restored from ck to decide slot t.
+func restored(t *testing.T, n *model.Network, in *model.Inputs, slot int, ck checkpoint) *Online {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.WarmStart = true
+	o, err := NewOnline(n, in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Restore(slot, ck.dec.Clone(), slices.Clone(ck.duals), ck.dualsSlot); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// sameCheckpoint reports whether two checkpoints hold the same decision
+// and duals bit for bit, and the same duals slot.
+func sameCheckpoint(a, b checkpoint) bool {
+	return journal.Digest(a.dec.X, a.dec.Y, a.dec.Z) == journal.Digest(b.dec.X, b.dec.Y, b.dec.Z) &&
+		journal.Digest(a.duals) == journal.Digest(b.duals) && len(a.duals) == len(b.duals) &&
+		a.dualsSlot == b.dualsSlot
+}
+
+// TestWarmCacheResumeInsideHitStretch holds the decision cache to the
+// carried duals on the stationary instance: hits still happen once the
+// decision and its duals repeat, and a run restored from a checkpoint
+// inside the stretch of hits re-solves its first slot, lands on the same
+// fixed point and commits the uninterrupted run's decisions and duals bit
+// for bit, hitting the cache again.
+func TestWarmCacheResumeInsideHitStretch(t *testing.T) {
+	n, in := stationaryCase()
+	want, rep := warmCheckpoints(t, n, in)
+	first := -1
+	for _, sr := range rep.Slots {
+		if sr.Rung == RungCache {
+			first = sr.Slot
+			break
+		}
+	}
+	if first < 0 || first > in.T-4 {
+		t.Fatalf("first cache hit at slot %d of %d", first, in.T)
+	}
+	for _, r := range []int{first, first + 1, in.T - 3} {
+		if rep.Slots[r].Rung != RungCache {
+			t.Fatalf("slot %d inside the stretch of hits is %q", r, rep.Slots[r].Rung)
+		}
+		o := restored(t, n, in, r+1, want[r])
+		hits := 0
+		for o.Slot() < in.T {
+			s := o.Slot()
+			d, err := o.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameCheckpoint(checkpoint{d, o.state.duals, o.state.dualsSlot}, want[s]) {
+				t.Fatalf("resumed after slot %d: slot %d differs from the uninterrupted run", r, s)
+			}
+			if o.Report().Slots[len(o.Report().Slots)-1].Rung == RungCache {
+				hits++
+			}
+		}
+		if hits == 0 && in.T-r > 2 {
+			t.Errorf("resumed after slot %d: no cache hit in %d slots", r, in.T-r-1)
+		}
+	}
+}
+
+// TestWarmCoveringSwitchStartsFromDefaultDuals pins when carried duals are
+// a dual start: only where the slot's (3d)/(3e) covering activity equals
+// that of the slot they were solved at. On a network whose workload
+// switches covering rows on at slot 2 and off at slot 4, the warm solve of
+// those slots starts from the default z — a run restored there with the
+// checkpointed duals and one restored with none commit the same bits, and
+// both the uninterrupted run's — while slots 1 and 3, whose rows repeat,
+// start from the duals.
+func TestWarmCoveringSwitchStartsFromDefaultDuals(t *testing.T) {
+	n, in := coveringSwitchCase(t)
+	in.Workload = [][]float64{{3, 3}, {3.2, 3}, {7, 3}, {7.1, 3}, {3, 3.1}}
+	want, _ := warmCheckpoints(t, n, in)
+	for s := 1; s < in.T; s++ {
+		switched := !sameCovering(n, in, s, want[s-1].dualsSlot)
+		if switched != (s == 2 || s == 4) {
+			t.Fatalf("slot %d: covering switch %v", s, switched)
+		}
+		withDuals := restored(t, n, in, s, want[s-1])
+		if got := withDuals.state.startDuals(n, in, s); (got == nil) != switched {
+			t.Fatalf("slot %d: restored start duals %v with a covering switch %v", s, got != nil, switched)
+		}
+		none := restored(t, n, in, s, checkpoint{dec: want[s-1].dec})
+		a, err := withDuals.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := none.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameCheckpoint(checkpoint{a, withDuals.state.duals, withDuals.state.dualsSlot}, want[s]) {
+			t.Errorf("slot %d: restored run differs from the uninterrupted one", s)
+		}
+		same := journal.Digest(a.X, a.Y, a.Z) == journal.Digest(b.X, b.Y, b.Z)
+		if same != switched {
+			t.Errorf("slot %d: with and without carried duals the decisions agree %v, covering switch %v", s, same, switched)
+		}
 	}
 }

@@ -51,7 +51,8 @@ type ResumeResult struct {
 // the remaining slot records through w (a journal.ResumeWriter appending to
 // the recovered file). The resumed tail is bit-identical to what an
 // uninterrupted run would have produced: the online algorithm's state is
-// exactly (slot, previous decision), restored from the last state checkpoint,
+// exactly (slot, previous decision), plus the carried exit duals on a
+// warm-start run, restored from the last state checkpoint,
 // and any recorded slots past that checkpoint are re-solved and verified
 // against their recorded digests before new slots commit.
 func Resume(ctx context.Context, j *journal.Journal, w *journal.Writer) (*ResumeResult, error) {
@@ -83,10 +84,11 @@ func ResumeWith(ctx context.Context, j *journal.Journal, w *journal.Writer, opts
 	}
 	suite := NewSuite(scen, cfg.Eps).WithJournal(nil)
 	if cfg.WarmStart {
-		// A warm-recorded run resumes warm: the warm-start state itself died with
-		// the process (core.Restore discards it deterministically), but the
-		// catch-up re-solves and the resumed tail must walk the same warm
-		// rungs the uninterrupted run would have.
+		// A warm-recorded run resumes warm: the warm-start state died with
+		// the process apart from the checkpointed duals (core.Restore
+		// discards the rest deterministically), and the catch-up re-solves
+		// and the resumed tail must walk the same warm rungs the
+		// uninterrupted run would have.
 		suite.WithWarmStart(true)
 	}
 	coreOpts := suite.Cfg.CoreOpts
@@ -105,7 +107,7 @@ func ResumeWith(ctx context.Context, j *journal.Journal, w *journal.Writer, opts
 	}
 	if st := j.LastState; st != nil {
 		prev := &model.Decision{X: st.X, Y: st.Y, Z: st.Z}
-		if err := o.Restore(st.Slot+1, prev); err != nil {
+		if err := o.Restore(st.Slot+1, prev, st.Duals, st.DualsSlot); err != nil {
 			return nil, err
 		}
 	}

@@ -179,6 +179,87 @@ func TestWarmJournalReplaysAndResumes(t *testing.T) {
 	}
 }
 
+// stateLines returns every state checkpoint of a journal file, in order.
+func stateLines(t *testing.T, b []byte) []journal.StateRecord {
+	t.Helper()
+	var out []journal.StateRecord
+	for _, line := range bytes.Split(b, []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte(`{"kind":"state"`)) {
+			continue
+		}
+		var st journal.StateRecord
+		if err := json.Unmarshal(line, &st); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
+// TestWarmResumeFromEveryCheckpoint holds the carried duals to the resume
+// contract: on a 48-slot warm World Cup run, a resume from the checkpoint
+// of every slot — each journal cut right behind that slot's state line —
+// commits the uninterrupted run's decisions and checkpoints its duals, the
+// slot they were solved at included, bit for bit. Every checkpoint of the
+// reference run must carry duals.
+func TestWarmResumeFromEveryCheckpoint(t *testing.T) {
+	cfg := RunConfig{
+		Spec:      ScenarioSpec{NumTier2: 3, NumTier1: 6, K: 2, T: 48, Trace: TraceWorldCup, Seed: 1, ReconfWeight: 10},
+		Algorithm: "online",
+		WarmStart: true,
+	}
+	dir := t.TempDir()
+	ref := recordTo(t, cfg, filepath.Join(dir, "ref.jsonl"))
+	want := stateLines(t, ref)
+	if len(want) != cfg.Spec.T {
+		t.Fatalf("reference run checkpointed %d slots, want %d", len(want), cfg.Spec.T)
+	}
+	for _, st := range want {
+		if len(st.Duals) == 0 {
+			t.Fatalf("slot %d checkpoints no duals", st.Slot)
+		}
+	}
+	lines := bytes.SplitAfter(ref, []byte("\n"))
+	for k := 0; k < cfg.Spec.T-1; k++ {
+		path := filepath.Join(dir, "cut.jsonl")
+		if err := os.WriteFile(path, bytes.Join(lines[:3+2*k], nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res := resumeFile(t, path, ResumeOptions{})
+		if res.StartSlot != k+1 || res.CaughtUp != 0 {
+			t.Fatalf("cut after slot %d: resumed at %d with %d caught up", k, res.StartSlot, res.CaughtUp)
+		}
+		whole, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := stateLines(t, whole)
+		if len(got) != len(want) {
+			t.Fatalf("cut after slot %d: %d checkpoints, want %d", k, len(got), len(want))
+		}
+		for s := k + 1; s < len(want); s++ {
+			g, w := got[s], want[s]
+			if g.DecisionDigest != w.DecisionDigest || g.DualsSlot != w.DualsSlot || !sameBits(g.Duals, w.Duals) {
+				t.Fatalf("cut after slot %d: slot %d diverged from the uninterrupted run (duals of slot %d, want %d)",
+					k, s, g.DualsSlot, w.DualsSlot)
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestColdStepsPerSlot bounds the barrier's cost on the warm-start
 // experiment's instance: the cold (WarmStart off) run's mean Newton steps a
 // steady-state slot, the count the experiment reports as the cold entry's

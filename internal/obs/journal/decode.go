@@ -1,6 +1,10 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
+	"math"
 	"strconv"
 )
 
@@ -269,7 +273,8 @@ func decodeSlot(b []byte, r *SlotRecord) bool {
 // buffers, and every other field is overwritten or cleared. When the
 // line's vector text repeats m's (the previous checkpoint's, at a fixed
 // point), the vectors are copied from m instead of parsed; otherwise m
-// memoizes them. m may be nil.
+// memoizes them. m may be nil. A duals_repeat line decodes with nil Duals,
+// as json.Unmarshal leaves them; the reader resolves it.
 func decodeState(b []byte, r *StateRecord, m *vectorMemo) bool {
 	d := decoder{b: b, ok: true}
 	d.lit(`{"kind":`)
@@ -292,6 +297,16 @@ func decodeState(b []byte, r *StateRecord, m *vectorMemo) bool {
 	}
 	d.lit(`,"decision_digest":`)
 	r.DecisionDigest = d.str()
+	if d.opt(`,"duals":`) {
+		r.Duals = d.bits(r.Duals)
+	} else {
+		r.Duals = nil
+	}
+	r.DualsRepeat = d.opt(`,"duals_repeat":true`)
+	r.DualsSlot = 0
+	if d.opt(`,"duals_slot":`) {
+		r.DualsSlot = int(d.int())
+	}
 	d.lit(`,"t_ns":`)
 	r.TimeNS = d.int()
 	r.CRC = ""
@@ -299,4 +314,52 @@ func decodeState(b []byte, r *StateRecord, m *vectorMemo) bool {
 		r.CRC = d.str()
 	}
 	return d.end()
+}
+
+// bits reads a Bits string (parseBits) into dst's storage.
+func (d *decoder) bits(dst []float64) []float64 {
+	d.lit(`"`)
+	if !d.ok {
+		return nil
+	}
+	end := bytes.IndexByte(d.b[d.i:], '"')
+	if end < 0 {
+		d.ok = false
+		return nil
+	}
+	v, ok := parseBits(dst, d.b[d.i:d.i+end])
+	d.i += end + 1
+	d.ok = ok
+	return v
+}
+
+// parseBits decodes text, the content of a Bits string, into dst[:0] and
+// reports whether it was the padded standard base64 of one or more finite
+// float64 bit patterns. It decodes 32 characters (three elements) at a
+// time into a stack buffer; line breaks, which base64 decoding would skip,
+// decline, so the chunks decode exactly as the whole text would.
+func parseBits(dst []float64, text []byte) ([]float64, bool) {
+	if len(text) == 0 || len(text)%4 != 0 || bytes.ContainsAny(text, "\r\n") {
+		return nil, false
+	}
+	if dst == nil {
+		dst = make([]float64, 0, len(text)/4*3/8)
+	}
+	dst = dst[:0]
+	enc := base64.StdEncoding.Strict()
+	var buf [24]byte
+	for i := 0; i < len(text); i += 32 {
+		k, err := enc.Decode(buf[:], text[i:min(i+32, len(text))])
+		if err != nil || k%8 != 0 || k < 24 && i+32 < len(text) {
+			return nil, false
+		}
+		for j := 0; j < k; j += 8 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(buf[j:]))
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, false
+			}
+			dst = append(dst, v)
+		}
+	}
+	return dst, true
 }

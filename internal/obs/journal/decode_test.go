@@ -185,6 +185,7 @@ func TestCanonicalDecodersCoverEveryField(t *testing.T) {
 	if line, err = st.appendJSON(nil); err != nil {
 		t.Fatal(err)
 	}
+	requireEveryKey(t, line, &st)
 	var gotState StateRecord
 	if !decodeState(line, &gotState, nil) || !reflect.DeepEqual(gotState, st) {
 		t.Fatalf("decodeState does not round-trip every field of\n%s\ngot %+v", line, gotState)

@@ -2,7 +2,10 @@ package journal
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"strconv"
 	"unicode/utf8"
@@ -189,13 +192,17 @@ func (r *SlotRecord) appendJSON(b []byte) ([]byte, error) {
 
 // appendJSON appends r as json.Marshal encodes it.
 func (r *StateRecord) appendJSON(b []byte) ([]byte, error) {
-	return r.appendJSONMemo(b, nil)
+	return r.appendJSONMemo(b, nil, false)
 }
 
 // appendJSONMemo is appendJSON with the vectors' text taken from m when r's
 // X, Y and Z repeat m's bitwise, and recorded into m otherwise (m may be
-// nil). An unencodable vector leaves m unfilled.
-func (r *StateRecord) appendJSONMemo(b []byte, m *vectorMemo) ([]byte, error) {
+// nil). An unencodable vector leaves m unfilled. With repeat set, r's
+// Duals — which the caller found to repeat the previous state line's
+// bitwise — are written as duals_repeat instead of their text, which the
+// reader resolves to that line's duals; the line is then json.Marshal's
+// encoding of r with Duals nil and DualsRepeat set.
+func (r *StateRecord) appendJSONMemo(b []byte, m *vectorMemo, repeat bool) ([]byte, error) {
 	e := encoder{b: b}
 	e.str(`{"kind":`, r.Kind)
 	e.int(`,"slot":`, int64(r.Slot))
@@ -211,12 +218,61 @@ func (r *StateRecord) appendJSONMemo(b []byte, m *vectorMemo) ([]byte, error) {
 		}
 	}
 	e.str(`,"decision_digest":`, r.DecisionDigest)
+	if !repeat && len(r.Duals) > 0 {
+		e.bits(`,"duals":`, r.Duals)
+	}
+	if repeat || r.DualsRepeat {
+		e.b = append(e.b, `,"duals_repeat":true`...)
+	}
+	if r.DualsSlot != 0 {
+		e.int(`,"duals_slot":`, int64(r.DualsSlot))
+	}
 	e.int(`,"t_ns":`, r.TimeNS)
 	if r.CRC != "" {
 		e.str(`,"crc":`, r.CRC)
 	}
 	e.b = append(e.b, '}')
 	return e.b, e.err
+}
+
+// bits appends v as a Bits string (appendBits); a non-finite element
+// latches an error, as Bits.MarshalJSON fails.
+func (e *encoder) bits(key string, v []float64) {
+	b, ok := appendBits(append(e.b, key...), v)
+	if !ok {
+		if e.err == nil {
+			e.err = errNonFiniteBits
+		}
+		return
+	}
+	e.b = b
+}
+
+// errNonFiniteBits is the error of a Bits vector holding NaN or ±Inf.
+var errNonFiniteBits = errors.New("journal: non-finite value in a bits vector")
+
+// appendBits appends v as a JSON string of the standard, padded base64 of
+// its little-endian IEEE-754 bit patterns, and reports false, with b
+// unchanged, when v holds NaN or ±Inf. Three elements are 24 bytes, which
+// encode to 32 characters with no padding, so encoding three at a time
+// from a stack buffer gives the text of one encoding of the whole vector
+// without allocating.
+func appendBits(b []byte, v []float64) ([]byte, bool) {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return b, false
+		}
+	}
+	b = append(b, '"')
+	var buf [24]byte
+	for i := 0; i < len(v); i += 3 {
+		k := 0
+		for ; k < 3 && i+k < len(v); k++ {
+			binary.LittleEndian.PutUint64(buf[8*k:], math.Float64bits(v[i+k]))
+		}
+		b = base64.StdEncoding.AppendEncode(b, buf[:8*k])
+	}
+	return append(b, '"'), true
 }
 
 // vectorMemo holds the last checkpoint's X, Y and Z and the text they

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -14,7 +15,8 @@ import (
 // fuzzRecords builds a slot and a state record from one fuzz input. Every
 // field takes a value derived from the input; the shape bits choose between
 // the encodings' edge cases (nil Attr, nil/empty/filled slices, omitted
-// optional fields).
+// optional fields). The state record's duals share their shape bits with
+// PerTier1 and their repeat flag with Warm.
 func fuzzRecords(s string, a, b, c float64, n int64, shape uint16) (SlotRecord, StateRecord) {
 	bit := func(i uint) bool { return shape>>i&1 == 1 }
 	vec := func(i uint) []float64 {
@@ -82,6 +84,9 @@ func fuzzRecords(s string, a, b, c float64, n int64, shape uint16) (SlotRecord, 
 		Y:              vec(7),
 		Z:              vec(9),
 		DecisionDigest: s,
+		Duals:          vec(3),
+		DualsRepeat:    bit(13),
+		DualsSlot:      int(count(n / 5)),
 		TimeNS:         -n,
 	}
 	if bit(12) {
@@ -156,12 +161,35 @@ func TestRecordEncodersCoverEveryField(t *testing.T) {
 	fill(reflect.ValueOf(&st).Elem())
 	sameAsMarshal(t, &sr, sr.appendJSON)
 	sameAsMarshal(t, &st, st.appendJSON)
+	for _, rec := range []any{&sr, sr.Attr, &st} {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEveryKey(t, line, rec)
+	}
+}
+
+// requireEveryKey fails t unless line holds the JSON key of every field
+// of *rec, so a field the fill left at its zero value (and omitempty
+// dropped) cannot pass a cover test unseen.
+func requireEveryKey(t *testing.T, line []byte, rec any) {
+	t.Helper()
+	typ := reflect.TypeOf(rec).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if !bytes.Contains(line, []byte(`"`+key+`":`)) {
+			t.Errorf("%s: key %q missing from %s", typ, key, line)
+		}
+	}
 }
 
 // TestCommitZeroAlloc pins the commit path allocation-free once the
 // writer's line buffer has grown: encoding, checksum and the one Write. A
-// repeated decision takes the checkpoint memo; a changing one (two
-// decisions in turn) misses it on every commit and refills it in place.
+// repeated decision takes the checkpoint memo and its repeated duals are
+// written as duals_repeat; a changing one (two decisions and two dual
+// vectors in turn) misses the memo on every commit and refills it, and the
+// writer's copy of the duals, in place.
 func TestCommitZeroAlloc(t *testing.T) {
 	for _, repeat := range []bool{true, false} {
 		w := NewWriter(io.Discard)
@@ -177,13 +205,15 @@ func TestCommitZeroAlloc(t *testing.T) {
 			Attr: &CostAttr{AllocT2: 8, AllocNet: 4.5, ReconfT2: 0.1, ReconfNet: 0.025,
 				PerTier2: []float64{6, 6.5}, PerTier1: []float64{12.625}, OperLB: 10},
 		}
-		state := StateRecord{X: x, Y: y, Z: z, DecisionDigest: slot.DecisionDigest}
+		duals, otherDuals := Bits{0.5, 1e-300, 7}, Bits{0.5, 1e-300, 8}
+		state := StateRecord{X: x, Y: y, Z: z, DecisionDigest: slot.DecisionDigest, Duals: duals}
 		w.Commit(slot, state)
 		allocs := testing.AllocsPerRun(100, func() {
 			slot.Slot++
 			state.Slot = slot.Slot
 			if !repeat {
 				state.X, other = other, state.X
+				state.Duals, otherDuals = otherDuals, state.Duals
 			}
 			if w.memo.matches(state.X, state.Y, state.Z) != repeat {
 				t.Fatalf("repeat=%v: memo match %v before commit %d", repeat, !repeat, slot.Slot)
@@ -290,14 +320,111 @@ func TestCommitNaNLeavesMemoUnfilled(t *testing.T) {
 
 	good := StateRecord{X: []float64{1}, Y: []float64{2}, Z: []float64{3}}
 	var m vectorMemo
-	if _, err := good.appendJSONMemo(nil, &m); err != nil {
+	if _, err := good.appendJSONMemo(nil, &m, false); err != nil {
 		t.Fatal(err)
 	}
 	text := string(m.text)
-	if _, err := nan.appendJSONMemo(nil, &m); err == nil {
+	if _, err := nan.appendJSONMemo(nil, &m, false); err == nil {
 		t.Fatal("NaN checkpoint encoded")
 	}
 	if !m.matches(good.X, good.Y, good.Z) || string(m.text) != text {
 		t.Fatalf("NaN checkpoint replaced the memo: %q", m.text)
+	}
+}
+
+// TestCommitRepeatedDuals drives one Writer through checkpoints whose
+// duals are new, repeated, changed, absent, back after an absence and
+// repeated again. A repeat of the state line before it is written as
+// duals_repeat — the line is json.Marshal of the record with Duals nil and
+// DualsRepeat set — and anything else in full, and every prefix of the
+// journal reads back with its last checkpoint's duals filled in bitwise.
+func TestCommitRepeatedDuals(t *testing.T) {
+	a, b := []float64{1.5, -2e-9, 3, 4}, []float64{1.5, -2e-9, 3, 5}
+	seq := []struct {
+		duals  []float64
+		repeat bool
+	}{
+		{a, false}, {a, true}, {a, true}, {b, false}, {nil, false}, {b, false}, {b, true}, {a, false},
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.SetClock(fixedClock())
+	w.Begin(Header{Algorithm: "online", GoMaxProcs: 1, Workers: 1})
+	want := fixedClock()
+	want() // the header's tick
+	x := []float64{1, 2}
+	d := Digest(x, x, x)
+	var cuts []int
+	for i, c := range seq {
+		slot := SlotRecord{Slot: i, InputsDigest: sampleDigest(float64(i)), DecisionDigest: d, Status: StatusOK}
+		st := StateRecord{Slot: i, X: x, Y: x, Z: x, DecisionDigest: d, Duals: c.duals}
+		if c.duals != nil {
+			st.DualsSlot = i / 2
+		}
+		n := buf.Len()
+		w.Commit(slot, st)
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		slot.Kind, slot.TimeNS = KindSlot, want().UnixNano()
+		st.Kind, st.TimeNS = KindState, want().UnixNano()
+		if c.repeat {
+			st.Duals, st.DualsRepeat = nil, true
+		}
+		var exp []byte
+		for _, rec := range []any{&slot, &st} {
+			payload, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp = append(exp, sealLine(payload, 0)...)
+		}
+		if got := buf.Bytes()[n:]; !bytes.Equal(got, exp) {
+			t.Fatalf("commit %d wrote\n%s\nwant\n%s", i, got, exp)
+		}
+		cuts = append(cuts, buf.Len())
+	}
+	for i, cut := range cuts {
+		j, err := Read(bytes.NewReader(buf.Bytes()[:cut]))
+		if err != nil {
+			t.Fatalf("prefix through commit %d: %v", i, err)
+		}
+		if st := j.LastState; !sameBits(st.Duals, seq[i].duals) || (st.Duals == nil) != (seq[i].duals == nil) || st.DualsRepeat != seq[i].repeat {
+			t.Errorf("prefix through commit %d: last checkpoint's duals %v (repeat %v), want %v (repeat %v)",
+				i, st.Duals, st.DualsRepeat, seq[i].duals, seq[i].repeat)
+		}
+	}
+}
+
+// TestReadRejectsUnresolvableDuals pins the reader's checks on the duals
+// fields: a duals_repeat line after a state line without duals, a line
+// with both duals and duals_repeat, and a duals slot after the checkpoint's
+// own slot or without duals are all errors.
+func TestReadRejectsUnresolvableDuals(t *testing.T) {
+	x := []float64{1}
+	d := Digest(x, x, x)
+	for _, tc := range []struct {
+		name   string
+		states []StateRecord
+	}{
+		{"repeat-after-none", []StateRecord{{}, {DualsRepeat: true}}},
+		{"repeat-first", []StateRecord{{DualsRepeat: true}}},
+		{"repeat-with-duals", []StateRecord{{Duals: Bits{1}}, {Duals: Bits{2}, DualsRepeat: true}}},
+		{"duals-slot-ahead", []StateRecord{{Duals: Bits{1}, DualsSlot: 1}}},
+		{"duals-slot-without-duals", []StateRecord{{DualsSlot: 1}, {DualsSlot: 1}}},
+	} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.Begin(Header{Algorithm: "online", GoMaxProcs: 1, Workers: 1})
+		for i, st := range tc.states {
+			st.Slot, st.X, st.Y, st.Z, st.DecisionDigest = i, x, x, x, d
+			w.Commit(SlotRecord{Slot: i, InputsDigest: sampleDigest(1), DecisionDigest: d, Status: StatusOK}, st)
+		}
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil {
+			t.Errorf("%s: journal read without error:\n%s", tc.name, buf.Bytes())
+		}
 	}
 }

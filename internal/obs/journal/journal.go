@@ -165,8 +165,10 @@ type CostAttr struct {
 
 // StateRecord checkpoints the online algorithm's restartable state right
 // after slot Slot committed: the decision vectors the next slot's subproblem
-// is built from (x_prev). JSON encodes float64 exactly (shortest round-trip
-// form), so a resumed run restarts from bit-identical state.
+// is built from (x_prev) and, on a warm-start run, the exit duals the next
+// slot's warm solve starts from. JSON encodes float64 exactly (shortest
+// round-trip form) and Bits carries bit patterns, so a resumed run restarts
+// from bit-identical state.
 type StateRecord struct {
 	Kind string `json:"kind"` // always KindState
 	// Slot is the slot whose committed decision this checkpoints; it must
@@ -178,10 +180,61 @@ type StateRecord struct {
 	// DecisionDigest repeats the slot record's digest so the reader can
 	// verify the vectors reconstruct the committed decision exactly.
 	DecisionDigest string `json:"decision_digest"`
+	// Duals are the KKT multipliers of P2's rows that the next slot's warm
+	// solve starts from, and DualsSlot the slot whose P2 they were solved
+	// at (at most Slot: a snapped decision carries earlier duals forward).
+	// Both are absent when the run carries no duals (WarmStart off, a
+	// degraded slot) and in journals that predate them, which read as "no
+	// duals" — a compatible soral-journal/2 extension; the crc field stays
+	// the last JSON key. DualsRepeat marks a line whose duals repeat the
+	// previous state line's bitwise: the writer omits their text, as a run
+	// at a fixed point repeats them slot after slot, and the reader fills
+	// Duals in from that line.
+	Duals       Bits `json:"duals,omitempty"`
+	DualsRepeat bool `json:"duals_repeat,omitempty"`
+	DualsSlot   int  `json:"duals_slot,omitempty"`
 	// TimeNS is the record's wall-clock emission time in Unix nanoseconds.
 	TimeNS int64 `json:"t_ns"`
 	// CRC is the record checksum; see Header.CRC.
 	CRC string `json:"crc,omitempty"`
+}
+
+// Bits is a float64 vector that JSON carries bit for bit: a string holding
+// the standard, padded base64 of its elements' IEEE-754 bit patterns,
+// little-endian, 8 bytes an element. Formatting and parsing bits costs a
+// fraction of shortest-round-trip decimal (DESIGN.md §10). Only finite,
+// non-empty vectors encode: a NaN or ±Inf element fails the record, as it
+// does in a number field, and the empty string does not decode.
+type Bits []float64
+
+// MarshalJSON encodes v as its base64 string, or null when v is nil.
+func (v Bits) MarshalJSON() ([]byte, error) {
+	if v == nil {
+		return []byte("null"), nil
+	}
+	b, ok := appendBits(nil, v)
+	if !ok {
+		return nil, errNonFiniteBits
+	}
+	return b, nil
+}
+
+// UnmarshalJSON decodes a base64 string written by MarshalJSON, or null.
+func (v *Bits) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*v = nil
+		return nil
+	}
+	var text string
+	if err := json.Unmarshal(data, &text); err != nil {
+		return err
+	}
+	out, ok := parseBits(nil, []byte(text))
+	if !ok {
+		return fmt.Errorf("journal: %q is not the base64 of finite float64 bits", text)
+	}
+	*v = out
+	return nil
 }
 
 // AlertRecord journals one watchdog rule transition: a rule started firing
@@ -287,15 +340,25 @@ func (e *TornTailError) Unwrap() error { return ErrTornTail }
 // empty one. The result is "sha256:" plus the hex digest.
 func Digest(groups ...[]float64) string {
 	h := sha256.New()
-	var buf [8]byte
-	for _, g := range groups {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(g)))
-		h.Write(buf[:])
-		for _, v := range g {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+	// The words go to the hash 64 at a time: one Write per word cost more
+	// than the hashing on the vectors a slot digests.
+	var buf [64 * 8]byte
+	n := 0
+	word := func(w uint64) {
+		if n == len(buf) {
 			h.Write(buf[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], w)
+		n += 8
+	}
+	for _, g := range groups {
+		word(uint64(len(g)))
+		for _, v := range g {
+			word(math.Float64bits(v))
 		}
 	}
+	h.Write(buf[:n])
 	var sum [sha256.Size]byte
 	return digestText(h.Sum(sum[:0]))
 }

@@ -338,6 +338,21 @@ func (st *scanState) add(raw []byte, line int) error {
 		if rec.DecisionDigest != j.Slots[n-1].DecisionDigest {
 			return fmt.Errorf("state checkpoint for slot %d does not match the committed decision", rec.Slot)
 		}
+		duals := rec.Duals
+		if rec.DualsRepeat {
+			if len(duals) > 0 || j.LastState == nil || len(j.LastState.Duals) == 0 {
+				return fmt.Errorf("state checkpoint for slot %d repeats duals the state line before it does not carry", rec.Slot)
+			}
+			duals = j.LastState.Duals
+		}
+		if rec.DualsSlot < 0 || rec.DualsSlot > rec.Slot || rec.DualsSlot != 0 && len(duals) == 0 {
+			return fmt.Errorf("state checkpoint for slot %d carries %d duals solved at slot %d", rec.Slot, len(duals), rec.DualsSlot)
+		}
+		if rec.DualsRepeat {
+			// The checkpoint it replaces hands its duals over rather than
+			// lending them with its other vectors to the next state line.
+			rec.Duals, j.LastState.Duals = duals, nil
+		}
 		if fast {
 			// The checkpoint it replaces lends its vectors to the next
 			// state line.

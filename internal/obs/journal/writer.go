@@ -104,6 +104,11 @@ type Writer struct {
 	// that repeats the previous decision appends that text instead of
 	// formatting it again.
 	memo vectorMemo
+	// duals holds the duals of the last state line written (dualsOK false
+	// when it carried none), so a Commit repeating them writes
+	// duals_repeat instead of their text.
+	duals   []float64
+	dualsOK bool
 }
 
 // DroppedAlerts reports how many alert records were dropped because they
@@ -309,7 +314,8 @@ func (w *Writer) Slot(r SlotRecord) {
 // TimeNS on both records; the caller supplies the rest (core writes one
 // Commit per decided slot). A record that cannot be encoded (a NaN or ±Inf
 // value) latches an error and writes neither line. A checkpoint whose
-// vectors repeat the previous one's bitwise reuses their encoded text.
+// vectors repeat the previous one's bitwise reuses their encoded text, and
+// one whose duals do writes duals_repeat in their place.
 func (w *Writer) Commit(slot SlotRecord, state StateRecord) {
 	if w == nil {
 		return
@@ -368,9 +374,17 @@ func (w *Writer) appendState(b []byte, r *StateRecord) ([]byte, error) {
 	r.TimeNS = w.now().UnixNano()
 	r.CRC = ""
 	start := len(b)
-	b, err := r.appendJSONMemo(b, &w.memo)
+	repeat := w.dualsOK && len(r.Duals) > 0 && sameBits(r.Duals, w.duals)
+	b, err := r.appendJSONMemo(b, &w.memo, repeat)
 	if err != nil {
 		return b, err
+	}
+	switch {
+	case repeat:
+	case len(r.Duals) > 0:
+		w.duals, w.dualsOK = append(w.duals[:0], r.Duals...), true
+	case !r.DualsRepeat:
+		w.dualsOK = false
 	}
 	return sealLine(b, start), nil
 }
